@@ -192,57 +192,56 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _duration_table(args, grid) -> int:
+    """Time-share table over durations: `sweep --var m` and `timeshare --sweep-m`."""
+    if args.n != 1:
+        raise ValueError("duration sweeps need a scalar plant (--n 1)")
+    rows = sweep_timeshare(args.a_star[0], args.eps[0], [int(v) for v in grid], channel_p=args.p)
+    with _out_stream(args) as out:
+        write_rows_csv(rows, out)
+    return 0
+
+
 def cmd_sweep(args) -> int:
     if args.var == "m":
-        if args.n != 1:
-            raise ValueError("duration sweeps need a scalar plant (--n 1)")
-        values = [int(v) for v in args.range]
-        rows = sweep_timeshare(
-            args.a_star[0], args.eps[0], values, channel_p=args.p
+        return _duration_table(args, args.range)
+    plant = _plant_from(args)
+    empirical = None
+    if args.empirical:
+        empirical = Experiment(
+            trials=args.trials,
+            steps=args.steps,
+            base_seed=args.seed,
+            strategy=_strategy_from(args),
         )
-    else:
-        plant = _plant_from(args)
-        empirical = None
-        if args.empirical:
-            empirical = Experiment(
-                trials=args.trials,
-                steps=args.steps,
-                base_seed=args.seed,
-                strategy=_strategy_from(args),
-            )
-        rows = sweep(
-            plant,
-            args.var,
-            args.range,
-            channel_p=args.p,
-            n_levels=args.N,
-            channel_seed=args.seed,
-            empirical=empirical,
-        )
+    rows = sweep(
+        plant,
+        args.var,
+        args.range,
+        channel_p=args.p,
+        n_levels=args.N,
+        channel_seed=args.seed,
+        empirical=empirical,
+    )
     with _out_stream(args) as out:
         write_rows_csv(rows, out)
     return 0
 
 
 def cmd_timeshare(args) -> int:
+    if args.sweep_m:
+        return _duration_table(args, args.sweep_m)
     if args.n != 1:
         raise ValueError("time-sharing analysis is defined for scalar plants (--n 1)")
-    a, e = args.a_star[0], args.eps[0]
-    if args.sweep_m:
-        values = [int(v) for v in args.sweep_m]
-        rows = sweep_timeshare(a, e, values, channel_p=args.p)
-        with _out_stream(args) as out:
-            write_rows_csv(rows, out)
-        return 0
     if args.m is None:
         raise ValueError("need --m (or --sweep-m lo:hi:step)")
+    a, e = args.a_star[0], args.eps[0]
+    levels = 1.0 if args.N is None else args.N
+    cfg = TimeShareConfig(a_star=a, eps=e, m=args.m, levels=levels, p=args.p)  # validates first
     dp, dm = deltas(a, e, args.m)
     r_bar, feasible = lossless_bound(a, e, args.m)
     found = min_feasible_average_level(a, e, args.p, args.m)
-    kbar = None
-    if args.N is not None:
-        cfg = TimeShareConfig(a_star=a, eps=e, m=args.m, levels=args.N, p=args.p)
-        kbar = kappa_bar(cfg)
+    kbar = None if args.N is None else kappa_bar(cfg)
     payload = {
         "m": args.m,
         "delta_plus": dp,

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._search import first_passing, split_integers
 from .plant import UncertainPlant
 
 # Dense storage: F is (2^n * n^2) square, so n = 6 is already 2304 x 2304.
@@ -200,49 +201,41 @@ class MinLevelResult(NamedTuple):
     rho: float
 
 
+# Search range and relative resolution of min_sufficient_level_real.
+LEVEL_CAP = 2.0**40
+LEVEL_TOL = 1e-9
+
+
 def min_sufficient_N(plant: UncertainPlant, p: float, n_max: int = 4096) -> MinLevelResult:
     """Smallest integer level in [2, n_max] passing the test.
 
-    Plain upward scan: assumes nothing about monotonicity, so the first
-    hit is the minimum by construction.  On failure reports the largest
-    spectral radius seen.
+    Every theta is nonincreasing in N, hence so is every entry of the
+    nonnegative lifted matrix and (Perron-Frobenius) its spectral radius:
+    once the test passes it passes for all larger N, so a monotone search
+    finds the minimum.  On failure reports the largest radius probed.
     """
-    if n_max < 2:
-        raise ValueError(f"need n_max >= 2, got {n_max}")
-    worst = 0.0
-    for n_levels in range(2, n_max + 1):
-        rho = spectral_radius(build_F(plant, n_levels, p).lifted)
-        worst = max(worst, rho)
-        if rho < 1.0:
-            return MinLevelResult(n_levels, rho)
-    return MinLevelResult(None, worst)
+    results = {}
+
+    def passes(n_levels: int) -> bool:
+        results[n_levels] = sufficient_mss(plant, n_levels, p)
+        return results[n_levels].sufficient
+
+    level = first_passing(passes, 2, n_max, split_integers)
+    rho = max(r.rho for r in results.values()) if level is None else results[level].rho
+    return MinLevelResult(level, rho)
 
 
-def min_sufficient_level_real(
-    plant: UncertainPlant, p: float, level_cap: float = 2.0**40, tol: float = 1e-9
-) -> float:
+def min_sufficient_level_real(plant: UncertainPlant, p: float) -> float:
     """Infimum real level N >= 2 with spectral radius below one.
 
-    The radius is nonincreasing in N (every theta is), so bisection
-    applies.  Returns 2.0 if the test already passes there and math.inf
-    if it still fails at the cap.
+    The radius is nonincreasing in N (see min_sufficient_N); the search
+    bisects to a relative width of LEVEL_TOL.  Returns 2.0 if the test
+    passes there and math.inf if it still fails at LEVEL_CAP.
     """
-
-    def rho_at(n_levels: float) -> float:
-        return spectral_radius(build_F(plant, n_levels, p).lifted)
-
-    if rho_at(2.0) < 1.0:
-        return 2.0
-    hi = 4.0
-    while rho_at(hi) >= 1.0:
-        hi *= 2.0
-        if hi > level_cap:
-            return math.inf
-    lo = hi / 2.0
-    while hi - lo > tol * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        if rho_at(mid) < 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    level = first_passing(
+        lambda n_levels: sufficient_mss(plant, n_levels, p).sufficient,
+        2.0,
+        LEVEL_CAP,
+        lambda lo, hi: None if hi - lo <= LEVEL_TOL * max(1.0, lo) else 0.5 * (lo + hi),
+    )
+    return math.inf if level is None else level

@@ -178,7 +178,7 @@ def _fit_slope(mean_sq_sigma: np.ndarray) -> float:
     if ok.sum() == 0:
         return -math.inf
     if ok.sum() == 1:
-        return -math.inf if vals[ok][0] == 0.0 else 0.0
+        return 0.0
     coeff = np.polyfit(ks[ok], np.log(vals[ok]), 1)
     return float(coeff[0])
 
@@ -253,20 +253,17 @@ def sweep_timeshare(
     m_values,
     *,
     channel_p: float = 0.0,
-    level_cap: int = 1_000_000,
 ) -> list[dict]:
     """Duration sweep for the time-sharing protocol (fixed column schema)."""
     rows = []
     for m in m_values:
+        # built first so that every input is validated before the closed forms
+        cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m, levels=1.0, p=channel_p)
         dp, dm = deltas(a_star, eps, m)
         r_bar, feasible = lossless_bound(a_star, eps, m)
-        found = min_feasible_average_level(a_star, eps, channel_p, m, cap=level_cap)
+        found = min_feasible_average_level(a_star, eps, channel_p, m)
         total, avg = found if found is not None else ("", "")
-        kbar = ""
-        if found is not None:
-            kbar = kappa_bar(
-                TimeShareConfig(a_star=a_star, eps=eps, m=m, levels=avg, p=channel_p)
-            )
+        kbar = "" if found is None else kappa_bar(replace(cfg, levels=avg))
         rows.append(
             {
                 "m": m,

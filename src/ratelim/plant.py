@@ -13,6 +13,7 @@ which is what all the rate/loss bounds depend on.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -38,6 +39,11 @@ class UncertainPlant:
             raise ValueError(
                 f"need {self.n} nominal coefficients and radii, got "
                 f"{len(self.a_star)} and {len(self.eps)}"
+            )
+        if not all(math.isfinite(v) for v in (*self.a_star, *self.eps, self.y0_bound)):
+            raise ValueError(
+                f"plant parameters must be finite: a*={self.a_star}, eps={self.eps}, "
+                f"Y0={self.y0_bound}"
             )
         if any(e < 0.0 for e in self.eps):
             raise ValueError(f"uncertainty radii must be nonnegative: {self.eps}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._search import first_passing, split_integers
 from .channel import ChannelConfig, draw
 from .codec_loop import (
     CONVERGED,
@@ -38,6 +39,11 @@ class TimeShareConfig:
     y0_bound: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.a_star, self.eps, self.levels, self.y0_bound)):
+            raise ValueError(
+                f"time-share parameters must be finite: a*={self.a_star}, eps={self.eps}, "
+                f"levels={self.levels}, Y0={self.y0_bound}"
+            )
         if self.eps < 0.0:
             raise ValueError(f"uncertainty radius must be nonnegative, got {self.eps}")
         if abs(self.a_star) - self.eps <= 1.0:
@@ -106,17 +112,18 @@ def min_feasible_average_level(
 ) -> tuple[int, float] | None:
     """Smallest integer total level with E[kappa^2] < 1, and its m-th root.
 
-    Upward scan over totals; kappa decreases with resolution so the first
-    hit is minimal.  None if nothing passes up to the cap.
+    kappa > 0 falls with the realized resolution M (for M >= 2 it is
+    (|a*|-eps)^m / M + (delta+ + delta-)/2) and every M = total^(s/m)
+    grows with the total, so E[kappa^2] is nonincreasing in the total and
+    a monotone search finds the minimum.  None if none passes up to cap.
     """
-    if cap < 2:
-        raise ValueError(f"need cap >= 2, got {cap}")
-    for total in range(2, cap + 1):
-        avg = total ** (1.0 / m)
-        cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m, levels=avg, p=p)
-        if kappa_bar(cfg) < 1.0:
-            return total, avg
-    return None
+
+    def passes(total: int) -> bool:
+        cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m, levels=total ** (1.0 / m), p=p)
+        return kappa_bar(cfg) < 1.0
+
+    total = first_passing(passes, 2, cap, split_integers)
+    return None if total is None else (total, total ** (1.0 / m))
 
 
 def power_hull(a_star: float, eps: float, m: int) -> Interval:

@@ -193,6 +193,53 @@ def test_timeshare_infeasible_duration_reports_null_rate(capsys):
     assert payload["r_bar"] is None  # infinite maps to null in JSON
 
 
+def test_timeshare_long_duration_answers_without_a_level(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "timeshare", "--a-star", "3.3", "--eps", "0.025", "--p", "0", "--m", "40",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["feasible"] is False
+    assert payload["min_total_level"] is None
+
+
+def test_timeshare_sweep_m_matches_sweep_var_m(capsys, tmp_path):
+    plant = ("--a-star", "3.3", "--eps", "0.025", "--p", "0.05")
+    by_sweep, by_timeshare = tmp_path / "sweep.csv", tmp_path / "timeshare.csv"
+    assert run_cli(
+        capsys, "sweep", "--n", "1", *plant, "--var", "m", "--range", "1:4:1",
+        "--out", str(by_sweep),
+    )[0] == 0
+    assert run_cli(
+        capsys, "timeshare", *plant, "--sweep-m", "1:4:1", "--out", str(by_timeshare)
+    )[0] == 0
+    assert by_sweep.read_bytes() == by_timeshare.read_bytes()
+    assert len(by_sweep.read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--n", "2", "--a-star", "1,nan", "--eps", "0,0"),
+        ("bounds", "--n", "1", "--a-star", "3", "--eps", "nan"),
+        ("bounds", "--n", "1", "--a-star", "3", "--eps", "0", "--y0-bound", "nan"),
+        ("sufficient", "--n", "1", "--a-star", "inf", "--eps", "0", "--N", "4"),
+        ("timeshare", "--a-star", "nan", "--eps", "0.1", "--m", "2"),
+        ("timeshare", "--a-star", "inf", "--eps", "0.1", "--m", "2"),
+        ("timeshare", "--a-star", "3", "--eps", "0.1", "--m", "2", "--N", "nan"),
+        ("timeshare", "--a-star", "3", "--eps", "0.1", "--m", "0"),
+        ("timeshare", "--a-star", "inf", "--eps", "0.1", "--sweep-m", "1:2:1"),
+        ("sweep", "--n", "1", "--a-star", "3", "--eps", "0.1", "--var", "m", "--range", "0:1:1"),
+    ],
+)
+def test_invalid_numbers_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_timeshare_rejects_vector_plants(capsys):
     code, _, _ = run_cli(
         capsys,

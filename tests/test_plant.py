@@ -27,6 +27,22 @@ def test_construction_rejects_marginal_last_coefficient():
         UncertainPlant(n=1, a_star=(2.0,), eps=(0.0,), y0_bound=0.0)
 
 
+@pytest.mark.parametrize(
+    "a, e, y0",
+    [
+        ((1.0, float("nan")), (0.0, 0.0), 1.0),
+        ((float("nan"), 3.0), (0.0, 0.0), 1.0),
+        ((1.0, float("inf")), (0.0, 0.0), 1.0),
+        ((1.0, 3.0), (0.0, float("nan")), 1.0),
+        ((1.0, 3.0), (0.0, 0.0), float("nan")),
+        ((1.0, 3.0), (0.0, 0.0), float("inf")),
+    ],
+)
+def test_construction_rejects_non_finite_parameters(a, e, y0):
+    with pytest.raises(ValueError, match="finite"):
+        UncertainPlant(n=2, a_star=a, eps=e, y0_bound=y0)
+
+
 def test_lambda_pi_examples():
     assert lambda_pi(make_plant()) == 2.5
     assert lambda_pi(UncertainPlant(n=1, a_star=(3.3,), eps=(0.025,))) == 3.3

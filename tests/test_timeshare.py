@@ -26,6 +26,13 @@ def test_config_validation():
         TimeShareConfig(a_star=3.3, eps=0.025, m=0, levels=2)
     with pytest.raises(ValueError):
         TimeShareConfig(a_star=3.3, eps=0.025, m=1, levels=2, p=1.0)
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        dict(a_star=nan), dict(a_star=inf), dict(a_star=-inf), dict(eps=nan),
+        dict(levels=nan), dict(levels=inf), dict(y0_bound=nan), dict(y0_bound=inf),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            TimeShareConfig(**{"a_star": 3.3, "eps": 0.025, "m": 2, "levels": 2, **bad})
 
 
 def test_deltas_examples():
