@@ -18,7 +18,7 @@ import sys
 from .channel import ChannelConfig
 from .codec_loop import QuantizerSpec, SaturationError
 from .limits import martins_bound, necessary_bounds, phat_bound, you_bounds
-from .mjls import build_F, min_sufficient_N, spectral_radius
+from .mjls import min_sufficient_N, sufficient_mss
 from .montecarlo import (
     Experiment,
     run_experiment,
@@ -138,13 +138,13 @@ def cmd_sufficient(args) -> int:
     else:
         if args.N is None or args.N < 2:
             raise ValueError("--N must be an integer >= 2 (or use --min-n)")
-        rho = spectral_radius(build_F(plant, args.N, args.p).lifted)
+        result = sufficient_mss(plant, args.N, args.p)
         payload = {
             "n": plant.n,
             "N": args.N,
             "p": args.p,
-            "rho": rho,
-            "sufficient": rho < 1.0,
+            "rho": result.rho,
+            "sufficient": result.sufficient,
         }
     with _out_stream(args) as out:
         _emit_json(payload, out)
@@ -367,6 +367,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        print("error: input is out of floating-point range", file=sys.stderr)
         return 2
 
 

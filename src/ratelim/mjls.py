@@ -74,19 +74,19 @@ class MjlsModel:
     n: int
     levels: float
     p: float
-    theta_table: np.ndarray  # shape (n, 2): theta for coefficient i at flag 0/1
     companions: tuple[np.ndarray, ...]  # one per window, index order
-    transition: np.ndarray
     lifted: np.ndarray  # the stability test matrix
 
 
 def build_F(plant: UncertainPlant, n_levels: float, p: float) -> MjlsModel:
     """Assemble the lifted second-moment matrix for spectral-radius testing.
 
-    Each window's companion matrix carries the theta factors in its last
-    row, ordered (theta_n, ..., theta_1); coefficient i reads the flag of
-    time k-i+1, which is bit n-i of the window.  The lifted matrix is
-    (P^T kron I) times the block diagonal of the Kronecker squares.
+    Each window's companion matrix H_w carries the theta factors in its
+    last row, ordered (theta_n, ..., theta_1); coefficient i reads the flag
+    of time k-i+1, which is bit n-i of the window.  Block (v, w) of the
+    lifted matrix is P[w, v] * kron(H_w, H_w), written directly: each
+    source window w fills at most two blocks, v = w >> 1 (loss) and
+    v = (w >> 1) | 2^(n-1) (reception); every other block is zero.
     """
     n = plant.n
     if n > N_MAX_ORDER:
@@ -98,8 +98,10 @@ def build_F(plant: UncertainPlant, n_levels: float, p: float) -> MjlsModel:
         table[i, 0] = theta(plant.a_star[i], plant.eps[i], n_levels, 0)
         table[i, 1] = theta(plant.a_star[i], plant.eps[i], n_levels, 1)
     size = 1 << n
+    nn = n * n
+    trans = build_transition(n, p)
+    lifted = np.zeros((size * nn, size * nn))
     companions = []
-    blocks = []
     for w in range(size):
         h = np.zeros((n, n))
         for r in range(n - 1):
@@ -109,23 +111,13 @@ def build_F(plant: UncertainPlant, n_levels: float, p: float) -> MjlsModel:
             flag = (w >> j) & 1
             h[n - 1, j] = table[n - 1 - j, flag]
         companions.append(h)
-        blocks.append(np.kron(h, h))
-    f2 = np.zeros((size * n * n, size * n * n))
-    for w, b in enumerate(blocks):
-        s = w * n * n
-        f2[s : s + n * n, s : s + n * n] = b
-    trans = build_transition(n, p)
-    f1 = np.kron(trans.T, np.eye(n * n))
-    lifted = f1 @ f2
-    return MjlsModel(
-        n=n,
-        levels=n_levels,
-        p=p,
-        theta_table=table,
-        companions=tuple(companions),
-        transition=trans,
-        lifted=lifted,
-    )
+        # an overflowed block is left inf (or nan where P is zero) for
+        # spectral_radius to reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = np.kron(h, h)
+            for v in (w >> 1, (w >> 1) | (size >> 1)):
+                lifted[v * nn : (v + 1) * nn, w * nn : (w + 1) * nn] = trans[w, v] * block
+    return MjlsModel(n=n, levels=n_levels, p=p, companions=tuple(companions), lifted=lifted)
 
 
 def _power_iteration(mat: np.ndarray, tol: float, max_iter: int) -> float | None:
@@ -170,6 +162,8 @@ def spectral_radius(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     if (a < 0.0).any():
         raise ValueError("matrix must be elementwise nonnegative")
     rho = _power_iteration(a, tol, max_iter)

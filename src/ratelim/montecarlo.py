@@ -4,15 +4,13 @@ The verdict is driven by the scaling parameter rather than the output:
 the output is bounded by a fixed multiple of the recent scaling values,
 and the scaling sequence is deterministic given the loss sequence, so its
 sample mean has far lower variance.  Mean squared output is reported
-alongside.  Trials are embarrassingly parallel with injective per-trial
-seeds; aggregation is order-insensitive.
+alongside.  Each trial has its own injective seed, and the per-step sums
+run in trial order, so the decay CSV of a seeded experiment is bit-stable.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +18,7 @@ import numpy as np
 from .channel import ChannelConfig, derive_seed, uniform01
 from .codec_loop import CONVERGED, DIVERGED, QuantizerSpec, SimTrace, run_closed_loop
 from .limits import necessary_bounds
-from .mjls import min_sufficient_level_real, spectral_radius, build_F
+from .mjls import min_sufficient_level_real, sufficient_mss
 from .plant import ParamStrategy, UncertainPlant
 from .timeshare import (
     TimeShareConfig,
@@ -71,44 +69,21 @@ def _trial_seeds(base_seed: int, trial: int) -> tuple[int, int, int]:
     return derive_seed(root, 0), derive_seed(root, 1), derive_seed(root, 2)
 
 
-def _run_one_trial(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    target, quantizer, channel, exp, trial = args
+def _run_trial(
+    target: UncertainPlant | TimeShareConfig,
+    quantizer: QuantizerSpec | None,
+    channel: ChannelConfig,
+    exp: Experiment,
+    trial: int,
+) -> SimTrace:
     ch_seed, strat_seed, y0_seed = _trial_seeds(exp.base_seed, trial)
     ch = ChannelConfig(p=channel.p, seed=ch_seed)
     strat = exp.strategy.with_seed(strat_seed)
     bound = target.y0_bound
     y0 = (2.0 * uniform01(y0_seed, 0) - 1.0) * bound / 2.0
     if isinstance(target, TimeShareConfig):
-        trace = run_timeshare_loop(target, ch, strat, exp.steps, y0)
-    else:
-        trace = run_closed_loop(target, quantizer, ch, strat, exp.steps, y0)
-    return _trial_arrays(trace, exp.steps)
-
-
-def _trial_arrays(trace: SimTrace, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    got = len(trace)
-    sq_y = np.zeros(steps)
-    sq_sigma = np.zeros(steps)
-    weight = np.zeros(steps)
-    y = np.asarray(trace.y[:got])
-    s = np.asarray(trace.sigma[:got])
-    sq_y[:got] = y * y
-    sq_sigma[:got] = s * s
-    if trace.status == DIVERGED:
-        weight[:got] = 1.0  # nothing meaningful to contribute past divergence
-    else:
-        weight[:] = 1.0  # converged trials contribute their (zero) tail
-    return sq_y, sq_sigma, weight, trace.status
-
-
-def _workers() -> int:
-    env = os.environ.get("RATELIM_THREADS", "")
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+        return run_timeshare_loop(target, ch, strat, exp.steps, y0)
+    return run_closed_loop(target, quantizer, ch, strat, exp.steps, y0)
 
 
 def run_experiment(
@@ -119,32 +94,35 @@ def run_experiment(
 ) -> DecayReport:
     """Average many seeded trials and classify the decay of E[sigma^2].
 
+    A diverged trial counts only up to its last recorded step; any other
+    trial counts over the whole horizon, its early-converged tail as zero.
     The slope is a least-squares fit to log mean-square sigma over the
     second half of the horizon; below -tol_slope per step is stable,
     above +tol_slope (or any diverged trial) unstable, else inconclusive.
     """
     if isinstance(target, UncertainPlant) and quantizer is None:
         raise ValueError("closed-loop experiments need a quantizer spec")
-    jobs = [(target, quantizer, channel, exp, t) for t in range(exp.trials)]
-    workers = min(_workers(), exp.trials)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one_trial, jobs, chunksize=8))
-    else:
-        results = [_run_one_trial(j) for j in jobs]
-    sq_y = np.stack([r[0] for r in results])
-    sq_sigma = np.stack([r[1] for r in results])
-    weight = np.stack([r[2] for r in results])
-    statuses = [r[3] for r in results]
-    counts = weight.sum(axis=0)
+    sum_sq_y = np.zeros(exp.steps)
+    sum_sq_sigma = np.zeros(exp.steps)
+    counts = np.zeros(exp.steps)
+    diverged = converged = 0
+    for trial in range(exp.trials):
+        trace = _run_trial(target, quantizer, channel, exp, trial)
+        got = len(trace)
+        y = np.asarray(trace.y[:got])
+        s = np.asarray(trace.sigma[:got])
+        sum_sq_y[:got] += y * y
+        sum_sq_sigma[:got] += s * s
+        if trace.status == DIVERGED:
+            counts[:got] += 1.0
+            diverged += 1
+        else:
+            counts += 1.0
+            converged += trace.status == CONVERGED
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean_sq_y = np.where(counts > 0, (sq_y * weight).sum(axis=0) / counts, np.nan)
-        mean_sq_sigma = np.where(
-            counts > 0, (sq_sigma * weight).sum(axis=0) / counts, np.nan
-        )
+        mean_sq_y = np.where(counts > 0, sum_sq_y / counts, np.nan)
+        mean_sq_sigma = np.where(counts > 0, sum_sq_sigma / counts, np.nan)
     slope = _fit_slope(mean_sq_sigma)
-    diverged = sum(1 for s in statuses if s == DIVERGED)
-    converged = sum(1 for s in statuses if s == CONVERGED)
     if diverged > 0:
         verdict = UNSTABLE
     elif slope < -exp.tol_slope:
@@ -219,7 +197,7 @@ def sweep(
         nb = necessary_bounds(abs(cur_plant.a_star[-1]), cur_plant.eps[-1], cur_p)
         rho = ""
         if cur_n is not None and cur_n >= 2.0:
-            rho = spectral_radius(build_F(cur_plant, cur_n, cur_p).lifted)
+            rho = sufficient_mss(cur_plant, cur_n, cur_p).rho
         min_level = min_sufficient_level_real(cur_plant, cur_p)
         verdict = ""
         if empirical is not None:

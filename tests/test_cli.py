@@ -231,6 +231,19 @@ def test_timeshare_sweep_m_matches_sweep_var_m(capsys, tmp_path):
         ("timeshare", "--a-star", "3", "--eps", "0.1", "--m", "0"),
         ("timeshare", "--a-star", "inf", "--eps", "0.1", "--sweep-m", "1:2:1"),
         ("sweep", "--n", "1", "--a-star", "3", "--eps", "0.1", "--var", "m", "--range", "0:1:1"),
+        # finite inputs whose closed forms or lifted matrix leave float range
+        ("bounds", "--n", "1", "--a-star", "1e200", "--eps", "0"),
+        ("timeshare", "--a-star", "3.3", "--eps", "0.025", "--m", "1000"),
+        (
+            "sweep", "--n", "1", "--a-star", "3.3", "--eps", "0.025", "--var", "m",
+            "--range", "600:700:100",
+        ),
+        (
+            "simulate", "--n", "1", "--a-star", "3.3", "--eps", "0.025", "--N", "4",
+            "--m", "1000", "--trials", "2", "--steps", "10",
+        ),
+        ("sufficient", "--n", "1", "--a-star", "1e300", "--eps", "0", "--N", "4"),
+        ("sufficient", "--n", "1", "--a-star", "1e300", "--eps", "0", "--min-n"),
     ],
 )
 def test_invalid_numbers_exit_2(capsys, argv):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from ratelim.limits import eta_second_moment, necessary_bounds
 from ratelim.mjls import (
     build_F,
@@ -92,6 +93,24 @@ def test_build_F_assigns_flags_per_coefficient_age():
     assert (model.lifted >= 0).all()
 
 
+def test_build_F_matches_product_form():
+    # 100 seeded plants of orders 1..5 with 5 of order 6 among them; about
+    # a quarter have a lossless channel (one zero block per source window)
+    # and about half a real level
+    rng = np.random.default_rng(2026)
+    for k in range(100):
+        n = 6 if k % 20 == 19 else 1 + k % 5
+        eps = rng.uniform(0.0, 0.5, size=n) * (rng.uniform(size=n) < 0.8)
+        a_star = rng.uniform(-3.0, 3.0, size=n)
+        a_star[-1] = rng.choice((-1.0, 1.0)) * (1.0 + eps[-1] + rng.uniform(0.01, 2.0))
+        plant = UncertainPlant(n=n, a_star=tuple(a_star), eps=tuple(eps))
+        p = 0.0 if rng.uniform() < 0.25 else float(rng.uniform(0.0, 0.9))
+        real = rng.uniform() < 0.5
+        n_levels = float(rng.uniform(2.0, 64.0)) if real else int(rng.integers(2, 65))
+        want = oracles.lifted_matrix(plant, n_levels, p)
+        assert np.array_equal(build_F(plant, n_levels, p).lifted, want)
+
+
 def test_build_F_order_cap():
     plant = UncertainPlant(
         n=7, a_star=(0, 0, 0, 0, 0, 0, 2.0), eps=(0,) * 7, y0_bound=1.0
@@ -108,6 +127,9 @@ def test_spectral_radius_basics():
     assert spectral_radius(np.zeros((4, 4))) == 0.0
     with pytest.raises(ValueError):
         spectral_radius(np.array([[1.0, -0.1], [0.0, 1.0]]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            spectral_radius(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 def test_spectral_radius_against_eigensolver():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from ratelim.channel import ChannelConfig
 from ratelim.codec_loop import QuantizerSpec
 from ratelim.limits import eta_second_moment, necessary_bounds
@@ -170,12 +171,52 @@ def test_write_rows_csv_layout():
     assert len(lines) == 3
 
 
-def test_parallel_worker_env(monkeypatch):
-    plant = UncertainPlant(n=1, a_star=(2.0,), eps=(0.05,))
-    exp = Experiment(trials=8, steps=60, base_seed=11, strategy=ParamStrategy("iid_uniform"))
-    ch = ChannelConfig(p=0.1, seed=5)
-    serial = run_experiment(plant, QuantizerSpec(4), ch, exp)
-    monkeypatch.setenv("RATELIM_THREADS", "2")
-    parallel = run_experiment(plant, QuantizerSpec(4), ch, exp)
-    assert np.array_equal(serial.mean_sq_sigma, parallel.mean_sq_sigma)
-    assert serial.verdict == parallel.verdict
+@pytest.mark.parametrize(
+    "target, quantizer, channel, exp",
+    [
+        *[
+            (
+                UncertainPlant(n=2, a_star=(0.5, 2.2), eps=(0.05, 0.05)),
+                QuantizerSpec(8),
+                ChannelConfig(p=0.1, seed=3),
+                Experiment(
+                    trials=12,
+                    steps=80,
+                    base_seed=77,
+                    strategy=ParamStrategy(kind, signs=(1, -1)),
+                ),
+            )
+            for kind in ParamStrategy.KINDS
+        ],
+        # time-share protocol, m = 2
+        (
+            TimeShareConfig(a_star=3.3, eps=0.025, m=2, levels=4, p=0.05),
+            None,
+            ChannelConfig(p=0.05, seed=6),
+            Experiment(trials=10, steps=60, base_seed=4),
+        ),
+        # sigma falls below the convergence floor long before the horizon
+        (
+            UncertainPlant(n=1, a_star=(2.0,), eps=(0.0,)),
+            QuantizerSpec(64),
+            ChannelConfig(p=0.0, seed=2),
+            Experiment(trials=6, steps=200, base_seed=1, strategy=ParamStrategy("nominal")),
+        ),
+        # every trial passes the divergence guard before the horizon
+        (
+            UncertainPlant(n=1, a_star=(2.0,), eps=(0.1,)),
+            QuantizerSpec(1),
+            ChannelConfig(p=0.0, seed=2),
+            Experiment(trials=5, steps=520, base_seed=1, strategy=ParamStrategy("nominal")),
+        ),
+    ],
+)
+def test_trial_order_sums_match_stacked_reduction(target, quantizer, channel, exp):
+    got = run_experiment(target, quantizer, channel, exp)
+    want = oracles.run_experiment(target, quantizer, channel, exp)
+    assert np.array_equal(got.mean_sq_y, want.mean_sq_y, equal_nan=True)
+    assert np.array_equal(got.mean_sq_sigma, want.mean_sq_sigma, equal_nan=True)
+    assert got.slope == want.slope
+    assert got.verdict == want.verdict
+    assert got.diverged_trials == want.diverged_trials
+    assert got.converged_trials == want.converged_trials
