@@ -8,11 +8,11 @@ from .codec_loop import (
     SimTrace,
     run_closed_loop,
 )
-from .interval import Interval, interval
+from .interval import Interval
 from .limits import NecessaryBounds, necessary_bounds, you_bounds
 from .mjls import MjlsModel, build_F, min_sufficient_N, spectral_radius, sufficient_mss
 from .montecarlo import DecayReport, Experiment, run_experiment, sweep
-from .plant import ParamStrategy, UncertainPlant, lambda_pi
+from .plant import ParamStrategy, UncertainPlant
 from .timeshare import TimeShareConfig, kappa_bar, lossless_bound, run_timeshare_loop
 
 __all__ = [
@@ -31,9 +31,7 @@ __all__ = [
     "UncertainPlant",
     "build_F",
     "draw",
-    "interval",
     "kappa_bar",
-    "lambda_pi",
     "lossless_bound",
     "min_sufficient_N",
     "necessary_bounds",

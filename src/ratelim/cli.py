@@ -18,7 +18,7 @@ import sys
 from .channel import ChannelConfig
 from .codec_loop import QuantizerSpec, SaturationError
 from .limits import martins_bound, necessary_bounds, phat_bound, you_bounds
-from .mjls import min_sufficient_N, sufficient_mss
+from .mjls import PowerIterationError, min_sufficient_N, sufficient_mss
 from .montecarlo import (
     Experiment,
     run_experiment,
@@ -48,16 +48,27 @@ def _signs(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad sign pattern {text!r}") from exc
 
 
+# Longest grid a --range or --sweep-m may expand to.
+MAX_GRID_POINTS = 10_000
+
+
 def _range(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"range must be lo:hi:step, got {text!r}")
     lo, hi, step = (float(p) for p in parts)
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise argparse.ArgumentTypeError(f"range bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
     out = []
     v = lo
     while v <= hi + step * 1e-9:
+        # also stops a step too small to move v, which would never reach hi
+        if len(out) == MAX_GRID_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"range {text!r} has more than {MAX_GRID_POINTS} points"
+            )
         out.append(round(v, 12))
         v += step
     return out
@@ -365,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     except SaturationError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, PowerIterationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError:

@@ -2,33 +2,19 @@
 
 Intervals are stored closed [lo, hi].  Decoder cells are half-open at the
 top in principle, but Lebesgue measure and every formula built on it are
-insensitive to boundary points, so membership tests here use closed
-comparison.  All operations are exact endpoint arithmetic in double
-precision; this is real analysis, not validated numerics, so there is no
-outward rounding.
+insensitive to boundary points.  All operations are exact endpoint
+arithmetic in double precision; this is real analysis, not validated
+numerics, so there is no outward rounding.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 
 class Interval(NamedTuple):
     lo: float
     hi: float
-
-
-ZERO = Interval(0.0, 0.0)
-
-
-def interval(lo: float, hi: float) -> Interval:
-    """Validated constructor; rejects lo > hi and non-finite endpoints."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"interval endpoints must be finite, got [{lo}, {hi}]")
-    if lo > hi:
-        raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
-    return Interval(lo, hi)
 
 
 def measure(iv: Interval) -> float:
@@ -38,16 +24,6 @@ def measure(iv: Interval) -> float:
 
 def midpoint(iv: Interval) -> float:
     return (iv.lo + iv.hi) / 2.0
-
-
-def contains(iv: Interval, x: float, tol: float = 0.0) -> bool:
-    """Closed membership test, optionally relaxed by tol on both sides."""
-    return iv.lo - tol <= x <= iv.hi + tol
-
-
-def minkowski_sum(a: Interval, b: Interval) -> Interval:
-    """Set sum {x + y}; lengths add exactly for intervals."""
-    return Interval(a.lo + b.lo, a.hi + b.hi)
 
 
 def scale_product(a: Interval, y: Interval) -> Interval:
@@ -61,49 +37,3 @@ def scale_product(a: Interval, y: Interval) -> Interval:
     p3 = a.hi * y.lo
     p4 = a.hi * y.hi
     return Interval(min(p1, p2, p3, p4), max(p1, p2, p3, p4))
-
-
-def beta(y: Interval) -> float:
-    """Uncertainty leverage of an interval: how far its endpoints sit from 0.
-
-    Three branches: hi + lo when the interval is nonnegative, hi - lo when
-    it straddles 0, -hi - lo when it is nonpositive.  Mirror symmetric,
-    always >= 0 for a valid interval.
-    """
-    if y.lo >= 0.0:
-        return y.hi + y.lo
-    if y.hi <= 0.0:
-        return -y.hi - y.lo
-    return y.hi - y.lo
-
-
-def product_measure_cases(a_star: float, eps: float, y: Interval) -> float:
-    """Measure of the product hull [a*-eps, a*+eps] * y by case analysis.
-
-    Equals measure(scale_product(...)) exactly; the case split avoids
-    forming the hull.  With A := [a*-eps, a*+eps]:
-
-      A not containing 0, y containing 0:      (|a*|+eps) * mu(y)
-      A and y both away from 0:                |a*|*mu(y) + eps*|hi+lo|
-      A containing 0, y away from 0:           2*eps*max(|hi|, |lo|)
-      A and y both containing 0:               endpoint formula below
-
-    The last case needs both hull endpoints: each extreme product is a
-    competition between the two "outward" endpoint pairs.
-    """
-    if eps < 0.0:
-        raise ValueError(f"uncertainty radius must be nonnegative, got {eps}")
-    abs_a = abs(a_star)
-    width = y.hi - y.lo
-    if abs_a > eps:  # A does not contain 0
-        if y.lo <= 0.0 <= y.hi:
-            return (abs_a + eps) * width
-        return abs_a * width + eps * abs(y.hi + y.lo)
-    # A contains 0
-    if not (y.lo <= 0.0 <= y.hi):
-        return 2.0 * eps * max(abs(y.hi), abs(y.lo))
-    # both contain 0; reduce to a* >= 0 by mirror symmetry of the measure
-    h, l = (y.hi, -y.lo) if a_star >= 0.0 else (-y.lo, y.hi)
-    upper = max((abs_a + eps) * h, (eps - abs_a) * l)
-    lower = max((eps - abs_a) * h, (abs_a + eps) * l)
-    return upper + lower

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -22,8 +21,6 @@ class NecessaryBounds:
     r_nec1: float
     r_nec: float
     p_nec: float
-    p_nec0: float
-    p_nec1: float
     feasible: bool
 
 
@@ -45,10 +42,8 @@ def necessary_bounds(lambda_abs: float, eps_n: float, p: float) -> NecessaryBoun
     if not (0.0 <= p < 1.0):
         raise ValueError(f"loss probability must be in [0, 1), got {p}")
     outer = lam + eps_n
-    p_nec0 = 1.0 / outer**2
     denom_p = outer**2 - eps_n**2
     p_nec = (1.0 - eps_n**2) / denom_p
-    p_nec1 = (1.0 - eps_n**2) / (lam**2 + 2.0 * lam * eps_n)
     radicand = 1.0 - p * outer**2
     sq = math.sqrt(1.0 - p)
     if radicand <= 0.0:
@@ -65,8 +60,6 @@ def necessary_bounds(lambda_abs: float, eps_n: float, p: float) -> NecessaryBoun
         r_nec1=r_nec1,
         r_nec=max(r_nec0, r_nec1),
         p_nec=p_nec,
-        p_nec0=p_nec0,
-        p_nec1=p_nec1,
         feasible=feasible,
     )
 
@@ -115,59 +108,3 @@ def martins_bound(lambda_abs: float, eps1: float) -> float:
         return math.inf
     return math.log2(lam / (1.0 - eps1))
 
-
-def eta(lambda_abs: float, eps_n: float, n_levels: float, gamma: int) -> float:
-    """Worst-case one-reception growth factor of the scaling parameter.
-
-    With M := N^gamma (1 on loss), eta = (|lambda| + max(M-1, 1)*eps) / M.
-    Real-valued N >= 1 is allowed; the analysis branches at N = 2.
-    """
-    m = n_levels**gamma
-    return (abs(lambda_abs) + max(m - 1.0, 1.0) * eps_n) / m
-
-
-def eta_second_moment(lambda_abs: float, eps_n: float, p: float, n_levels: float) -> float:
-    """E[eta^2] over the Bernoulli reception flag; < 1 is necessary for MSS."""
-    if n_levels < 1.0:
-        raise ValueError(f"need N >= 1, got {n_levels}")
-    if not (0.0 <= p < 1.0):
-        raise ValueError(f"loss probability must be in [0, 1), got {p}")
-    return p * eta(lambda_abs, eps_n, n_levels, 0) ** 2 + (1.0 - p) * eta(
-        lambda_abs, eps_n, n_levels, 1
-    ) ** 2
-
-
-def _hull_measure_exact(a_lo: Fraction, a_hi: Fraction, y_lo: Fraction, y_hi: Fraction) -> Fraction:
-    products = (a_lo * y_lo, a_lo * y_hi, a_hi * y_lo, a_hi * y_hi)
-    return max(products) - min(products)
-
-
-def max_cell_expansion(
-    a_n_star: float, eps_n: float, n_levels: int, gamma: int, sigma: float
-) -> float:
-    """Largest product-hull length over all decoder cells at one step.
-
-    Brute force in exact rational arithmetic: enumerate the N quantizer
-    cells of [-sigma/2, sigma/2] (reception) or the whole range (loss),
-    and maximize the length of the coefficient-box product hull.  Equals
-    eta * sigma; the enumeration is the independent check of that
-    identity.
-    """
-    if n_levels < 1 or n_levels != int(n_levels):
-        raise ValueError(f"need integer N >= 1, got {n_levels}")
-    if gamma not in (0, 1):
-        raise ValueError(f"gamma must be 0 or 1, got {gamma}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    a_lo = Fraction(a_n_star) - Fraction(eps_n)
-    a_hi = Fraction(a_n_star) + Fraction(eps_n)
-    s = Fraction(sigma)
-    if gamma == 0:
-        return float(_hull_measure_exact(a_lo, a_hi, -s / 2, s / 2))
-    n = int(n_levels)
-    best = Fraction(0)
-    for i in range(n):
-        y_lo = -s / 2 + s * i / n
-        y_hi = -s / 2 + s * (i + 1) / n
-        best = max(best, _hull_measure_exact(a_lo, a_hi, y_lo, y_hi))
-    return float(best)

@@ -5,12 +5,12 @@ coefficients switch with the window of the last n reception flags, a
 Markov chain with 2^n states.  Mean-square stability of that switched
 system is decided by the spectral radius of a single nonnegative matrix
 built from the per-window companion matrices (Kronecker-squared) and the
-window transition matrix.
+window transition probabilities.
 
 Window indexing: state index w in 1..2^n encodes the flags with the
 newest flag as the most significant bit and the oldest as bit 0, i.e.
 index 1 is all-lost and index 2^n is all-received.  A new flag shifts in
-at the top, which gives the transition matrix its two-band structure.
+at the top, so each window has exactly two successors.
 """
 
 from __future__ import annotations
@@ -48,33 +48,8 @@ def theta(a_star_i: float, eps_i: float, n_levels: float, gamma: int) -> float:
     return max((abs(a_star_i) + eps_i) / n_levels, eps_i)
 
 
-def window_bits(index0: int, n: int) -> tuple[int, ...]:
-    """Flags (newest first) of 0-based window index."""
-    return tuple((index0 >> (n - 1 - j)) & 1 for j in range(n))
-
-
-def build_transition(n: int, p: float) -> np.ndarray:
-    """Transition matrix over loss windows: shift register driven by one flag."""
-    if n < 1:
-        raise ValueError(f"window length must be >= 1, got {n}")
-    if not (0.0 <= p < 1.0):
-        raise ValueError(f"loss probability must be in [0, 1), got {p}")
-    size = 1 << n
-    half = 1 << (n - 1)
-    mat = np.zeros((size, size))
-    for i in range(size):
-        drop = i >> 1
-        mat[i, drop] += p
-        mat[i, drop | half] += 1.0 - p
-    return mat
-
-
 @dataclass(frozen=True)
 class MjlsModel:
-    n: int
-    levels: float
-    p: float
-    companions: tuple[np.ndarray, ...]  # one per window, index order
     lifted: np.ndarray  # the stability test matrix
 
 
@@ -85,23 +60,31 @@ def build_F(plant: UncertainPlant, n_levels: float, p: float) -> MjlsModel:
     last row, ordered (theta_n, ..., theta_1); coefficient i reads the flag
     of time k-i+1, which is bit n-i of the window.  Block (v, w) of the
     lifted matrix is P[w, v] * kron(H_w, H_w), written directly: each
-    source window w fills at most two blocks, v = w >> 1 (loss) and
-    v = (w >> 1) | 2^(n-1) (reception); every other block is zero.
+    source window w fills two blocks, v = w >> 1 with weight p (loss) and
+    v = (w >> 1) | 2^(n-1) with weight 1 - p (reception); every other
+    block is zero.  An entry of kron(H_w, H_w) is at most max(theta, 1)^2,
+    so every entry is finite once every theta^2 is.
     """
     n = plant.n
     if n > N_MAX_ORDER:
         raise ValueError(f"dense construction capped at order {N_MAX_ORDER}, got {n}")
     if n_levels < 2.0:
         raise ValueError(f"need N >= 2, got {n_levels}")
+    if not (0.0 <= p < 1.0):
+        raise ValueError(f"loss probability must be in [0, 1), got {p}")
     table = np.empty((n, 2))
     for i in range(n):
-        table[i, 0] = theta(plant.a_star[i], plant.eps[i], n_levels, 0)
-        table[i, 1] = theta(plant.a_star[i], plant.eps[i], n_levels, 1)
+        for gamma in (0, 1):
+            t = theta(plant.a_star[i], plant.eps[i], n_levels, gamma)
+            if not math.isfinite(t * t):
+                raise ValueError(
+                    f"growth factor {t} of coefficient {i + 1} overflows when squared; "
+                    "--a-star/--eps are out of floating-point range"
+                )
+            table[i, gamma] = t
     size = 1 << n
     nn = n * n
-    trans = build_transition(n, p)
     lifted = np.zeros((size * nn, size * nn))
-    companions = []
     for w in range(size):
         h = np.zeros((n, n))
         for r in range(n - 1):
@@ -110,17 +93,18 @@ def build_F(plant: UncertainPlant, n_levels: float, p: float) -> MjlsModel:
         for j in range(n):
             flag = (w >> j) & 1
             h[n - 1, j] = table[n - 1 - j, flag]
-        companions.append(h)
-        # an overflowed block is left inf (or nan where P is zero) for
-        # spectral_radius to reject
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = np.kron(h, h)
-            for v in (w >> 1, (w >> 1) | (size >> 1)):
-                lifted[v * nn : (v + 1) * nn, w * nn : (w + 1) * nn] = trans[w, v] * block
-    return MjlsModel(n=n, levels=n_levels, p=p, companions=tuple(companions), lifted=lifted)
+        block = np.kron(h, h)
+        for v, weight in ((w >> 1, p), ((w >> 1) | (size >> 1), 1.0 - p)):
+            lifted[v * nn : (v + 1) * nn, w * nn : (w + 1) * nn] = weight * block
+    return MjlsModel(lifted)
 
 
-def _power_iteration(mat: np.ndarray, tol: float, max_iter: int) -> float | None:
+# Relative agreement of the power-iteration estimate, and its iteration budget.
+POWER_TOL = 1e-12
+POWER_MAX_ITER = 100_000
+
+
+def _power_iteration(mat: np.ndarray) -> float | None:
     """L1-normalized power iteration on a nonnegative matrix.
 
     The running estimate is the geometric mean of two consecutive growth
@@ -132,7 +116,7 @@ def _power_iteration(mat: np.ndarray, tol: float, max_iter: int) -> float | None
     prev_r: float | None = None
     prev_est: float | None = None
     agree = 0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         y = mat @ x
         r = float(y.sum())
         if r == 0.0:
@@ -140,7 +124,7 @@ def _power_iteration(mat: np.ndarray, tol: float, max_iter: int) -> float | None
         x = y / r
         if prev_r is not None:
             est = math.sqrt(r * prev_r)
-            if prev_est is not None and abs(est - prev_est) <= tol * max(est, 1.0):
+            if prev_est is not None and abs(est - prev_est) <= POWER_TOL * max(est, 1.0):
                 agree += 1
                 if agree >= 3:
                     return est
@@ -151,7 +135,7 @@ def _power_iteration(mat: np.ndarray, tol: float, max_iter: int) -> float | None
     return None
 
 
-def spectral_radius(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> float:
+def spectral_radius(mat: np.ndarray) -> float:
     """Dominant eigenvalue of an elementwise-nonnegative matrix.
 
     Nonnegativity guarantees the dominant eigenvalue is real and equals
@@ -166,14 +150,14 @@ def spectral_radius(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000
         raise ValueError("matrix entries must be finite")
     if (a < 0.0).any():
         raise ValueError("matrix must be elementwise nonnegative")
-    rho = _power_iteration(a, tol, max_iter)
+    rho = _power_iteration(a)
     if rho is not None:
         return rho
     delta = 1e-8
-    shifted = _power_iteration(a + delta * np.eye(a.shape[0]), tol, max_iter)
+    shifted = _power_iteration(a + delta * np.eye(a.shape[0]))
     if shifted is None:
         raise PowerIterationError(
-            f"power iteration did not converge within {max_iter} iterations, "
+            f"power iteration did not converge within {POWER_MAX_ITER} iterations, "
             "even with a diagonal shift"
         )
     return shifted - delta

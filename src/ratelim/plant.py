@@ -18,8 +18,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 ParamContext = Callable[[Sequence[float]], float]
 
 
@@ -60,38 +58,18 @@ class UncertainPlant:
         return (self.a_star[i] - self.eps[i], self.a_star[i] + self.eps[i])
 
 
-def lambda_pi(plant: UncertainPlant) -> float:
-    """Product of the nominal eigenvalues; equals the last coefficient an*."""
-    return plant.a_star[-1]
-
-
 def step_unchecked(history: Sequence[float], u: float, params: Sequence[float]) -> float:
-    """Plant recursion without box validation; history is oldest-first."""
+    """One plant step: y_next = sum_i params[i] * history[n-1-i] + u.
+
+    history holds the last n outputs oldest-first, i.e.
+    (y[k-n+1], ..., y[k]); params[i] is the realized coefficient a_{i+1}
+    multiplying y[k-i].  The coefficients are not checked against the box.
+    """
     acc = u
     n = len(params)
     for i in range(n):
         acc += params[i] * history[n - 1 - i]
     return acc
-
-
-def step(
-    plant: UncertainPlant,
-    history: Sequence[float],
-    u: float,
-    params: Sequence[float],
-) -> float:
-    """One plant step: y_next = sum_i params[i] * history[-i] + u.
-
-    history holds the last n outputs oldest-first, i.e.
-    (y[k-n+1], ..., y[k]); params[i] is the realized coefficient a_{i+1}
-    multiplying y[k-i].
-    """
-    if len(history) != plant.n or len(params) != plant.n:
-        raise ValueError("history and params must both have length n")
-    for i, (a, e, v) in enumerate(zip(plant.a_star, plant.eps, params)):
-        if not (a - e <= v <= a + e):
-            raise ValueError(f"parameter {i} = {v} outside [{a - e}, {a + e}]")
-    return step_unchecked(history, u, params)
 
 
 @dataclass
@@ -168,59 +146,3 @@ def realize_params(
         y_hi = abs(context(current))
         current[i] = hi if y_hi >= y_lo else lo
     return tuple(current)
-
-
-def companion_matrix(params: Sequence[float]) -> np.ndarray:
-    """Controllable-canonical A matrix for one realized coefficient vector."""
-    n = len(params)
-    m = np.zeros((n, n))
-    for i in range(n - 1):
-        m[i, i + 1] = 1.0
-    # last row carries (an, a(n-1), ..., a1)
-    m[n - 1, :] = list(reversed(params))
-    return m
-
-
-@dataclass(frozen=True)
-class InstabilityDiagnostic:
-    params: tuple[float, ...]
-    min_eigenvalue_modulus: float
-
-
-def check_unstable_assumption(
-    plant: UncertainPlant, grid: int = 3, max_reports: int = 100
-) -> list[InstabilityDiagnostic]:
-    """Sampled check that every eigenvalue stays outside the unit circle.
-
-    Sweeps all box vertices plus a per-coordinate grid and reports any
-    sampled coefficient vector whose companion matrix has an eigenvalue
-    with modulus <= 1.  Warn-only by design: the analysis assumes the
-    property, it does not require verifying it, and the hard
-    |an*| - eps_n > 1 check already ran at construction.
-    """
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
-    axes = []
-    for i in range(plant.n):
-        lo, hi = plant.box(i)
-        pts = {lo, hi}
-        if grid > 1:
-            pts.update(np.linspace(lo, hi, grid).tolist())
-        axes.append(sorted(pts))
-    out: list[InstabilityDiagnostic] = []
-    idx = [0] * plant.n
-    while True:
-        params = tuple(axes[i][idx[i]] for i in range(plant.n))
-        eig = np.linalg.eigvals(companion_matrix(params))
-        worst = float(np.min(np.abs(eig)))
-        if worst <= 1.0:
-            out.append(InstabilityDiagnostic(params, worst))
-            if len(out) >= max_reports:
-                return out
-        for i in range(plant.n):
-            idx[i] += 1
-            if idx[i] < len(axes[i]):
-                break
-            idx[i] = 0
-        else:
-            return out

@@ -1,21 +1,29 @@
-"""Reference implementations that the runtime package replaced.
+"""Reference implementations that only the tests use.
 
 These are the upward scans and the bisection that answered the
 minimum-level questions before the shared monotone search, the product
 form of the lifted matrix, and the stacked per-trial reduction of a Monte
 Carlo experiment; parity tests compare the runtime answers against them.
+Below them sit independent routes to quantities the runtime computes
+another way: the case-split product measure, the worst-cell enumeration
+in exact rationals, the eta growth factors and the branch loss limits,
+the window transition matrix, the box-checked plant step and the sampled
+instability check.
 """
 
 import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from ratelim.codec_loop import CONVERGED, DIVERGED, SimTrace
+from ratelim.interval import Interval
 from ratelim.mjls import (
     N_MAX_ORDER,
     MinLevelResult,
     build_F,
-    build_transition,
     spectral_radius,
     theta,
 )
@@ -27,7 +35,7 @@ from ratelim.montecarlo import (
     _fit_slope,
     _run_trial,
 )
-from ratelim.plant import UncertainPlant
+from ratelim.plant import UncertainPlant, step_unchecked
 from ratelim.timeshare import TimeShareConfig, kappa_bar
 
 
@@ -189,3 +197,256 @@ def run_experiment(target, quantizer, channel, exp) -> DecayReport:
         diverged_trials=diverged,
         converged_trials=converged,
     )
+
+
+# ------------------------------------------------------------ interval arithmetic
+
+
+ZERO = Interval(0.0, 0.0)
+
+
+def interval(lo: float, hi: float) -> Interval:
+    """Validated constructor; rejects lo > hi and non-finite endpoints."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"interval endpoints must be finite, got [{lo}, {hi}]")
+    if lo > hi:
+        raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+    return Interval(lo, hi)
+
+
+def contains(iv: Interval, x: float, tol: float = 0.0) -> bool:
+    """Closed membership test, optionally relaxed by tol on both sides."""
+    return iv.lo - tol <= x <= iv.hi + tol
+
+
+def minkowski_sum(a: Interval, b: Interval) -> Interval:
+    """Set sum {x + y}; lengths add exactly for intervals."""
+    return Interval(a.lo + b.lo, a.hi + b.hi)
+
+
+def beta(y: Interval) -> float:
+    """Uncertainty leverage of an interval: how far its endpoints sit from 0.
+
+    Three branches: hi + lo when the interval is nonnegative, hi - lo when
+    it straddles 0, -hi - lo when it is nonpositive.  Mirror symmetric,
+    always >= 0 for a valid interval.
+    """
+    if y.lo >= 0.0:
+        return y.hi + y.lo
+    if y.hi <= 0.0:
+        return -y.hi - y.lo
+    return y.hi - y.lo
+
+
+def product_measure_cases(a_star: float, eps: float, y: Interval) -> float:
+    """Measure of the product hull [a*-eps, a*+eps] * y by case analysis.
+
+    Equals measure(scale_product(...)) exactly; the case split avoids
+    forming the hull.  With A := [a*-eps, a*+eps]:
+
+      A not containing 0, y containing 0:      (|a*|+eps) * mu(y)
+      A and y both away from 0:                |a*|*mu(y) + eps*|hi+lo|
+      A containing 0, y away from 0:           2*eps*max(|hi|, |lo|)
+      A and y both containing 0:               endpoint formula below
+
+    The last case needs both hull endpoints: each extreme product is a
+    competition between the two "outward" endpoint pairs.
+    """
+    if eps < 0.0:
+        raise ValueError(f"uncertainty radius must be nonnegative, got {eps}")
+    abs_a = abs(a_star)
+    width = y.hi - y.lo
+    if abs_a > eps:  # A does not contain 0
+        if y.lo <= 0.0 <= y.hi:
+            return (abs_a + eps) * width
+        return abs_a * width + eps * abs(y.hi + y.lo)
+    # A contains 0
+    if not (y.lo <= 0.0 <= y.hi):
+        return 2.0 * eps * max(abs(y.hi), abs(y.lo))
+    # both contain 0; reduce to a* >= 0 by mirror symmetry of the measure
+    h, l = (y.hi, -y.lo) if a_star >= 0.0 else (-y.lo, y.hi)
+    upper = max((abs_a + eps) * h, (eps - abs_a) * l)
+    lower = max((eps - abs_a) * h, (abs_a + eps) * l)
+    return upper + lower
+
+
+# ------------------------------------------------------------ growth factors and loss limits
+
+
+def eta(lambda_abs: float, eps_n: float, n_levels: float, gamma: int) -> float:
+    """Worst-case one-reception growth factor of the scaling parameter.
+
+    With M := N^gamma (1 on loss), eta = (|lambda| + max(M-1, 1)*eps) / M.
+    Real-valued N >= 1 is allowed; the analysis branches at N = 2.
+    """
+    m = n_levels**gamma
+    return (abs(lambda_abs) + max(m - 1.0, 1.0) * eps_n) / m
+
+
+def eta_second_moment(lambda_abs: float, eps_n: float, p: float, n_levels: float) -> float:
+    """E[eta^2] over the Bernoulli reception flag; < 1 is necessary for MSS."""
+    if n_levels < 1.0:
+        raise ValueError(f"need N >= 1, got {n_levels}")
+    if not (0.0 <= p < 1.0):
+        raise ValueError(f"loss probability must be in [0, 1), got {p}")
+    return p * eta(lambda_abs, eps_n, n_levels, 0) ** 2 + (1.0 - p) * eta(
+        lambda_abs, eps_n, n_levels, 1
+    ) ** 2
+
+
+def _hull_measure_exact(a_lo: Fraction, a_hi: Fraction, y_lo: Fraction, y_hi: Fraction) -> Fraction:
+    products = (a_lo * y_lo, a_lo * y_hi, a_hi * y_lo, a_hi * y_hi)
+    return max(products) - min(products)
+
+
+def max_cell_expansion(
+    a_n_star: float, eps_n: float, n_levels: int, gamma: int, sigma: float
+) -> float:
+    """Largest product-hull length over all decoder cells at one step.
+
+    Brute force in exact rational arithmetic: enumerate the N quantizer
+    cells of [-sigma/2, sigma/2] (reception) or the whole range (loss),
+    and maximize the length of the coefficient-box product hull.  Equals
+    eta * sigma; the enumeration is the independent check of that
+    identity.
+    """
+    if n_levels < 1 or n_levels != int(n_levels):
+        raise ValueError(f"need integer N >= 1, got {n_levels}")
+    if gamma not in (0, 1):
+        raise ValueError(f"gamma must be 0 or 1, got {gamma}")
+    if sigma <= 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    a_lo = Fraction(a_n_star) - Fraction(eps_n)
+    a_hi = Fraction(a_n_star) + Fraction(eps_n)
+    s = Fraction(sigma)
+    if gamma == 0:
+        return float(_hull_measure_exact(a_lo, a_hi, -s / 2, s / 2))
+    n = int(n_levels)
+    best = Fraction(0)
+    for i in range(n):
+        y_lo = -s / 2 + s * i / n
+        y_hi = -s / 2 + s * (i + 1) / n
+        best = max(best, _hull_measure_exact(a_lo, a_hi, y_lo, y_hi))
+    return float(best)
+
+
+def branch_loss_limits(lambda_abs: float, eps_n: float) -> tuple[float, float]:
+    """Loss limits of the two necessary-rate branches, (p_nec0, p_nec1).
+
+    p_nec0 = 1/(|lambda| + eps)^2 is where the low-rate branch radicand
+    vanishes; p_nec1 = (1 - eps^2)/(|lambda|^2 + 2|lambda|eps) is the loss
+    limit of the high-rate branch.
+    """
+    lam = abs(lambda_abs)
+    outer = lam + eps_n
+    p_nec0 = 1.0 / outer**2
+    p_nec1 = (1.0 - eps_n**2) / (lam**2 + 2.0 * lam * eps_n)
+    return p_nec0, p_nec1
+
+
+# ------------------------------------------------------------ loss windows
+
+
+def window_bits(index0: int, n: int) -> tuple[int, ...]:
+    """Flags (newest first) of 0-based window index."""
+    return tuple((index0 >> (n - 1 - j)) & 1 for j in range(n))
+
+
+def build_transition(n: int, p: float) -> np.ndarray:
+    """Transition matrix over loss windows: shift register driven by one flag."""
+    if n < 1:
+        raise ValueError(f"window length must be >= 1, got {n}")
+    if not (0.0 <= p < 1.0):
+        raise ValueError(f"loss probability must be in [0, 1), got {p}")
+    size = 1 << n
+    half = 1 << (n - 1)
+    mat = np.zeros((size, size))
+    for i in range(size):
+        drop = i >> 1
+        mat[i, drop] += p
+        mat[i, drop | half] += 1.0 - p
+    return mat
+
+
+# ------------------------------------------------------------ plant
+
+
+def lambda_pi(plant: UncertainPlant) -> float:
+    """Product of the nominal eigenvalues; equals the last coefficient an*."""
+    return plant.a_star[-1]
+
+
+def step(
+    plant: UncertainPlant,
+    history: Sequence[float],
+    u: float,
+    params: Sequence[float],
+) -> float:
+    """One plant step: y_next = sum_i params[i] * history[-i] + u.
+
+    history holds the last n outputs oldest-first, i.e.
+    (y[k-n+1], ..., y[k]); params[i] is the realized coefficient a_{i+1}
+    multiplying y[k-i].
+    """
+    if len(history) != plant.n or len(params) != plant.n:
+        raise ValueError("history and params must both have length n")
+    for i, (a, e, v) in enumerate(zip(plant.a_star, plant.eps, params)):
+        if not (a - e <= v <= a + e):
+            raise ValueError(f"parameter {i} = {v} outside [{a - e}, {a + e}]")
+    return step_unchecked(history, u, params)
+
+
+def companion_matrix(params: Sequence[float]) -> np.ndarray:
+    """Controllable-canonical A matrix for one realized coefficient vector."""
+    n = len(params)
+    m = np.zeros((n, n))
+    for i in range(n - 1):
+        m[i, i + 1] = 1.0
+    # last row carries (an, a(n-1), ..., a1)
+    m[n - 1, :] = list(reversed(params))
+    return m
+
+
+@dataclass(frozen=True)
+class InstabilityDiagnostic:
+    params: tuple[float, ...]
+    min_eigenvalue_modulus: float
+
+
+def check_unstable_assumption(
+    plant: UncertainPlant, grid: int = 3, max_reports: int = 100
+) -> list[InstabilityDiagnostic]:
+    """Sampled check that every eigenvalue stays outside the unit circle.
+
+    Sweeps all box vertices plus a per-coordinate grid and reports any
+    sampled coefficient vector whose companion matrix has an eigenvalue
+    with modulus <= 1.  Warn-only by design: the analysis assumes the
+    property, it does not require verifying it, and the hard
+    |an*| - eps_n > 1 check already ran at construction.
+    """
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
+    axes = []
+    for i in range(plant.n):
+        lo, hi = plant.box(i)
+        pts = {lo, hi}
+        if grid > 1:
+            pts.update(np.linspace(lo, hi, grid).tolist())
+        axes.append(sorted(pts))
+    out: list[InstabilityDiagnostic] = []
+    idx = [0] * plant.n
+    while True:
+        params = tuple(axes[i][idx[i]] for i in range(plant.n))
+        eig = np.linalg.eigvals(companion_matrix(params))
+        worst = float(np.min(np.abs(eig)))
+        if worst <= 1.0:
+            out.append(InstabilityDiagnostic(params, worst))
+            if len(out) >= max_reports:
+                return out
+        for i in range(plant.n):
+            idx[i] += 1
+            if idx[i] < len(axes[i]):
+                break
+            idx[i] = 0
+        else:
+            return out

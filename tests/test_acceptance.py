@@ -13,17 +13,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import eta_second_moment, max_cell_expansion, product_measure_cases
 from ratelim.channel import ChannelConfig
 from ratelim.codec_loop import QuantizerSpec
-from ratelim.interval import Interval, product_measure_cases
-from ratelim.limits import (
-    eta_second_moment,
-    martins_bound,
-    max_cell_expansion,
-    necessary_bounds,
-    phat_bound,
-    you_bounds,
-)
+from ratelim.interval import Interval
+from ratelim.limits import martins_bound, necessary_bounds, phat_bound, you_bounds
 from ratelim.mjls import build_F, min_sufficient_level_real, spectral_radius
 from ratelim.montecarlo import STABLE, Experiment, run_experiment
 from ratelim.plant import ParamStrategy, UncertainPlant

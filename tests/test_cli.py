@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratelim.cli import main
 
@@ -244,6 +249,9 @@ def test_timeshare_sweep_m_matches_sweep_var_m(capsys, tmp_path):
         ),
         ("sufficient", "--n", "1", "--a-star", "1e300", "--eps", "0", "--N", "4"),
         ("sufficient", "--n", "1", "--a-star", "1e300", "--eps", "0", "--min-n"),
+        # lifted eigenvalues of nearly equal modulus: power iteration cannot
+        # separate the dominant one within its budget
+        ("sufficient", "--n", "2", "--a-star", "0,1e16", "--eps", "0.9,0", "--N", "60"),
     ],
 )
 def test_invalid_numbers_exit_2(capsys, argv):
@@ -251,6 +259,110 @@ def test_invalid_numbers_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    if argv[0] == "sufficient" and "1e300" in argv:
+        # the message names the flags whose growth factor left float range
+        assert "--a-star/--eps" in err
+
+
+@pytest.mark.parametrize(
+    "option, grid",
+    [
+        ("--range", "1.5:inf:1"),
+        ("--range", "2:3:1e-9"),
+        ("--range", "nan:2:1"),
+        ("--range", "1.5:2:nan"),
+        ("--range", "1e20:1e20:1"),  # a step that cannot move the grid value
+        ("--sweep-m", "1:1e9:1"),
+    ],
+)
+def test_unbounded_or_non_finite_grids_exit_2(capsys, option, grid):
+    if option == "--range":
+        argv = ("sweep", "--n", "1", "--a-star", "3", "--eps", "0.1", "--var", "lambda")
+    else:
+        argv = ("timeshare", "--a-star", "3.3", "--eps", "0.025")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, option, grid)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+# Any float a flag may carry, with the non-finite and extreme ones named.
+EXTREMES = (
+    math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308,
+    0.0, -0.0,
+)
+ANY_FLOAT = st.one_of(st.sampled_from(EXTREMES), st.floats())
+
+
+@st.composite
+def _numbers(draw, bands):
+    """One float per (lo, hi) band, then up to two of them replaced by any float.
+
+    The bands hold most valid answers, so a fifth to two thirds of the
+    drawn inputs (by command) get one; the rest probe one or two hostile
+    values at a time.
+    """
+    values = [draw(st.floats(lo, hi)) for lo, hi in bands]
+    for i in draw(st.lists(st.integers(0, len(values) - 1), max_size=2)):
+        values[i] = draw(ANY_FLOAT)
+    return values
+
+
+def _flag(name, values):
+    # "--name=value" keeps argparse from taking a negative value for an option
+    return f"--{name}=" + ",".join(repr(v) for v in values)
+
+
+@st.composite
+def _plant_argv(draw, command):
+    n = draw(st.integers(1, 3))
+    # the last coefficient's band keeps |an*| - eps_n > 1 for every band radius
+    bands = [(-5.0, 5.0)] * (n - 1) + [(2.0, 5.0)] + [(0.0, 1.0)] * n + [(0.0, 1.0), (0.0, 10.0)]
+    values = draw(_numbers(bands))
+    return (
+        command, "--n", str(n),
+        _flag("a-star", values[:n]), _flag("eps", values[n : 2 * n]),
+        _flag("p", values[-2:-1]), _flag("y0-bound", values[-1:]),
+    )
+
+
+@st.composite
+def _sufficient_argv(draw):
+    return (*draw(_plant_argv("sufficient")), "--N", str(draw(st.integers(-2, 64))))
+
+
+@st.composite
+def _timeshare_argv(draw):
+    a, e, p, levels = draw(_numbers([(2.0, 5.0), (0.0, 1.0), (0.0, 1.0), (1.0, 64.0)]))
+    return (
+        "timeshare", _flag("a-star", [a]), _flag("eps", [e]), _flag("p", [p]),
+        "--m", str(draw(st.integers(-1, 3))), _flag("N", [levels]),
+    )
+
+
+@st.composite
+def _sweep_argv(draw):
+    # every row of this plant costs two small solves, so even the longest
+    # grid allowed stays within a few seconds
+    grid = ":".join(repr(v) for v in draw(_numbers([(1.0, 64.0), (1.0, 64.0), (0.0, 8.0)])))
+    return ("sweep", "--n", "1", "--a-star", "1.2", "--eps", "0", "--var", "N", f"--range={grid}")
+
+
+@pytest.mark.parametrize(
+    "argvs",
+    [_plant_argv("bounds"), _sufficient_argv(), _timeshare_argv(), _sweep_argv()],
+    ids=["bounds", "sufficient", "timeshare", "sweep"],
+)
+def test_fuzzed_numbers_exit_0_or_2(argvs):
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(argvs)
+    def check(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(list(argv)) in (0, 2)
+
+    check()
 
 
 def test_timeshare_rejects_vector_plants(capsys):

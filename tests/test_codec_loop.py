@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from oracles import product_measure_cases
 from ratelim.channel import ChannelConfig, draw
 from ratelim.codec_loop import (
     COMPLETED,
@@ -19,7 +20,7 @@ from ratelim.codec_loop import (
     quantize,
     run_closed_loop,
 )
-from ratelim.interval import Interval, measure, product_measure_cases
+from ratelim.interval import Interval, measure
 from ratelim.plant import ParamStrategy, UncertainPlant
 
 

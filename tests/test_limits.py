@@ -4,15 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ratelim.limits import (
-    eta,
-    eta_second_moment,
-    martins_bound,
-    max_cell_expansion,
-    necessary_bounds,
-    phat_bound,
-    you_bounds,
-)
+from oracles import branch_loss_limits, eta, eta_second_moment, max_cell_expansion
+from ratelim.limits import martins_bound, necessary_bounds, phat_bound, you_bounds
 
 
 def bisect_threshold(f, lo, hi, tol=1e-12, iters=200):
@@ -208,9 +201,10 @@ def test_unit_rate_loss_threshold_below_both_loss_bounds():
             def r0_minus_one(p):
                 return 1.0 - necessary_bounds(lam, eps, p).r_nec0
 
-            p_star = bisect_threshold(r0_minus_one, 0.0, nb0.p_nec0 * 0.999999)
-            assert p_star < nb0.p_nec0
-            assert p_star < nb0.p_nec1 + 1e-12
+            p_nec0, p_nec1 = branch_loss_limits(lam, eps)
+            p_star = bisect_threshold(r0_minus_one, 0.0, p_nec0 * 0.999999)
+            assert p_star < p_nec0
+            assert p_star < p_nec1 + 1e-12
 
 
 def test_max_cell_expansion_examples():

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 import oracles
-from ratelim.limits import eta_second_moment, necessary_bounds
+from oracles import build_transition, eta_second_moment, window_bits
+from ratelim.limits import necessary_bounds
 from ratelim.mjls import (
     build_F,
-    build_transition,
     min_sufficient_N,
     min_sufficient_level_real,
     spectral_radius,
     sufficient_mss,
     theta,
-    window_bits,
 )
 from ratelim.plant import UncertainPlant
 
@@ -84,11 +83,14 @@ def test_build_F_assigns_flags_per_coefficient_age():
     # order 2, window (newest=1, oldest=0): theta_1 reads the new flag,
     # theta_2 the old one
     plant = UncertainPlant(n=2, a_star=(0.5, 2.0), eps=(0.2, 0.1), y0_bound=1.0)
-    model = build_F(plant, 4, 0.3)
-    h = model.companions[0b10]
-    assert h[0, 1] == 1.0
-    assert h[1, 1] == pytest.approx(theta(0.5, 0.2, 4, 1))  # theta_1 at gamma=1
-    assert h[1, 0] == pytest.approx(theta(2.0, 0.1, 4, 0))  # theta_2 at gamma=0
+    p = 0.3
+    model = build_F(plant, 4, p)
+    # last row (theta_2 at gamma=0, theta_1 at gamma=1)
+    h = np.array([[0.0, 1.0], [theta(2.0, 0.1, 4, 0), theta(0.5, 0.2, 4, 1)]])
+    w, nn = 0b10, 4
+    for v, weight in ((0b01, p), (0b11, 1 - p)):  # loss, reception
+        block = model.lifted[v * nn : (v + 1) * nn, w * nn : (w + 1) * nn]
+        assert np.array_equal(block, weight * np.kron(h, h))
     assert model.lifted.shape == (16, 16)
     assert (model.lifted >= 0).all()
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import eta_second_moment
 from ratelim.channel import ChannelConfig
 from ratelim.codec_loop import QuantizerSpec
-from ratelim.limits import eta_second_moment, necessary_bounds
+from ratelim.limits import necessary_bounds
 from ratelim.montecarlo import (
     STABLE,
     UNSTABLE,

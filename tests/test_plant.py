@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from ratelim.plant import (
-    ParamStrategy,
-    UncertainPlant,
-    check_unstable_assumption,
-    companion_matrix,
-    lambda_pi,
-    realize_params,
-    step,
-)
+from oracles import check_unstable_assumption, companion_matrix, lambda_pi, step
+from ratelim.plant import ParamStrategy, UncertainPlant, realize_params
 
 
 def make_plant(n=2, a=(1.0, 2.5), e=(0.05, 0.05)):

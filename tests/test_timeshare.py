@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import eta_second_moment
 from ratelim.channel import ChannelConfig
 from ratelim.codec_loop import COMPLETED, CONVERGED, DIVERGED
-from ratelim.limits import eta_second_moment, necessary_bounds
+from ratelim.limits import necessary_bounds
 from ratelim.plant import ParamStrategy
 from ratelim.timeshare import (
     TimeShareConfig,
