@@ -2,7 +2,6 @@
 
 from .channel import ChannelConfig, draw
 from .codec_loop import (
-    CodecState,
     QuantizerSpec,
     SaturationError,
     SimTrace,
@@ -17,7 +16,6 @@ from .timeshare import TimeShareConfig, kappa_bar, lossless_bound, run_timeshare
 
 __all__ = [
     "ChannelConfig",
-    "CodecState",
     "DecayReport",
     "Experiment",
     "Interval",

@@ -27,13 +27,7 @@ from .montecarlo import (
     write_rows_csv,
 )
 from .plant import ParamStrategy, UncertainPlant
-from .timeshare import (
-    TimeShareConfig,
-    deltas,
-    kappa_bar,
-    lossless_bound,
-    min_feasible_average_level,
-)
+from .timeshare import TimeShareConfig, kappa_bar
 
 
 def _floats(text: str) -> list[float]:
@@ -249,20 +243,9 @@ def cmd_timeshare(args) -> int:
     a, e = args.a_star[0], args.eps[0]
     levels = 1.0 if args.N is None else args.N
     cfg = TimeShareConfig(a_star=a, eps=e, m=args.m, levels=levels, p=args.p)  # validates first
-    dp, dm = deltas(a, e, args.m)
-    r_bar, feasible = lossless_bound(a, e, args.m)
-    found = min_feasible_average_level(a, e, args.p, args.m)
-    kbar = None if args.N is None else kappa_bar(cfg)
-    payload = {
-        "m": args.m,
-        "delta_plus": dp,
-        "delta_minus": dm,
-        "kappa_bar": kbar,
-        "r_bar": r_bar,
-        "feasible": feasible,
-        "min_total_level": found[0] if found else None,
-        "avg_level": found[1] if found else None,
-    }
+    row = sweep_timeshare(a, e, [args.m], channel_p=args.p)[0]
+    payload = {key: None if value == "" else value for key, value in row.items()}
+    payload["kappa_bar"] = None if args.N is None else kappa_bar(cfg)
     with _out_stream(args) as out:
         _emit_json(payload, out)
     return 0

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .channel import ChannelConfig, draw
 from .interval import Interval, measure, midpoint, scale_product
-from .plant import ParamStrategy, UncertainPlant, realize_params
+from .plant import ParamStrategy, UncertainPlant, realize_params, step_unchecked
 
 # Lower guard on sigma: keeps logs finite and avoids denormal underflow.
 SIGMA_MIN = 1e-300
@@ -52,10 +51,6 @@ class QuantizerSpec:
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError(f"quantizer needs >= 1 levels, got {self.levels}")
-
-    @property
-    def rate_bits(self) -> float:
-        return math.log2(self.levels)
 
 
 def quantize(levels: int, v: float) -> int:
@@ -134,46 +129,6 @@ def advance_scaling(prediction: Interval, u: float) -> tuple[float, float]:
 
 
 @dataclass
-class CodecState:
-    """Shared encoder/decoder state, reconstructible on both sides.
-
-    cells holds the last n estimation intervals oldest-first; steps before
-    time 0 contribute the degenerate interval {0} since the output is
-    known to be zero there.
-    """
-
-    plant: UncertainPlant
-    levels: int
-    sigma: float
-    center: float = 0.0
-    cells: list[Interval] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError(f"initial sigma must be positive, got {self.sigma}")
-        if not self.cells:
-            self.cells = [Interval(0.0, 0.0)] * self.plant.n
-
-    def encode(self, y: float) -> int:
-        return quantize(self.levels, (y - self.center) / self.sigma)
-
-    def observe(self, gamma: int, symbol: int | None) -> Interval:
-        """Store the estimation interval implied by the channel outcome."""
-        cell = decode_cell(
-            self.levels, self.sigma, self.center, symbol if gamma else LOST
-        )
-        self.cells.pop(0)
-        self.cells.append(cell)
-        return cell
-
-    def advance(self, u: float) -> Interval:
-        """Advance (sigma, center) past one step with input u."""
-        pred = predict(self.plant, self.cells)
-        self.sigma, self.center = advance_scaling(pred, u)
-        return pred
-
-
-@dataclass
 class SimTrace:
     """Per-step record of one closed-loop trial.
 
@@ -192,7 +147,7 @@ class SimTrace:
     center: list[float] = field(default_factory=list)
     status: str = COMPLETED
 
-    def append(self, k, y, sigma, gamma, u, symbol, cell, center=0.0):
+    def append(self, k, y, sigma, gamma, u, symbol, cell, center):
         self.k.append(k)
         self.y.append(y)
         self.sigma.append(sigma)
@@ -230,13 +185,20 @@ def run_closed_loop(
     center at 0, so the quantizer covers y0 in [-Y0/2, Y0/2].  Terminates
     early once sigma passes the convergence or divergence guard.
     """
-    if abs(y0) > plant.y0_bound:
-        raise ValueError(f"|y0| = {abs(y0)} exceeds the declared bound {plant.y0_bound}")
+    if abs(y0) > plant.y0_bound / 2.0:
+        raise ValueError(
+            f"|y0| = {abs(y0)} exceeds half the declared bound {plant.y0_bound}, "
+            "the range the quantizer covers at the start"
+        )
     n = plant.n
-    state = CodecState(plant=plant, levels=quantizer.levels, sigma=plant.y0_bound)
+    levels = quantizer.levels
+    sigma = plant.y0_bound
+    center = 0.0
+    # the last n estimation intervals, oldest-first; before time 0 the
+    # output is known to be zero
+    cells = [Interval(0.0, 0.0)] * n
     history = [0.0] * (n - 1) + [y0]
     trace = SimTrace()
-    from .plant import step_unchecked
 
     needs_context = strategy.kind == "greedy_adversarial"
     fixed_params = None
@@ -244,13 +206,14 @@ def run_closed_loop(
         fixed_params = realize_params(plant, strategy)
 
     for k in range(steps):
-        sigma_k = state.sigma
-        center_k = state.center
-        symbol = state.encode(history[-1])
+        symbol = quantize(levels, (history[-1] - center) / sigma)
         gamma = draw(channel, k)
-        cell = state.observe(gamma, symbol)
-        u = control(plant, state.cells)
-        state.advance(u)
+        cell = decode_cell(levels, sigma, center, symbol if gamma else LOST)
+        cells.pop(0)
+        cells.append(cell)
+        u = control(plant, cells)
+        trace.append(k, history[-1], sigma, gamma, u, symbol, cell, center)
+        sigma, center = advance_scaling(predict(plant, cells), u)
         if fixed_params is not None:
             params = fixed_params
         elif needs_context:
@@ -260,13 +223,12 @@ def run_closed_loop(
         else:
             params = realize_params(plant, strategy)
         y_next = step_unchecked(history, u, params)
-        trace.append(k, history[-1], sigma_k, gamma, u, symbol, cell, center_k)
         history.pop(0)
         history.append(y_next)
-        if state.sigma < CONVERGED_SIGMA:
+        if sigma < CONVERGED_SIGMA:
             trace.status = CONVERGED
             return trace
-        if state.sigma > DIVERGED_SIGMA:
+        if sigma > DIVERGED_SIGMA:
             trace.status = DIVERGED
             return trace
     return trace

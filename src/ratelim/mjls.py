@@ -139,9 +139,7 @@ def spectral_radius(mat: np.ndarray) -> float:
     """Dominant eigenvalue of an elementwise-nonnegative matrix.
 
     Nonnegativity guarantees the dominant eigenvalue is real and equals
-    the growth rate seen by power iteration from a positive start.  If the
-    estimate fails to settle (rotating dominant class), retry on the
-    diagonally shifted matrix and subtract the shift.
+    the growth rate seen by power iteration from a positive start.
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -151,16 +149,12 @@ def spectral_radius(mat: np.ndarray) -> float:
     if (a < 0.0).any():
         raise ValueError("matrix must be elementwise nonnegative")
     rho = _power_iteration(a)
-    if rho is not None:
-        return rho
-    delta = 1e-8
-    shifted = _power_iteration(a + delta * np.eye(a.shape[0]))
-    if shifted is None:
+    if rho is None:
         raise PowerIterationError(
-            f"power iteration did not converge within {POWER_MAX_ITER} iterations, "
-            "even with a diagonal shift"
+            f"power iteration did not settle within {POWER_MAX_ITER} iterations; "
+            "the matrix has distinct eigenvalues too close to its spectral radius in modulus"
         )
-    return shifted - delta
+    return rho
 
 
 class SufficiencyResult(NamedTuple):
@@ -169,8 +163,21 @@ class SufficiencyResult(NamedTuple):
 
 
 def sufficient_mss(plant: UncertainPlant, n_levels: float, p: float) -> SufficiencyResult:
-    """Spectral-radius test; strictly below one certifies MSS."""
-    rho = spectral_radius(build_F(plant, n_levels, p).lifted)
+    """Spectral-radius test; strictly below one certifies MSS.
+
+    If every coefficient a_i with a nonzero box sits at a lag i divisible
+    by d, every cycle of the lifted matrix L has a length divisible by d
+    and d eigenvalues rho * exp(2 pi i k / d) share the spectral circle,
+    so power iteration on L never settles for d >= 3.  The radius is then
+    read off L^d, whose dominant eigenvalue rho^d is positive and real.
+    """
+    lifted = build_F(plant, n_levels, p).lifted
+    lags = (i + 1 for i in range(plant.n) if plant.a_star[i] != 0.0 or plant.eps[i] != 0.0)
+    d = math.gcd(*lags)
+    if d >= 3:
+        rho = spectral_radius(np.linalg.matrix_power(lifted, d)) ** (1.0 / d)
+    else:
+        rho = spectral_radius(lifted)
     return SufficiencyResult(rho, rho < 1.0)
 
 

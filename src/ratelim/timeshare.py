@@ -155,8 +155,11 @@ def run_timeshare_loop(
     n_slot = int(cfg.levels)
     if n_slot != cfg.levels or n_slot < 2:
         raise ValueError(f"simulation needs an integer per-slot level >= 2, got {cfg.levels}")
-    if abs(y0) > cfg.y0_bound:
-        raise ValueError(f"|y0| = {abs(y0)} exceeds the declared bound {cfg.y0_bound}")
+    if abs(y0) > cfg.y0_bound / 2.0:
+        raise ValueError(
+            f"|y0| = {abs(y0)} exceeds half the declared bound {cfg.y0_bound}, "
+            "the range the quantizer covers at the start"
+        )
     plant = cfg.plant()
     total = n_slot**cfg.m
     a_nom_pow = cfg.a_star**cfg.m

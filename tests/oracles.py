@@ -2,8 +2,10 @@
 
 These are the upward scans and the bisection that answered the
 minimum-level questions before the shared monotone search, the product
-form of the lifted matrix, and the stacked per-trial reduction of a Monte
-Carlo experiment; parity tests compare the runtime answers against them.
+form of the lifted matrix, the stacked per-trial reduction of a Monte
+Carlo experiment, and the closed loop that kept its encoder/decoder state
+in a `CodecState` object; parity tests compare the runtime answers against
+them, and the invariant checks replay the decoder with that object.
 Below them sit independent routes to quantities the runtime computes
 another way: the case-split product measure, the worst-cell enumeration
 in exact rationals, the eta growth factors and the branch loss limits,
@@ -12,13 +14,27 @@ instability check.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from ratelim.codec_loop import CONVERGED, DIVERGED, SimTrace
+from ratelim.channel import ChannelConfig, draw
+from ratelim.codec_loop import (
+    CONVERGED,
+    CONVERGED_SIGMA,
+    DIVERGED,
+    DIVERGED_SIGMA,
+    LOST,
+    QuantizerSpec,
+    SimTrace,
+    advance_scaling,
+    control,
+    decode_cell,
+    predict,
+    quantize,
+)
 from ratelim.interval import Interval
 from ratelim.mjls import (
     N_MAX_ORDER,
@@ -35,7 +51,7 @@ from ratelim.montecarlo import (
     _fit_slope,
     _run_trial,
 )
-from ratelim.plant import UncertainPlant, step_unchecked
+from ratelim.plant import ParamStrategy, UncertainPlant, realize_params, step_unchecked
 from ratelim.timeshare import TimeShareConfig, kappa_bar
 
 
@@ -197,6 +213,104 @@ def run_experiment(target, quantizer, channel, exp) -> DecayReport:
         diverged_trials=diverged,
         converged_trials=converged,
     )
+
+
+# ------------------------------------------------------------ closed loop
+
+
+@dataclass
+class CodecState:
+    """Shared encoder/decoder state, reconstructible on both sides.
+
+    cells holds the last n estimation intervals oldest-first; steps before
+    time 0 contribute the degenerate interval {0} since the output is
+    known to be zero there.
+    """
+
+    plant: UncertainPlant
+    levels: int
+    sigma: float
+    center: float = 0.0
+    cells: list[Interval] = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.sigma <= 0.0:
+            raise ValueError(f"initial sigma must be positive, got {self.sigma}")
+        if not self.cells:
+            self.cells = [Interval(0.0, 0.0)] * self.plant.n
+
+    def encode(self, y: float) -> int:
+        return quantize(self.levels, (y - self.center) / self.sigma)
+
+    def observe(self, gamma: int, symbol: int | None) -> Interval:
+        """Store the estimation interval implied by the channel outcome."""
+        cell = decode_cell(
+            self.levels, self.sigma, self.center, symbol if gamma else LOST
+        )
+        self.cells.pop(0)
+        self.cells.append(cell)
+        return cell
+
+    def advance(self, u: float) -> Interval:
+        """Advance (sigma, center) past one step with input u."""
+        pred = predict(self.plant, self.cells)
+        self.sigma, self.center = advance_scaling(pred, u)
+        return pred
+
+
+def run_closed_loop(
+    plant: UncertainPlant,
+    quantizer: QuantizerSpec,
+    channel: ChannelConfig,
+    strategy: ParamStrategy,
+    steps: int,
+    y0: float,
+) -> SimTrace:
+    """Run the synchronized loop for `steps` steps starting from y0.
+
+    sigma starts at the plant's initial output bound (the minimal choice),
+    center at 0, so the quantizer covers y0 in [-Y0/2, Y0/2].  Terminates
+    early once sigma passes the convergence or divergence guard.
+    """
+    if abs(y0) > plant.y0_bound:
+        raise ValueError(f"|y0| = {abs(y0)} exceeds the declared bound {plant.y0_bound}")
+    n = plant.n
+    state = CodecState(plant=plant, levels=quantizer.levels, sigma=plant.y0_bound)
+    history = [0.0] * (n - 1) + [y0]
+    trace = SimTrace()
+
+    needs_context = strategy.kind == "greedy_adversarial"
+    fixed_params = None
+    if strategy.kind in ("nominal", "fixed_vertex"):
+        fixed_params = realize_params(plant, strategy)
+
+    for k in range(steps):
+        sigma_k = state.sigma
+        center_k = state.center
+        symbol = state.encode(history[-1])
+        gamma = draw(channel, k)
+        cell = state.observe(gamma, symbol)
+        u = control(plant, state.cells)
+        state.advance(u)
+        if fixed_params is not None:
+            params = fixed_params
+        elif needs_context:
+            params = realize_params(
+                plant, strategy, context=lambda p: step_unchecked(history, u, p)
+            )
+        else:
+            params = realize_params(plant, strategy)
+        y_next = step_unchecked(history, u, params)
+        trace.append(k, history[-1], sigma_k, gamma, u, symbol, cell, center_k)
+        history.pop(0)
+        history.append(y_next)
+        if state.sigma < CONVERGED_SIGMA:
+            trace.status = CONVERGED
+            return trace
+        if state.sigma > DIVERGED_SIGMA:
+            trace.status = DIVERGED
+            return trace
+    return trace
 
 
 # ------------------------------------------------------------ interval arithmetic

@@ -2,15 +2,17 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import product_measure_cases
-from ratelim.channel import ChannelConfig, draw
+import oracles
+from oracles import CodecState, product_measure_cases
+from ratelim.channel import ChannelConfig, draw, uniform01
 from ratelim.codec_loop import (
     COMPLETED,
     CONVERGED,
     DIVERGED,
     LOST,
-    CodecState,
     QuantizerSpec,
     SaturationError,
     advance_scaling,
@@ -22,10 +24,10 @@ from ratelim.codec_loop import (
 )
 from ratelim.interval import Interval, measure
 from ratelim.plant import ParamStrategy, UncertainPlant
+from ratelim.timeshare import TimeShareConfig, run_timeshare_loop
 
 
 def test_quantizer_spec():
-    assert QuantizerSpec(4).rate_bits == 2.0
     with pytest.raises(ValueError):
         QuantizerSpec(0)
 
@@ -150,11 +152,16 @@ def test_deep_convergence_hits_floor_status():
 
 
 def test_run_rejects_oversized_initial_output():
+    # the quantizer covers [-Y0/2, Y0/2] at the start, not [-Y0, Y0]
     plant = UncertainPlant(n=1, a_star=(2.0,), eps=(0.0,), y0_bound=1.0)
-    with pytest.raises(ValueError):
-        run_closed_loop(
-            plant, QuantizerSpec(4), ChannelConfig(0.0, 5), ParamStrategy("nominal"), 10, 1.5
-        )
+    cfg = TimeShareConfig(a_star=2.0, eps=0.0, m=2, levels=2.0, y0_bound=1.0)
+    for y0 in (1.5, 0.8, -0.8, 0.5000001, -0.5000001):
+        with pytest.raises(ValueError):
+            run_closed_loop(
+                plant, QuantizerSpec(4), ChannelConfig(0.0, 5), ParamStrategy("nominal"), 10, y0
+            )
+        with pytest.raises(ValueError):
+            run_timeshare_loop(cfg, ChannelConfig(0.0, 5), ParamStrategy("nominal"), 10, y0)
 
 
 def _random_plant(rng):
@@ -175,8 +182,8 @@ def _replay_and_check(plant, levels, trace, channel):
     for k in range(len(trace)):
         assert state.sigma == trace.sigma[k]
         assert state.center == trace.center[k]
+        assert state.encode(trace.y[k]) == trace.symbol[k]
         assert draw(channel, k) == trace.gamma[k]
-        cells_before = list(state.cells)
         state.observe(trace.gamma[k], trace.symbol[k])
         cell = state.cells[-1]
         assert cell.lo == trace.cell_lo[k] and cell.hi == trace.cell_hi[k]
@@ -190,7 +197,6 @@ def _replay_and_check(plant, levels, trace, channel):
         state.advance(u)
         if state.sigma > 1e-290:
             assert state.sigma == pytest.approx(expected_sigma, abs=1e-12 * max(1, expected_sigma))
-        del cells_before
 
 
 @pytest.mark.parametrize(
@@ -228,6 +234,78 @@ def test_encoder_decoder_synchrony_bit_identical():
         dec.advance(control(plant, dec.cells))
         assert enc.sigma == dec.sigma and enc.center == dec.center
         assert enc.cells == dec.cells
+        if k + 1 < len(trace):
+            assert (dec.sigma, dec.center) == (trace.sigma[k + 1], trace.center[k + 1])
+
+
+def _trace_fields(trace):
+    return (
+        trace.k, trace.y, trace.sigma, trace.gamma, trace.u, trace.symbol,
+        trace.cell_lo, trace.cell_hi, trace.center, trace.status,
+    )
+
+
+def test_loop_matches_codec_state_oracle():
+    # every order 1..3, strategy, level 1..8 and a lossless and a lossy
+    # channel, against the loop that advanced a CodecState object
+    rng = np.random.default_rng(404)
+    statuses = set()
+    for n in (1, 2, 3):
+        for kind in ParamStrategy.KINDS:
+            for levels in range(1, 9):
+                for lossy in (False, True):
+                    eps = rng.uniform(0.0, 0.3, size=n)
+                    a = rng.uniform(-1.5, 1.5, size=n)
+                    # a single level never contracts; |a_n*| >= 4 diverges within the horizon
+                    low, high = (4.0, 8.0) if levels == 1 else (1.0 + eps[-1] + 0.05, 2.5)
+                    a[-1] = rng.choice([-1.0, 1.0]) * rng.uniform(low, high)
+                    plant = UncertainPlant(n=n, a_star=tuple(a), eps=tuple(eps))
+                    signs = tuple(int(s) for s in rng.choice([-1, 1], size=n))
+                    strategy = ParamStrategy(kind, seed=int(rng.integers(0, 2**31)), signs=signs)
+                    p = float(rng.uniform(0.05, 0.5)) if lossy else 0.0
+                    setup = (QuantizerSpec(levels), ChannelConfig(p, 9 * levels))
+                    y0 = float(rng.uniform(-0.5, 0.5))
+                    want = oracles.run_closed_loop(plant, *setup, strategy, 300, y0)
+                    # a fresh strategy instance replays the same parameter draws
+                    got = run_closed_loop(plant, *setup, strategy.with_seed(strategy.seed), 300, y0)
+                    assert _trace_fields(got) == _trace_fields(want)
+                    statuses.add(got.status)
+    assert statuses == {COMPLETED, CONVERGED, DIVERGED}
+
+
+@st.composite
+def _loop_configs(draw):
+    n = draw(st.integers(1, 3))
+    eps = [draw(st.floats(0.0, 1.0)) for _ in range(n)]
+    a_star = [draw(st.floats(-3.0, 3.0)) for _ in range(n - 1)]
+    margin = draw(st.floats(1e-6, 3.0))  # keeps |a_n*| - eps_n > 1
+    a_star.append(draw(st.sampled_from((-1.0, 1.0))) * (1.0 + eps[-1] + margin))
+    plant = UncertainPlant(n=n, a_star=tuple(a_star), eps=tuple(eps))
+    levels = draw(st.integers(1, 64))
+    p = draw(st.floats(0.0, 0.95, exclude_max=True))
+    channel = ChannelConfig(p, draw(st.integers(0, 2**31)))
+    signs = tuple(draw(st.sampled_from((-1, 1))) for _ in range(n))
+    strategy = ParamStrategy(draw(st.sampled_from(ParamStrategy.KINDS)), draw(st.integers(0, 2**31)), signs)
+    # drawn as montecarlo._run_trial draws a trial's initial output
+    y0 = (2.0 * uniform01(draw(st.integers(0, 2**63)), 0) - 1.0) * plant.y0_bound / 2.0
+    return plant, levels, channel, strategy, y0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_loop_configs())
+def test_loop_invariants_property(config):
+    # no SaturationError escapes, and the oracle decoder replays the trace
+    plant, levels, channel, strategy, y0 = config
+    trace = run_closed_loop(plant, QuantizerSpec(levels), channel, strategy, 120, y0)
+    _replay_and_check(plant, levels, trace, channel)
+
+
+@pytest.mark.xfail(strict=True, raises=SaturationError, reason="known defect: an orbit "
+                   "started on the range boundary drifts out of it by rounding")
+def test_orbit_from_range_boundary_stays_in_range():
+    plant = UncertainPlant(1, (2.0,), (0.1,))
+    strategy = ParamStrategy("greedy_adversarial")
+    run_closed_loop(plant, QuantizerSpec(4), ChannelConfig(0.0, 0), strategy, 400, 0.5)
 
 
 def test_trace_csv_roundtrip():

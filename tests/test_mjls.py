@@ -145,6 +145,16 @@ def test_spectral_radius_against_eigensolver():
         assert spectral_radius(mat) == pytest.approx(want, abs=1e-8)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.1])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_periodic_plant_against_eigensolver(n, p):
+    # a pure delay of n steps: every cycle of the lifted matrix has a length
+    # divisible by n, so n eigenvalues share the spectral circle
+    plant = UncertainPlant(n=n, a_star=(0.0,) * (n - 1) + (2.0,), eps=(0.0,) * (n - 1) + (0.1,))
+    want = np.abs(np.linalg.eigvals(build_F(plant, 4, p).lifted)).max()
+    assert sufficient_mss(plant, 4, p).rho == pytest.approx(want, abs=1e-10)
+
+
 def test_closed_form_examples():
     certain = UncertainPlant(n=1, a_star=(2.0,), eps=(0.0,))
     rho, ok = sufficient_mss(certain, 4, 0.0)
