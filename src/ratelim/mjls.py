@@ -29,7 +29,7 @@ N_MAX_ORDER = 6
 
 
 class PowerIterationError(RuntimeError):
-    """Spectral-radius iteration failed to converge within its budget."""
+    """Power iteration did not close its bracket on the spectral radius within its budget."""
 
 
 def theta(a_star_i: float, eps_i: float, n_levels: float, gamma: int) -> float:
@@ -99,47 +99,29 @@ def build_F(plant: UncertainPlant, n_levels: float, p: float) -> MjlsModel:
     return MjlsModel(lifted)
 
 
-# Relative agreement of the power-iteration estimate, and its iteration budget.
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 100_000
+# Budget of matrix-vector products per solve, and the relative bracket width
+# (and, before it, the growth-factor agreement) at which a solve ends.
+MAX_MATVECS = 100_000
+BRACKET_TOL = 1e-11
 
 
-def _power_iteration(mat: np.ndarray) -> float | None:
-    """L1-normalized power iteration on a nonnegative matrix.
+def spectral_radius(mat: np.ndarray, period: int = 1) -> float:
+    """Upper bound on the spectral radius of a nonnegative matrix.
 
-    The running estimate is the geometric mean of two consecutive growth
-    factors, which also settles when the dominant class rotates with
-    period two.  Returns None if the estimate does not stabilize.
-    """
-    size = mat.shape[0]
-    x = np.full(size, 1.0 / size)
-    prev_r: float | None = None
-    prev_est: float | None = None
-    agree = 0
-    for _ in range(POWER_MAX_ITER):
-        y = mat @ x
-        r = float(y.sum())
-        if r == 0.0:
-            return 0.0
-        x = y / r
-        if prev_r is not None:
-            est = math.sqrt(r * prev_r)
-            if prev_est is not None and abs(est - prev_est) <= POWER_TOL * max(est, 1.0):
-                agree += 1
-                if agree >= 3:
-                    return est
-            else:
-                agree = 0
-            prev_est = est
-        prev_r = r
-    return None
-
-
-def spectral_radius(mat: np.ndarray) -> float:
-    """Dominant eigenvalue of an elementwise-nonnegative matrix.
-
-    Nonnegativity guarantees the dominant eigenvalue is real and equals
-    the growth rate seen by power iteration from a positive start.
+    For nonnegative A and positive x, min (Ax)_i/x_i <= rho(A) <= max
+    (Ax)_i/x_i (Collatz-Wielandt), so the upper end is certified up to the
+    rounding of the products; the 0/0 quotients of components that stay
+    zero (the loss rows when p = 0) are skipped.  Steps of A^q, q = lcm(2,
+    period), map the eigenvalues on the spectral circle to rho^q when
+    every cycle length of A is a multiple of period.  A solve ends when
+    the bracket is BRACKET_TOL wide, or when the upper end has not fallen
+    for three settled steps (the largest quotient can rest for a step on a
+    row that copies another): the lower end stalls below rho when some
+    rows reach only classes of smaller radius (pure delays with p > 0).
+    After that second exit the answer is still an upper bound, but its
+    distance from rho is not bounded.  The iterate is scaled by a power of
+    two that keeps every entry at most 2^64 against it, so no product
+    overflows and the scale divides out exactly.
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -148,13 +130,28 @@ def spectral_radius(mat: np.ndarray) -> float:
         raise ValueError("matrix entries must be finite")
     if (a < 0.0).any():
         raise ValueError("matrix must be elementwise nonnegative")
-    rho = _power_iteration(a)
-    if rho is None:
-        raise PowerIterationError(
-            f"power iteration did not settle within {POWER_MAX_ITER} iterations; "
-            "the matrix has distinct eigenvalues too close to its spectral radius in modulus"
-        )
-    return rho
+    q = math.lcm(2, period)
+    scale = math.ldexp(1.0, min(0, 64 - math.frexp(float(a.max(initial=0.0)))[1]))
+    y, growth, upper, stalls = np.ones(a.shape[0]), 1.0, math.inf, 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_MATVECS // q):
+            x = y = y / growth
+            for _ in range(q):
+                y = a @ (scale * y)
+            prev, growth = growth, float(y.max(initial=0.0))
+            if growth == 0.0:
+                return 0.0
+            if abs(growth - prev) <= BRACKET_TOL * growth:
+                lo, hi = float(np.fmin.reduce(y / x)), float(np.fmax.reduce(y / x))
+                stalls = stalls + 1 if hi >= upper else 0
+                upper = min(upper, hi)
+                if upper < math.inf and (hi - lo <= BRACKET_TOL * hi or stalls == 3):
+                    return upper ** (1.0 / q) / scale
+        lo, hi = (float(r(y / x)) ** (1.0 / q) / scale for r in (np.fmin.reduce, np.fmax.reduce))
+    raise PowerIterationError(
+        f"power iteration did not close its bracket [{lo!r}, {hi!r}] on the spectral radius "
+        f"in {MAX_MATVECS} products: other eigenvalues come too close to it in modulus"
+    )
 
 
 class SufficiencyResult(NamedTuple):
@@ -163,21 +160,15 @@ class SufficiencyResult(NamedTuple):
 
 
 def sufficient_mss(plant: UncertainPlant, n_levels: float, p: float) -> SufficiencyResult:
-    """Spectral-radius test; strictly below one certifies MSS.
+    """Spectral-radius test; an upper bound strictly below one certifies MSS.
 
-    If every coefficient a_i with a nonzero box sits at a lag i divisible
-    by d, every cycle of the lifted matrix L has a length divisible by d
-    and d eigenvalues rho * exp(2 pi i k / d) share the spectral circle,
-    so power iteration on L never settles for d >= 3.  The radius is then
-    read off L^d, whose dominant eigenvalue rho^d is positive and real.
+    If every coefficient a_i with a nonzero box sits at a lag divisible by
+    d, every cycle of the lifted matrix has a length divisible by d, and d
+    eigenvalues rho * exp(2 pi i k / d) share the spectral circle.
     """
     lifted = build_F(plant, n_levels, p).lifted
     lags = (i + 1 for i in range(plant.n) if plant.a_star[i] != 0.0 or plant.eps[i] != 0.0)
-    d = math.gcd(*lags)
-    if d >= 3:
-        rho = spectral_radius(np.linalg.matrix_power(lifted, d)) ** (1.0 / d)
-    else:
-        rho = spectral_radius(lifted)
+    rho = spectral_radius(lifted, math.gcd(*lags))
     return SufficiencyResult(rho, rho < 1.0)
 
 

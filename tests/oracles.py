@@ -2,10 +2,12 @@
 
 These are the upward scans and the bisection that answered the
 minimum-level questions before the shared monotone search, the product
-form of the lifted matrix, the stacked per-trial reduction of a Monte
-Carlo experiment, and the closed loop that kept its encoder/decoder state
-in a `CodecState` object; parity tests compare the runtime answers against
-them, and the invariant checks replay the decoder with that object.
+form of the lifted matrix, the geometric-mean power iteration that
+estimated the spectral radius before the Collatz-Wielandt bracket bounded
+it, the stacked per-trial reduction of a Monte Carlo experiment, and the
+closed loop that kept its encoder/decoder state in a `CodecState` object;
+parity tests compare the runtime answers against them, and the invariant
+checks replay the decoder with that object.
 Below them sit independent routes to quantities the runtime computes
 another way: the case-split product measure, the worst-cell enumeration
 in exact rationals, the eta growth factors and the branch loss limits,
@@ -39,6 +41,8 @@ from ratelim.interval import Interval
 from ratelim.mjls import (
     N_MAX_ORDER,
     MinLevelResult,
+    PowerIterationError,
+    SufficiencyResult,
     build_F,
     spectral_radius,
     theta,
@@ -154,6 +158,85 @@ def lifted_matrix(plant: UncertainPlant, n_levels: float, p: float) -> np.ndarra
     trans = build_transition(n, p)
     f1 = np.kron(trans.T, np.eye(n * n))
     return f1 @ f2
+
+
+# The spectral solver that preceded the Collatz-Wielandt bracket, copied
+# verbatim except that the two public names gain a power_ prefix, so that
+# spectral_radius above keeps naming the runtime solver.
+POWER_TOL = 1e-12
+POWER_MAX_ITER = 100_000
+
+
+def _power_iteration(mat: np.ndarray) -> float | None:
+    """L1-normalized power iteration on a nonnegative matrix.
+
+    The running estimate is the geometric mean of two consecutive growth
+    factors, which also settles when the dominant class rotates with
+    period two.  Returns None if the estimate does not stabilize.
+    """
+    size = mat.shape[0]
+    x = np.full(size, 1.0 / size)
+    prev_r: float | None = None
+    prev_est: float | None = None
+    agree = 0
+    for _ in range(POWER_MAX_ITER):
+        y = mat @ x
+        r = float(y.sum())
+        if r == 0.0:
+            return 0.0
+        x = y / r
+        if prev_r is not None:
+            est = math.sqrt(r * prev_r)
+            if prev_est is not None and abs(est - prev_est) <= POWER_TOL * max(est, 1.0):
+                agree += 1
+                if agree >= 3:
+                    return est
+            else:
+                agree = 0
+            prev_est = est
+        prev_r = r
+    return None
+
+
+def power_spectral_radius(mat: np.ndarray) -> float:
+    """Dominant eigenvalue of an elementwise-nonnegative matrix.
+
+    Nonnegativity guarantees the dominant eigenvalue is real and equals
+    the growth rate seen by power iteration from a positive start.
+    """
+    a = np.asarray(mat, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    if (a < 0.0).any():
+        raise ValueError("matrix must be elementwise nonnegative")
+    rho = _power_iteration(a)
+    if rho is None:
+        raise PowerIterationError(
+            f"power iteration did not settle within {POWER_MAX_ITER} iterations; "
+            "the matrix has distinct eigenvalues too close to its spectral radius in modulus"
+        )
+    return rho
+
+
+def power_sufficient_mss(plant: UncertainPlant, n_levels: float, p: float) -> SufficiencyResult:
+    """Spectral-radius test; strictly below one certifies MSS.
+
+    If every coefficient a_i with a nonzero box sits at a lag i divisible
+    by d, every cycle of the lifted matrix L has a length divisible by d
+    and d eigenvalues rho * exp(2 pi i k / d) share the spectral circle,
+    so power iteration on L never settles for d >= 3.  The radius is then
+    read off L^d, whose dominant eigenvalue rho^d is positive and real.
+    """
+    lifted = build_F(plant, n_levels, p).lifted
+    lags = (i + 1 for i in range(plant.n) if plant.a_star[i] != 0.0 or plant.eps[i] != 0.0)
+    d = math.gcd(*lags)
+    if d >= 3:
+        rho = power_spectral_radius(np.linalg.matrix_power(lifted, d)) ** (1.0 / d)
+    else:
+        rho = power_spectral_radius(lifted)
+    return SufficiencyResult(rho, rho < 1.0)
 
 
 def _trial_arrays(trace: SimTrace, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import time
 
 import pytest
@@ -264,6 +265,62 @@ def test_invalid_numbers_exit_2(capsys, argv):
         assert "--a-star/--eps" in err
 
 
+def test_sufficient_answers_plant_near_overflow(capsys):
+    # squared growth factors reach 1e308; the scaled iterate keeps every product finite
+    code, out, _ = run_cli(
+        capsys, "sufficient", "--n", "2", "--a-star", "1e154,1e154", "--eps", "0,0", "--N", "4"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["sufficient"] is False
+    assert payload["rho"] == pytest.approx(6.25e306, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "2", "--a-star", "0,1e16", "--eps", "0.9,0", "--N", "60"),
+        ("--n", "3", "--a-star=-5e-324,-5e-324,-2.64e16", "--eps=0.37,0.91,5e-29", "--N", "60"),
+    ],
+)
+def test_unclosed_bracket_is_reported(capsys, argv):
+    # lifted eigenvalues of nearly equal modulus: the bracket cannot close within
+    # the budget, but the message says where the radius lies
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sufficient", *argv)
+    assert time.perf_counter() - start < 3.0
+    assert code == 2
+    assert out == ""
+    lo, hi = (float(v) for v in re.search(r"\[([^,]+), ([^\]]+)\]", err).groups())
+    assert 1.0 < lo <= hi < math.inf
+
+
+ORDER_30 = ("--n", "30", "--a-star", "0," * 29 + "2", "--eps", "0," * 29 + "0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--n", "1", "--a-star", "2", "--eps", "0.1", "--N", "4",
+         "--trials", "1", "--steps", "1000000000000"),
+        # a step costs about in proportion to the order: the cap falls with it
+        ("simulate", *ORDER_30, "--N", "2", "--trials", "1", "--steps", "200001"),
+        ("simulate", "--n", "1", "--a-star", "2", "--eps", "0", "--N", "2", "--m", "30",
+         "--trials", "1", "--steps", "200001"),
+        ("sweep", "--n", "1", "--a-star", "2", "--eps", "0.1", "--var", "N", "--range", "2:4:1",
+         "--empirical", "--trials", "1", "--steps", "333334"),
+    ],
+    ids=["steps", "order_30", "timeshare_m_30", "sweep_grid"],
+)
+def test_monte_carlo_work_cap(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "exceed the cap" in err
+
+
 @pytest.mark.parametrize(
     "option, grid",
     [
@@ -350,10 +407,37 @@ def _sweep_argv(draw):
     return ("sweep", "--n", "1", "--a-star", "1.2", "--eps", "0", "--var", "N", f"--range={grid}")
 
 
+# A trial or step count: small and valid, or zero, negative or far past the
+# work cap.
+COUNTS = st.one_of(st.integers(1, 30), st.sampled_from((0, -1, -(10**12), 10**12, 2**64)))
+
+
+@st.composite
+def _simulate_argv(draw):
+    return (
+        *draw(_plant_argv("simulate")), "--N", str(draw(st.integers(2, 16))),
+        "--trials", str(draw(COUNTS)), "--steps", str(draw(COUNTS)),
+        "--strategy", draw(st.sampled_from(("nominal", "iid_uniform", "greedy_adversarial"))),
+    )
+
+
+@st.composite
+def _empirical_sweep_argv(draw):
+    # three grid points of one scalar plant: the counts and p carry the hostile values
+    (p,) = draw(_numbers([(0.0, 0.5)]))
+    return (
+        "sweep", "--n", "1", "--a-star", "2.5", "--eps", "0.1", "--var", "N", "--range", "2:4:1",
+        _flag("p", [p]), "--empirical", "--trials", str(draw(COUNTS)), "--steps", str(draw(COUNTS)),
+    )
+
+
 @pytest.mark.parametrize(
     "argvs",
-    [_plant_argv("bounds"), _sufficient_argv(), _timeshare_argv(), _sweep_argv()],
-    ids=["bounds", "sufficient", "timeshare", "sweep"],
+    [
+        _plant_argv("bounds"), _sufficient_argv(), _timeshare_argv(), _sweep_argv(),
+        _simulate_argv(), _empirical_sweep_argv(),
+    ],
+    ids=["bounds", "sufficient", "timeshare", "sweep", "simulate", "sweep_empirical"],
 )
 def test_fuzzed_numbers_exit_0_or_2(argvs):
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -7,6 +7,7 @@ import oracles
 from oracles import build_transition, eta_second_moment, window_bits
 from ratelim.limits import necessary_bounds
 from ratelim.mjls import (
+    PowerIterationError,
     build_F,
     min_sufficient_N,
     min_sufficient_level_real,
@@ -134,6 +135,15 @@ def test_spectral_radius_basics():
             spectral_radius(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
+def test_spectral_radius_steps_the_period():
+    # every cycle has length 3, so three eigenvalues share the spectral circle
+    # and the iterate rotates unless the solver steps a multiple of 3
+    cycle = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 4.0], [2.0, 0.0, 0.0]])
+    assert spectral_radius(cycle, 3) == pytest.approx(2.0, rel=1e-12)
+    with pytest.raises(PowerIterationError, match=r"\[.*\]"):
+        spectral_radius(cycle)
+
+
 def test_spectral_radius_against_eigensolver():
     rng = np.random.default_rng(31)
     for _ in range(50):
@@ -153,6 +163,40 @@ def test_periodic_plant_against_eigensolver(n, p):
     plant = UncertainPlant(n=n, a_star=(0.0,) * (n - 1) + (2.0,), eps=(0.0,) * (n - 1) + (0.1,))
     want = np.abs(np.linalg.eigvals(build_F(plant, 4, p).lifted)).max()
     assert sufficient_mss(plant, 4, p).rho == pytest.approx(want, abs=1e-10)
+
+
+def _parity_plants():
+    # 200 seeded plants of orders 1..5 with 2 of order 6 among them (a dense
+    # eigensolve at order 6 takes seconds): about a quarter lossless, some
+    # coefficients and radii zero, half the levels real; then the pure
+    # delays, whose lifted matrices are periodic
+    rng = np.random.default_rng(2027)
+    for k in range(200):
+        n = 6 if k % 100 == 99 else 1 + k % 5
+        eps = rng.uniform(0.0, 0.5, size=n) * (rng.uniform(size=n) < 0.7)
+        a_star = rng.uniform(-3.0, 3.0, size=n) * (rng.uniform(size=n) < 0.8)
+        a_star[-1] = rng.choice((-1.0, 1.0)) * (1.0 + eps[-1] + rng.uniform(0.01, 2.0))
+        p = 0.0 if rng.uniform() < 0.25 else float(rng.uniform(0.0, 0.6))
+        real = rng.uniform() < 0.5
+        n_levels = float(rng.uniform(2.0, 64.0)) if real else int(rng.integers(2, 65))
+        yield UncertainPlant(n=n, a_star=tuple(a_star), eps=tuple(eps)), n_levels, p
+    for n in (3, 4, 5, 6):
+        delay = UncertainPlant(n=n, a_star=(0.0,) * (n - 1) + (2.0,), eps=(0.0,) * (n - 1) + (0.1,))
+        yield delay, 4, 0.0
+        yield delay, 4, 0.1
+
+
+def test_certified_radius_matches_eigensolver_and_old_solver():
+    for plant, n_levels, p in _parity_plants():
+        want = np.abs(np.linalg.eigvals(build_F(plant, n_levels, p).lifted)).max()
+        new = sufficient_mss(plant, n_levels, p)
+        old = oracles.power_sufficient_mss(plant, n_levels, p)
+        assert want * (1.0 - 1e-13) <= new.rho <= want * (1.0 + 1e-11)
+        # the old solver stopped on an absolute agreement below one, so its
+        # own error reaches 8e-12 / rho there
+        assert abs(new.rho - old.rho) <= 1e-11 * max(old.rho, 1.0)
+        if abs(old.rho - 1.0) > 1e-11:
+            assert new.sufficient == old.sufficient
 
 
 def test_closed_form_examples():
