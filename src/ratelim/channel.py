@@ -28,7 +28,7 @@ def derive_seed(base: int, index: int) -> int:
 
 
 def uniform01(seed: int, k: int) -> float:
-    """Uniform double in [0, 1) keyed by (seed, k)."""
+    """Uniform double in [0, 1) keyed by (seed, k); seed may be a uint64 array."""
     bits = splitmix64((seed & _MASK) ^ splitmix64((k + 1) * _GOLDEN & _MASK))
     return (bits >> 11) * (1.0 / (1 << 53))
 

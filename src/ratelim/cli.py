@@ -80,15 +80,17 @@ def _emit_json(payload: dict, stream) -> None:
 
 
 def _plant_from(args) -> UncertainPlant:
-    a = args.a_star
-    e = args.eps
+    a, e = args.a_star, args.eps
     if args.n != len(a) or args.n != len(e):
-        raise ValueError(
-            f"--n {args.n} does not match {len(a)} coefficients / {len(e)} radii"
-        )
-    return UncertainPlant(
-        n=args.n, a_star=tuple(a), eps=tuple(e), y0_bound=args.y0_bound
-    )
+        raise ValueError(f"--n {args.n} does not match {len(a)} coefficients / {len(e)} radii")
+    return UncertainPlant(n=args.n, a_star=tuple(a), eps=tuple(e), y0_bound=args.y0_bound)
+
+
+def _scalar_plant_from(args, what: str) -> tuple[float, float]:
+    """(a*, eps) of the scalar plant the time-share paths take."""
+    if args.n != 1 or len(args.a_star) != 1 or len(args.eps) != 1:
+        raise ValueError(f"{what} needs a scalar plant: --n 1, one --a-star and one --eps value")
+    return args.a_star[0], args.eps[0]
 
 
 def _strategy_from(args) -> ParamStrategy:
@@ -167,15 +169,9 @@ def cmd_simulate(args) -> int:
     )
     channel = ChannelConfig(p=args.p, seed=args.seed)
     if args.m is not None:
-        if args.n != 1:
-            raise ValueError("time-sharing simulation needs a scalar plant (--n 1)")
+        a, e = _scalar_plant_from(args, "time-sharing simulation")
         target = TimeShareConfig(
-            a_star=args.a_star[0],
-            eps=args.eps[0],
-            m=args.m,
-            levels=args.N,
-            p=args.p,
-            y0_bound=args.y0_bound,
+            a_star=a, eps=e, m=args.m, levels=args.N, p=args.p, y0_bound=args.y0_bound
         )
         report = run_experiment(target, None, channel, exp)
     else:
@@ -199,9 +195,8 @@ def cmd_simulate(args) -> int:
 
 def _duration_table(args, grid) -> int:
     """Time-share table over durations: `sweep --var m` and `timeshare --sweep-m`."""
-    if args.n != 1:
-        raise ValueError("duration sweeps need a scalar plant (--n 1)")
-    rows = sweep_timeshare(args.a_star[0], args.eps[0], [int(v) for v in grid], channel_p=args.p)
+    a, e = _scalar_plant_from(args, "a duration sweep")
+    rows = sweep_timeshare(a, e, [int(v) for v in grid], channel_p=args.p)
     with _out_stream(args) as out:
         write_rows_csv(rows, out)
     return 0
@@ -236,11 +231,9 @@ def cmd_sweep(args) -> int:
 def cmd_timeshare(args) -> int:
     if args.sweep_m:
         return _duration_table(args, args.sweep_m)
-    if args.n != 1:
-        raise ValueError("time-sharing analysis is defined for scalar plants (--n 1)")
+    a, e = _scalar_plant_from(args, "time-sharing analysis")
     if args.m is None:
         raise ValueError("need --m (or --sweep-m lo:hi:step)")
-    a, e = args.a_star[0], args.eps[0]
     levels = 1.0 if args.N is None else args.N
     cfg = TimeShareConfig(a_star=a, eps=e, m=args.m, levels=levels, p=args.p)  # validates first
     row = sweep_timeshare(a, e, [args.m], channel_p=args.p)[0]

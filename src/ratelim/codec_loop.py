@@ -23,7 +23,9 @@ import io
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .channel import ChannelConfig, draw
+import numpy as np
+
+from .channel import _MASK, ChannelConfig, draw, uniform01
 from .interval import Interval, measure, midpoint, scale_product
 from .plant import ParamStrategy, UncertainPlant, realize_params, step_unchecked
 
@@ -232,3 +234,98 @@ def run_closed_loop(
             trace.status = DIVERGED
             return trace
     return trace
+
+
+def run_closed_loop_batch(
+    plant: UncertainPlant,
+    quantizer: QuantizerSpec,
+    channels: Sequence[ChannelConfig],
+    strategies: Sequence[ParamStrategy],
+    steps: int,
+    y0: Sequence[float],
+) -> list[tuple[np.ndarray, np.ndarray, str]]:
+    """run_closed_loop for many trials in lockstep, one array slot per trial.
+
+    Trial t runs with channels[t], strategies[t] (fresh) and y0[t]; all share
+    p, kind and signs.  Each slot repeats the scalar operations in order, so
+    trial t's (y, sigma, status) equal its trace's bit for bit.  On a failure
+    the trials replay one at a time, to raise the scalar loop's first error.
+    """
+    try:
+        return _lockstep(plant, quantizer, channels, strategies, steps, np.asarray(y0, float))
+    except (SaturationError, ValueError):
+        for ch, strategy, start in zip(channels, strategies, y0):
+            run_closed_loop(plant, quantizer, ch, strategy.with_seed(strategy.seed), steps, start)
+        raise
+
+
+def _lockstep(plant, quantizer, channels, strategies, steps, y0):
+    if (np.abs(y0) > plant.y0_bound / 2.0).any():
+        raise ValueError("an initial output lies outside the starting range")
+    n, trials, levels, p = plant.n, len(y0), float(quantizer.levels), channels[0].p
+    kind = strategies[0].kind
+    fixed = realize_params(plant, strategies[0]) if kind in ("nominal", "fixed_vertex") else None
+    boxes = [plant.box(i) for i in range(n)]
+    ys, sigmas = np.zeros((trials, steps)), np.zeros((trials, steps))
+    live, length, status = np.arange(trials), [steps] * trials, [COMPLETED] * trials
+    seeds = np.array([ch.seed & _MASK for ch in channels], dtype=np.uint64)
+    rngs = [s._rng.random for s in strategies]
+    sigma, center = np.full(trials, plant.y0_bound), np.zeros(trials)
+    cells = [Interval(center, center)] * n
+    history = [center] * (n - 1) + [y0]
+    with np.errstate(all="ignore"):
+        for k in range(steps):
+            y = history[-1]
+            v = (y - center) / sigma
+            if not (np.abs(v) <= 0.5 + SATURATION_TOL).all():  # NaN fails too
+                raise SaturationError("a quantizer input left [-1/2, 1/2]")
+            v = np.minimum(np.maximum(v, -0.5), 0.5)
+            symbol = np.minimum(np.floor((v + 0.5) * levels), levels - 1.0)
+            lo, top, w = center - sigma / 2.0, center + sigma / 2.0, sigma / levels
+            last = symbol == levels - 1.0
+            cell = Interval(np.where(last, top - w, lo + symbol * w),
+                            np.where(last, top, lo + (symbol + 1.0) * w))
+            if p != 0.0:
+                got = uniform01(seeds, k) >= p
+                cell = Interval(np.where(got, cell.lo, lo), np.where(got, cell.hi, top))
+            cells = cells[1:] + [cell]
+            u = control(plant, cells)
+            ys[live, k], sigmas[live, k] = y, sigma
+            acc_lo = acc_hi = 0.0
+            # predict; the range check left every cell finite, so no product is
+            # NaN and min/max agree with Python's up to a zero's sign, which no
+            # sum starting from 0.0 keeps
+            for i in range(n):
+                p1, p2, p3, p4 = (a * end for a in boxes[i] for end in cells[n - 1 - i])
+                acc_lo = acc_lo + np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+                acc_hi = acc_hi + np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+            sigma = np.maximum(acc_hi - acc_lo, SIGMA_MIN)  # NaN stays, as in advance_scaling
+            center = (acc_lo + acc_hi) / 2.0 + u
+            if kind == "iid_uniform":  # the draws realize_params makes, trial by trial
+                draws = 2.0 * np.array([r() for r in rngs for _ in range(n)]).reshape(-1, n).T - 1.0
+                params = [a + e * d for a, e, d in zip(plant.a_star, plant.eps, draws)]
+            elif kind == "greedy_adversarial":  # realize_params' sweep, all trials at once
+                params = list(plant.a_star)
+                for i, (a_lo, a_hi) in enumerate(boxes):
+                    if plant.eps[i] != 0.0:
+                        params[i] = a_lo
+                        y_lo = abs(step_unchecked(history, u, params))
+                        params[i] = a_hi
+                        y_hi = abs(step_unchecked(history, u, params))
+                        params[i] = np.where(y_hi >= y_lo, a_hi, a_lo)
+            else:
+                params = fixed
+            history = history[1:] + [step_unchecked(history, u, params)]
+            converged = sigma < CONVERGED_SIGMA
+            done = converged | (sigma > DIVERGED_SIGMA)
+            if done.any():
+                for t, conv in zip(live[done], converged[done]):
+                    length[t], status[t] = k + 1, CONVERGED if conv else DIVERGED
+                keep = ~done
+                live, seeds, sigma, center = live[keep], seeds[keep], sigma[keep], center[keep]
+                history = [h[keep] for h in history]
+                cells = [Interval(c.lo[keep], c.hi[keep]) for c in cells]
+                rngs = [r for r, kept in zip(rngs, keep) if kept]
+                if not live.size:
+                    break
+    return [(ys[t, :length[t]], sigmas[t, :length[t]], status[t]) for t in range(trials)]

@@ -68,7 +68,7 @@ def step_unchecked(history: Sequence[float], u: float, params: Sequence[float]) 
     acc = u
     n = len(params)
     for i in range(n):
-        acc += params[i] * history[n - 1 - i]
+        acc = acc + params[i] * history[n - 1 - i]  # never in place: u may be an array
     return acc
 
 

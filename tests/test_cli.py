@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratelim import montecarlo
 from ratelim.cli import main
 
 
@@ -224,6 +225,13 @@ def test_timeshare_sweep_m_matches_sweep_var_m(capsys, tmp_path):
     assert len(by_sweep.read_text().splitlines()) == 5
 
 
+# A loop whose log mean-square sigma grows by 2.66 a step.
+SLOPE_PROBE = (
+    "simulate", "--n", "1", "--a-star", "5", "--eps", "0.1", "--N", "2", "--p", "0.5",
+    "--trials", "3", "--steps", "100",
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -253,6 +261,10 @@ def test_timeshare_sweep_m_matches_sweep_var_m(capsys, tmp_path):
         # lifted eigenvalues of nearly equal modulus: power iteration cannot
         # separate the dominant one within its budget
         ("sufficient", "--n", "2", "--a-star", "0,1e16", "--eps", "0.9,0", "--N", "60"),
+        # a negative slope tolerance would call a growing loop stable
+        (*SLOPE_PROBE, "--tol-slope=-5"),
+        (*SLOPE_PROBE, "--tol-slope=nan"),
+        (*SLOPE_PROBE, "--tol-slope=inf"),
     ],
 )
 def test_invalid_numbers_exit_2(capsys, argv):
@@ -422,6 +434,12 @@ def _simulate_argv(draw):
 
 
 @st.composite
+def _tol_slope_argv(draw):
+    (tol,) = draw(_numbers([(0.0, 0.1)]))
+    return (*SLOPE_PROBE, _flag("tol-slope", [tol]))
+
+
+@st.composite
 def _empirical_sweep_argv(draw):
     # three grid points of one scalar plant: the counts and p carry the hostile values
     (p,) = draw(_numbers([(0.0, 0.5)]))
@@ -435,9 +453,9 @@ def _empirical_sweep_argv(draw):
     "argvs",
     [
         _plant_argv("bounds"), _sufficient_argv(), _timeshare_argv(), _sweep_argv(),
-        _simulate_argv(), _empirical_sweep_argv(),
+        _simulate_argv(), _empirical_sweep_argv(), _tol_slope_argv(),
     ],
-    ids=["bounds", "sufficient", "timeshare", "sweep", "simulate", "sweep_empirical"],
+    ids=["bounds", "sufficient", "timeshare", "sweep", "simulate", "sweep_empirical", "tol-slope"],
 )
 def test_fuzzed_numbers_exit_0_or_2(argvs):
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -447,6 +465,48 @@ def test_fuzzed_numbers_exit_0_or_2(argvs):
             assert main(list(argv)) in (0, 2)
 
     check()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--n", "1", "--a-star", "2.2,7", "--eps", "0.05,9", "--N", "3", "--m", "2",
+         "--trials", "3", "--steps", "50"),
+        ("timeshare", "--a-star", "3.3,99", "--eps", "0.025", "--m", "2"),
+        ("timeshare", "--a-star", "3.3", "--eps", "0.025,0.5", "--sweep-m", "1:2:1"),
+        ("timeshare", "--a-star", ",", "--eps", "0.025", "--m", "2"),
+        ("sweep", "--n", "1", "--a-star", "3.3,5", "--eps", "0.025", "--var", "m",
+         "--range", "1:2:1"),
+    ],
+)
+def test_timeshare_paths_need_one_coefficient(capsys, argv):
+    # the time-share paths read a single a* and eps; extra or missing values exit 2
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "one --a-star and one --eps value" in err
+
+
+def test_batched_saturation_exits_3(capsys, monkeypatch):
+    # one trial of a batched experiment starts on the boundary orbit of
+    # test_orbit_from_range_boundary_stays_in_range
+    batch = montecarlo.run_closed_loop_batch
+
+    def boundary_trial(plant, quantizer, channels, strategies, steps, y0):
+        y0 = list(y0)
+        y0[5] = plant.y0_bound / 2.0
+        return batch(plant, quantizer, channels, strategies, steps, y0)
+
+    monkeypatch.setattr(montecarlo, "run_closed_loop_batch", boundary_trial)
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--n", "1", "--a-star", "2", "--eps", "0.1", "--N", "4",
+        "--trials", str(montecarlo.BATCH_MIN_TRIALS), "--steps", "400",
+        "--strategy", "greedy_adversarial",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("invariant breach:")
 
 
 def test_timeshare_rejects_vector_plants(capsys):

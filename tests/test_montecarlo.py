@@ -5,10 +5,12 @@ import pytest
 
 import oracles
 from oracles import eta_second_moment
+from ratelim import montecarlo
 from ratelim.channel import ChannelConfig
 from ratelim.codec_loop import QuantizerSpec
 from ratelim.limits import necessary_bounds
 from ratelim.montecarlo import (
+    BATCH_MIN_TRIALS,
     STABLE,
     UNSTABLE,
     Experiment,
@@ -221,3 +223,83 @@ def test_trial_order_sums_match_stacked_reduction(target, quantizer, channel, ex
     assert got.verdict == want.verdict
     assert got.diverged_trials == want.diverged_trials
     assert got.converged_trials == want.converged_trials
+
+
+def _assert_same_report(got, want):
+    assert np.array_equal(got.mean_sq_y, want.mean_sq_y, equal_nan=True)
+    assert np.array_equal(got.mean_sq_sigma, want.mean_sq_sigma, equal_nan=True)
+    assert got.slope == want.slope
+    assert got.verdict == want.verdict
+    assert got.diverged_trials == want.diverged_trials
+    assert got.converged_trials == want.converged_trials
+
+
+def _count_batches(monkeypatch) -> list:
+    calls = []
+    batch = montecarlo.run_closed_loop_batch
+    monkeypatch.setattr(
+        montecarlo, "run_closed_loop_batch", lambda *args: calls.append(args) or batch(*args)
+    )
+    return calls
+
+
+PARITY_PLANTS = {
+    1: UncertainPlant(n=1, a_star=(2.2,), eps=(0.1,)),
+    2: UncertainPlant(n=2, a_star=(0.5, 2.2), eps=(0.05, 0.05)),
+    3: UncertainPlant(n=3, a_star=(0.3, -0.4, 2.0), eps=(0.05, 0.1, 0.05)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ParamStrategy.KINDS)
+def test_batched_experiment_matches_scalar_oracle(monkeypatch, kind, n):
+    # one trial below the crossover runs scalar, the crossover and 200 trials batched;
+    # both are bit-identical to the stacked reduction over scalar traces
+    calls = _count_batches(monkeypatch)
+    strategy = ParamStrategy(kind, signs=(1, -1, 1)[:n])
+    runs = [(trials, p, 80) for trials in (BATCH_MIN_TRIALS - 1, BATCH_MIN_TRIALS) for p in (0.0, 0.2)]
+    runs += [(200, p, 40) for p in (0.0, 0.2)]
+    for trials, p, steps in runs:
+        setup = (PARITY_PLANTS[n], QuantizerSpec(6), ChannelConfig(p=p, seed=n))
+        exp = Experiment(trials=trials, steps=steps, base_seed=7 * n + trials, strategy=strategy)
+        _assert_same_report(run_experiment(*setup, exp), oracles.run_experiment(*setup, exp))
+    assert [len(args[2]) for args in calls] == [BATCH_MIN_TRIALS, BATCH_MIN_TRIALS, 200, 200]
+
+
+@pytest.mark.parametrize(
+    "plant, levels, p, steps, exits",
+    [
+        # sigma shrinks 32-fold a step: every trial converges at the same step
+        (UncertainPlant(n=1, a_star=(2.0,), eps=(0.0,)), 64, 0.0, 200,
+         lambda r: r.converged_trials == 30),
+        # one level never contracts: every trial diverges
+        (UncertainPlant(n=1, a_star=(2.0,), eps=(0.1,)), 1, 0.0, 520,
+         lambda r: r.diverged_trials == 30),
+        # the loss sequence decides: some trials converge, the rest reach the horizon
+        (UncertainPlant(n=1, a_star=(2.0,), eps=(0.05,)), 64, 0.5, 250,
+         lambda r: 0 < r.converged_trials < 30 and r.diverged_trials == 0),
+        # some trials diverge, the rest reach the horizon
+        (UncertainPlant(n=1, a_star=(8.0,), eps=(0.05,)), 4096, 0.9, 280,
+         lambda r: 0 < r.diverged_trials < 30 and r.converged_trials == 0),
+    ],
+    ids=["all_converge", "all_diverge", "some_converge", "some_diverge"],
+)
+def test_batched_early_exits_match_scalar_oracle(monkeypatch, plant, levels, p, steps, exits):
+    calls = _count_batches(monkeypatch)
+    setup = (plant, QuantizerSpec(levels), ChannelConfig(p=p, seed=1))
+    exp = Experiment(trials=30, steps=steps, base_seed=3, strategy=ParamStrategy("nominal"))
+    want = oracles.run_experiment(*setup, exp)
+    assert exits(want)
+    _assert_same_report(run_experiment(*setup, exp), want)
+    assert len(calls) == 1
+
+
+def test_wide_experiments_run_in_bounded_batches(monkeypatch):
+    # at most BATCH_MAX_TRIALS trials per batch, the last one shorter; the
+    # sums still run in trial order and the iid streams stay per trial
+    monkeypatch.setattr(montecarlo, "BATCH_MAX_TRIALS", 5)
+    calls = _count_batches(monkeypatch)
+    setup = (PARITY_PLANTS[2], QuantizerSpec(6), ChannelConfig(p=0.2, seed=4))
+    exp = Experiment(trials=13, steps=80, base_seed=9, strategy=ParamStrategy("iid_uniform"))
+    _assert_same_report(run_experiment(*setup, exp), oracles.run_experiment(*setup, exp))
+    assert [len(args[2]) for args in calls] == [5, 5, 3]
