@@ -196,7 +196,10 @@ def cmd_simulate(args) -> int:
 def _duration_table(args, grid) -> int:
     """Time-share table over durations: `sweep --var m` and `timeshare --sweep-m`."""
     a, e = _scalar_plant_from(args, "a duration sweep")
-    rows = sweep_timeshare(a, e, [int(v) for v in grid], channel_p=args.p)
+    durations = [int(v) for v in grid]
+    if durations != grid:
+        raise ValueError("cycle durations must be integers; give an integer lo:hi:step grid")
+    rows = sweep_timeshare(a, e, durations, channel_p=args.p)
     with _out_stream(args) as out:
         write_rows_csv(rows, out)
     return 0

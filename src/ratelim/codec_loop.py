@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import _MASK, ChannelConfig, draw, uniform01
 from .interval import Interval, measure, midpoint, scale_product
-from .plant import ParamStrategy, UncertainPlant, realize_params, step_unchecked
+from .plant import ParamStrategy, UncertainPlant, iid_params, realize_params, step_unchecked
 
 # Lower guard on sigma: keeps logs finite and avoids denormal underflow.
 SIGMA_MIN = 1e-300
@@ -202,11 +202,8 @@ def run_closed_loop(
     history = [0.0] * (n - 1) + [y0]
     trace = SimTrace()
 
-    needs_context = strategy.kind == "greedy_adversarial"
-    fixed_params = None
-    if strategy.kind in ("nominal", "fixed_vertex"):
-        fixed_params = realize_params(plant, strategy)
-
+    kind = strategy.kind  # nominal and fixed_vertex realize one vector for every step
+    fixed = realize_params(plant, strategy, 0) if kind in ("nominal", "fixed_vertex") else None
     for k in range(steps):
         symbol = quantize(levels, (history[-1] - center) / sigma)
         gamma = draw(channel, k)
@@ -216,14 +213,7 @@ def run_closed_loop(
         u = control(plant, cells)
         trace.append(k, history[-1], sigma, gamma, u, symbol, cell, center)
         sigma, center = advance_scaling(predict(plant, cells), u)
-        if fixed_params is not None:
-            params = fixed_params
-        elif needs_context:
-            params = realize_params(
-                plant, strategy, context=lambda p: step_unchecked(history, u, p)
-            )
-        else:
-            params = realize_params(plant, strategy)
+        params = fixed or realize_params(plant, strategy, k, lambda p: step_unchecked(history, u, p))
         y_next = step_unchecked(history, u, params)
         history.pop(0)
         history.append(y_next)
@@ -246,7 +236,7 @@ def run_closed_loop_batch(
 ) -> list[tuple[np.ndarray, np.ndarray, str]]:
     """run_closed_loop for many trials in lockstep, one array slot per trial.
 
-    Trial t runs with channels[t], strategies[t] (fresh) and y0[t]; all share
+    Trial t runs with channels[t], strategies[t] and y0[t]; all share
     p, kind and signs.  Each slot repeats the scalar operations in order, so
     trial t's (y, sigma, status) equal its trace's bit for bit.  On a failure
     the trials replay one at a time, to raise the scalar loop's first error.
@@ -255,7 +245,7 @@ def run_closed_loop_batch(
         return _lockstep(plant, quantizer, channels, strategies, steps, np.asarray(y0, float))
     except (SaturationError, ValueError):
         for ch, strategy, start in zip(channels, strategies, y0):
-            run_closed_loop(plant, quantizer, ch, strategy.with_seed(strategy.seed), steps, start)
+            run_closed_loop(plant, quantizer, ch, strategy, steps, start)
         raise
 
 
@@ -264,12 +254,12 @@ def _lockstep(plant, quantizer, channels, strategies, steps, y0):
         raise ValueError("an initial output lies outside the starting range")
     n, trials, levels, p = plant.n, len(y0), float(quantizer.levels), channels[0].p
     kind = strategies[0].kind
-    fixed = realize_params(plant, strategies[0]) if kind in ("nominal", "fixed_vertex") else None
+    fixed = realize_params(plant, strategies[0], 0) if kind in ("nominal", "fixed_vertex") else None
     boxes = [plant.box(i) for i in range(n)]
     ys, sigmas = np.zeros((trials, steps)), np.zeros((trials, steps))
     live, length, status = np.arange(trials), [steps] * trials, [COMPLETED] * trials
     seeds = np.array([ch.seed & _MASK for ch in channels], dtype=np.uint64)
-    rngs = [s._rng.random for s in strategies]
+    param_seeds = np.array([s.seed & _MASK for s in strategies], dtype=np.uint64)
     sigma, center = np.full(trials, plant.y0_bound), np.zeros(trials)
     cells = [Interval(center, center)] * n
     history = [center] * (n - 1) + [y0]
@@ -301,9 +291,8 @@ def _lockstep(plant, quantizer, channels, strategies, steps, y0):
                 acc_hi = acc_hi + np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
             sigma = np.maximum(acc_hi - acc_lo, SIGMA_MIN)  # NaN stays, as in advance_scaling
             center = (acc_lo + acc_hi) / 2.0 + u
-            if kind == "iid_uniform":  # the draws realize_params makes, trial by trial
-                draws = 2.0 * np.array([r() for r in rngs for _ in range(n)]).reshape(-1, n).T - 1.0
-                params = [a + e * d for a, e, d in zip(plant.a_star, plant.eps, draws)]
+            if kind == "iid_uniform":
+                params = iid_params(plant, param_seeds, k)
             elif kind == "greedy_adversarial":  # realize_params' sweep, all trials at once
                 params = list(plant.a_star)
                 for i, (a_lo, a_hi) in enumerate(boxes):
@@ -322,10 +311,10 @@ def _lockstep(plant, quantizer, channels, strategies, steps, y0):
                 for t, conv in zip(live[done], converged[done]):
                     length[t], status[t] = k + 1, CONVERGED if conv else DIVERGED
                 keep = ~done
-                live, seeds, sigma, center = live[keep], seeds[keep], sigma[keep], center[keep]
+                live, seeds, param_seeds = live[keep], seeds[keep], param_seeds[keep]
+                sigma, center = sigma[keep], center[keep]
                 history = [h[keep] for h in history]
                 cells = [Interval(c.lo[keep], c.hi[keep]) for c in cells]
-                rngs = [r for r, kept in zip(rngs, keep) if kept]
                 if not live.size:
                     break
     return [(ys[t, :length[t]], sigmas[t, :length[t]], status[t]) for t in range(trials)]

@@ -14,9 +14,10 @@ which is what all the rate/loss bounds depend on.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
+
+from .channel import uniform01
 
 ParamContext = Callable[[Sequence[float]], float]
 
@@ -72,7 +73,7 @@ def step_unchecked(history: Sequence[float], u: float, params: Sequence[float]) 
     return acc
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamStrategy:
     """How the simulator realizes time-varying coefficients inside the box.
 
@@ -83,14 +84,13 @@ class ParamStrategy:
       greedy_adversarial per coordinate, the box endpoint that maximizes
                          the magnitude of the candidate next output
 
-    One instance per simulation trial; iid_uniform carries its own
-    generator so trials with equal seeds replay bit-identically.
+    Instances hold no state: an iid_uniform draw is a pure function of the
+    seed, the step and the coefficient (iid_params), so any replay is exact.
     """
 
     kind: str = "nominal"
     seed: int = 0
     signs: tuple[int, ...] | None = None
-    _rng: random.Random = field(init=False, repr=False, compare=False)
 
     KINDS = ("nominal", "fixed_vertex", "iid_uniform", "greedy_adversarial")
 
@@ -99,19 +99,26 @@ class ParamStrategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}; pick one of {self.KINDS}")
         if self.kind == "fixed_vertex" and self.signs is None:
             raise ValueError("fixed_vertex strategy needs a sign pattern")
-        self._rng = random.Random(self.seed)
 
-    def with_seed(self, seed: int) -> "ParamStrategy":
-        """Fresh instance for a new trial."""
-        return ParamStrategy(kind=self.kind, seed=seed, signs=self.signs)
+
+def iid_params(plant: UncertainPlant, seed, k: int) -> tuple:
+    """iid_uniform coefficients of step k; coefficient i reads uniform01(~seed, k*n + i).
+
+    ~seed keeps the stream apart from a channel with an equal seed and gives the
+    same bits for an int and a uint64 seed array, whose slots then match the scalar.
+    """
+    key, n = ~seed, plant.n
+    return tuple([a + e * (2.0 * uniform01(key, k * n + i) - 1.0)
+                  for i, (a, e) in enumerate(zip(plant.a_star, plant.eps))])
 
 
 def realize_params(
     plant: UncertainPlant,
     strategy: ParamStrategy,
+    k: int,
     context: ParamContext | None = None,
 ) -> tuple[float, ...]:
-    """Draw one coefficient vector according to the strategy.
+    """Coefficient vector of step k according to the strategy.
 
     context maps a full parameter vector to the candidate next output and
     is required for greedy_adversarial, which sweeps the coordinates once,
@@ -128,10 +135,7 @@ def realize_params(
             raise ValueError(f"sign pattern must have length {plant.n}")
         return tuple(a + s * e for a, s, e in zip(plant.a_star, signs, plant.eps))
     if kind == "iid_uniform":
-        rng = strategy._rng
-        return tuple(
-            a + e * (2.0 * rng.random() - 1.0) for a, e in zip(plant.a_star, plant.eps)
-        )
+        return iid_params(plant, strategy.seed, k)
     # greedy_adversarial
     if context is None:
         raise ValueError("greedy_adversarial strategy needs a context function")

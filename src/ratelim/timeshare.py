@@ -184,7 +184,7 @@ def run_timeshare_loop(
         for i in range(cfg.m):
             u_step = u_end if i == cfg.m - 1 else 0.0
             params = realize_params(
-                plant, strategy, context=lambda q: q[0] * y + u_step
+                plant, strategy, cfg.m * j + i, context=lambda q: q[0] * y + u_step
             )
             y = params[0] * y + u_step
         sigma = max(measure(pred), SIGMA_MIN)

@@ -365,7 +365,7 @@ def run_closed_loop(
     needs_context = strategy.kind == "greedy_adversarial"
     fixed_params = None
     if strategy.kind in ("nominal", "fixed_vertex"):
-        fixed_params = realize_params(plant, strategy)
+        fixed_params = realize_params(plant, strategy, 0)
 
     for k in range(steps):
         sigma_k = state.sigma
@@ -379,10 +379,10 @@ def run_closed_loop(
             params = fixed_params
         elif needs_context:
             params = realize_params(
-                plant, strategy, context=lambda p: step_unchecked(history, u, p)
+                plant, strategy, k, context=lambda p: step_unchecked(history, u, p)
             )
         else:
-            params = realize_params(plant, strategy)
+            params = realize_params(plant, strategy, k)
         y_next = step_unchecked(history, u, params)
         trace.append(k, history[-1], sigma_k, gamma, u, symbol, cell, center_k)
         history.pop(0)

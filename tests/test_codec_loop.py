@@ -268,8 +268,8 @@ def test_loop_matches_codec_state_oracle():
                     setup = (QuantizerSpec(levels), ChannelConfig(p, 9 * levels))
                     y0 = float(rng.uniform(-0.5, 0.5))
                     want = oracles.run_closed_loop(plant, *setup, strategy, 300, y0)
-                    # a fresh strategy instance replays the same parameter draws
-                    got = run_closed_loop(plant, *setup, strategy.with_seed(strategy.seed), 300, y0)
+                    # the strategy holds no state, so the same instance replays the draws
+                    got = run_closed_loop(plant, *setup, strategy, 300, y0)
                     assert _trace_fields(got) == _trace_fields(want)
                     statuses.add(got.status)
     assert statuses == {COMPLETED, CONVERGED, DIVERGED}

@@ -294,6 +294,23 @@ def test_batched_early_exits_match_scalar_oracle(monkeypatch, plant, levels, p, 
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "plant, levels, p, steps",
+    [
+        (UncertainPlant(n=1, a_star=(2.0,), eps=(0.05,)), 64, 0.5, 250),
+        (UncertainPlant(n=1, a_star=(8.0,), eps=(0.05,)), 4096, 0.9, 250),
+    ],
+    ids=["some_converge", "some_diverge"],
+)
+def test_batched_iid_early_exits_match_scalar_oracle(plant, levels, p, steps):
+    # trials leave the batch mid-run; their strategy seeds must leave with them
+    setup = (plant, QuantizerSpec(levels), ChannelConfig(p=p, seed=1))
+    exp = Experiment(trials=30, steps=steps, base_seed=3, strategy=ParamStrategy("iid_uniform"))
+    want = oracles.run_experiment(*setup, exp)
+    assert 0 < want.converged_trials + want.diverged_trials < 30
+    _assert_same_report(run_experiment(*setup, exp), want)
+
+
 def test_wide_experiments_run_in_bounded_batches(monkeypatch):
     # at most BATCH_MAX_TRIALS trials per batch, the last one shorter; the
     # sums still run in trial order and the iid streams stay per trial

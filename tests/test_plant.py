@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import check_unstable_assumption, companion_matrix, lambda_pi, step
-from ratelim.plant import ParamStrategy, UncertainPlant, realize_params
+from ratelim.channel import uniform01
+from ratelim.plant import ParamStrategy, UncertainPlant, iid_params, realize_params
 
 
 def make_plant(n=2, a=(1.0, 2.5), e=(0.05, 0.05)):
@@ -77,25 +78,51 @@ def test_step_affine_in_u():
 
 def test_realize_nominal_and_vertex():
     p = make_plant()
-    assert realize_params(p, ParamStrategy("nominal")) == (1.0, 2.5)
-    got = realize_params(p, ParamStrategy("fixed_vertex", signs=(1, 1)))
+    assert realize_params(p, ParamStrategy("nominal"), 0) == (1.0, 2.5)
+    got = realize_params(p, ParamStrategy("fixed_vertex", signs=(1, 1)), 0)
     assert got == pytest.approx((1.05, 2.55))
-    got = realize_params(p, ParamStrategy("fixed_vertex", signs=(-1, 1)))
+    got = realize_params(p, ParamStrategy("fixed_vertex", signs=(-1, 1)), 0)
     assert got == pytest.approx((0.95, 2.55))
 
 
 def test_iid_uniform_reproducible_and_in_box():
+    # draws are a pure function of (seed, step, coefficient): a second
+    # instance replays them, and each depends on all three
     p = make_plant()
-    s1 = ParamStrategy("iid_uniform", seed=123)
-    s2 = ParamStrategy("iid_uniform", seed=123)
-    seq1 = [realize_params(p, s1) for _ in range(50)]
-    seq2 = [realize_params(p, s2) for _ in range(50)]
+    steps = range(50)
+    seq1 = [realize_params(p, ParamStrategy("iid_uniform", seed=123), k) for k in steps]
+    seq2 = [realize_params(p, ParamStrategy("iid_uniform", seed=123), k) for k in steps]
     assert seq1 == seq2  # bit-identical
     for draw in seq1:
         for v, a, e in zip(draw, p.a_star, p.eps):
             assert a - e <= v <= a + e
-    s3 = ParamStrategy("iid_uniform", seed=124)
-    assert [realize_params(p, s3) for _ in range(50)] != seq1
+    other_seed = [realize_params(p, ParamStrategy("iid_uniform", seed=124), k) for k in steps]
+    assert all(a != b for d1, d2 in zip(seq1, other_seed) for a, b in zip(d1, d2))
+    assert len({d for draw in seq1 for d in draw}) == 2 * len(seq1)  # per step and coefficient
+    # coefficients read disjoint counters, so equal radii still draw apart
+    twin = make_plant(a=(2.5, 2.5), e=(0.05, 0.05))
+    assert all(len(set(iid_params(twin, 123, k))) == 2 for k in steps)
+
+
+def test_iid_array_seed_gives_each_trial_the_scalar_bits():
+    p = make_plant(n=3, a=(0.3, -1.0, 2.5), e=(0.1, 0.0, 0.05))
+    seeds = [0, 1, 123, 2**63 + 5, 2**64 - 1]
+    keys = np.array(seeds, dtype=np.uint64)
+    for k in (0, 1, 7, 399):
+        batched = iid_params(p, keys, k)
+        for t, seed in enumerate(seeds):
+            assert tuple(float(c[t]) for c in batched) == iid_params(p, seed, k)
+
+
+def test_iid_stream_is_apart_from_an_equally_seeded_channel():
+    # with n = 1 the parameter stream reads counter k, as the channel does;
+    # the complemented key keeps the two uniforms apart under one seed
+    p = UncertainPlant(n=1, a_star=(2.5,), eps=(1.0,))
+    for seed in (0, 3, 2**40 + 1):
+        for k in range(50):
+            u = uniform01(~seed, k)
+            assert u != uniform01(seed, k)
+            assert iid_params(p, seed, k) == (2.5 + 1.0 * (2.0 * u - 1.0),)
 
 
 def test_greedy_adversarial_dominates_nominal():
@@ -109,7 +136,7 @@ def test_greedy_adversarial_dominates_nominal():
         def out(params):
             return params[0] * h[1] + params[1] * h[0] + u
 
-        greedy = realize_params(p, strat, context=out)
+        greedy = realize_params(p, strat, 0, context=out)
         assert abs(out(greedy)) >= abs(out(p.a_star)) - 1e-12
         for v, a, e in zip(greedy, p.a_star, p.eps):
             assert v in (a - e, a + e) or e == 0.0
@@ -117,7 +144,7 @@ def test_greedy_adversarial_dominates_nominal():
 
 def test_greedy_requires_context():
     with pytest.raises(ValueError):
-        realize_params(make_plant(), ParamStrategy("greedy_adversarial"))
+        realize_params(make_plant(), ParamStrategy("greedy_adversarial"), 0)
 
 
 def test_companion_matrix_layout():

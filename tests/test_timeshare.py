@@ -7,7 +7,7 @@ from oracles import eta_second_moment
 from ratelim.channel import ChannelConfig
 from ratelim.codec_loop import COMPLETED, CONVERGED, DIVERGED
 from ratelim.limits import necessary_bounds
-from ratelim.plant import ParamStrategy
+from ratelim.plant import ParamStrategy, iid_params
 from ratelim.timeshare import (
     TimeShareConfig,
     deltas,
@@ -220,6 +220,20 @@ def test_simulator_invariants_under_loss_and_uncertainty():
                         assert trace.sigma[k + 1] <= (
                             kappa(a, eps, m, m_level) * trace.sigma[k] + slack
                         )
+
+
+def test_simulator_draws_iid_coefficients_per_sub_step():
+    # slot i of cycle j reads counter m*j + i: one fresh coefficient per plant step
+    cfg = TimeShareConfig(a_star=1.6, eps=0.3, m=3, levels=4, p=0.2)
+    strat = ParamStrategy("iid_uniform", seed=9)
+    trace = run_timeshare_loop(cfg, ChannelConfig(0.2, 5), strat, 40, 0.3)
+    assert len(trace) > 10
+    for j in range(len(trace) - 1):
+        y = trace.y[j]
+        for i in range(cfg.m):
+            (a,) = iid_params(cfg.plant(), strat.seed, cfg.m * j + i)
+            y = a * y + (trace.u[j] if i == cfg.m - 1 else 0.0)
+        assert y == trace.y[j + 1]
 
 
 def test_simulator_all_lost_cycle_hits_full_box_growth():
