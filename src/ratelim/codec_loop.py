@@ -51,18 +51,18 @@ class QuantizerSpec:
     levels: int
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise ValueError(f"quantizer needs >= 1 levels, got {self.levels}")
+        if not 1 <= self.levels <= 2**53:  # the batched loop holds symbols in doubles
+            raise ValueError(f"quantizer needs 1 to 2^53 levels, got {self.levels}")
 
 
 def quantize(levels: int, v: float) -> int:
     """Uniform N-level quantizer on [-1/2, 1/2]; the top cell is closed.
 
     Raises SaturationError if v lies outside the range by more than a tiny
-    numerical slack; within the slack v is clamped.
+    numerical slack, or is NaN; within the slack v is clamped.
     """
-    if v > 0.5 or v < -0.5:
-        if v > 0.5 + SATURATION_TOL or v < -0.5 - SATURATION_TOL:
+    if not -0.5 <= v <= 0.5:
+        if not -0.5 - SATURATION_TOL <= v <= 0.5 + SATURATION_TOL:
             raise SaturationError(f"quantizer input {v} outside [-1/2, 1/2]")
         v = 0.5 if v > 0.5 else -0.5
     i = int((v + 0.5) * levels)
@@ -130,6 +130,21 @@ def advance_scaling(prediction: Interval, u: float) -> tuple[float, float]:
     return sigma, midpoint(prediction) + u
 
 
+def check_start(y0, y0_bound: float) -> None:
+    """Refuse an initial output (a float or an array) outside [-Y0/2, Y0/2], or NaN."""
+    worst = np.max(np.abs(y0))
+    if not worst <= y0_bound / 2.0:
+        raise ValueError(f"|y0| = {worst} exceeds half the declared bound {y0_bound}, "
+                         "the range the quantizer covers at the start")
+
+
+def end_status(sigma: float) -> str | None:
+    """How a trial ends once sigma passes a guard, else None; NaN (an overflowed range) diverged."""
+    if sigma < CONVERGED_SIGMA:
+        return CONVERGED
+    return None if sigma <= DIVERGED_SIGMA else DIVERGED
+
+
 @dataclass
 class SimTrace:
     """Per-step record of one closed-loop trial.
@@ -185,13 +200,9 @@ def run_closed_loop(
 
     sigma starts at the plant's initial output bound (the minimal choice),
     center at 0, so the quantizer covers y0 in [-Y0/2, Y0/2].  Terminates
-    early once sigma passes the convergence or divergence guard.
+    early once sigma passes the convergence or divergence guard (end_status).
     """
-    if abs(y0) > plant.y0_bound / 2.0:
-        raise ValueError(
-            f"|y0| = {abs(y0)} exceeds half the declared bound {plant.y0_bound}, "
-            "the range the quantizer covers at the start"
-        )
+    check_start(y0, plant.y0_bound)
     n = plant.n
     levels = quantizer.levels
     sigma = plant.y0_bound
@@ -214,14 +225,10 @@ def run_closed_loop(
         trace.append(k, history[-1], sigma, gamma, u, symbol, cell, center)
         sigma, center = advance_scaling(predict(plant, cells), u)
         params = fixed or realize_params(plant, strategy, k, lambda p: step_unchecked(history, u, p))
-        y_next = step_unchecked(history, u, params)
+        history.append(step_unchecked(history, u, params))
         history.pop(0)
-        history.append(y_next)
-        if sigma < CONVERGED_SIGMA:
-            trace.status = CONVERGED
-            return trace
-        if sigma > DIVERGED_SIGMA:
-            trace.status = DIVERGED
+        if status := end_status(sigma):
+            trace.status = status
             return trace
     return trace
 
@@ -238,20 +245,11 @@ def run_closed_loop_batch(
 
     Trial t runs with channels[t], strategies[t] and y0[t]; all share
     p, kind and signs.  Each slot repeats the scalar operations in order, so
-    trial t's (y, sigma, status) equal its trace's bit for bit.  On a failure
-    the trials replay one at a time, to raise the scalar loop's first error.
+    trial t's (y, sigma, status) equal its trace's bit for bit.  A range breach
+    raises quantize's error for the first trial among those breaching earliest.
     """
-    try:
-        return _lockstep(plant, quantizer, channels, strategies, steps, np.asarray(y0, float))
-    except (SaturationError, ValueError):
-        for ch, strategy, start in zip(channels, strategies, y0):
-            run_closed_loop(plant, quantizer, ch, strategy, steps, start)
-        raise
-
-
-def _lockstep(plant, quantizer, channels, strategies, steps, y0):
-    if (np.abs(y0) > plant.y0_bound / 2.0).any():
-        raise ValueError("an initial output lies outside the starting range")
+    y0 = np.asarray(y0, float)
+    check_start(y0, plant.y0_bound)
     n, trials, levels, p = plant.n, len(y0), float(quantizer.levels), channels[0].p
     kind = strategies[0].kind
     fixed = realize_params(plant, strategies[0], 0) if kind in ("nominal", "fixed_vertex") else None
@@ -267,8 +265,9 @@ def _lockstep(plant, quantizer, channels, strategies, steps, y0):
         for k in range(steps):
             y = history[-1]
             v = (y - center) / sigma
-            if not (np.abs(v) <= 0.5 + SATURATION_TOL).all():  # NaN fails too
-                raise SaturationError("a quantizer input left [-1/2, 1/2]")
+            breach = ~(np.abs(v) <= 0.5 + SATURATION_TOL)  # quantize's test, NaN included
+            if breach.any():
+                quantize(1, float(v[breach.argmax()]))  # raises its SaturationError
             v = np.minimum(np.maximum(v, -0.5), 0.5)
             symbol = np.minimum(np.floor((v + 0.5) * levels), levels - 1.0)
             lo, top, w = center - sigma / 2.0, center + sigma / 2.0, sigma / levels
@@ -305,11 +304,10 @@ def _lockstep(plant, quantizer, channels, strategies, steps, y0):
             else:
                 params = fixed
             history = history[1:] + [step_unchecked(history, u, params)]
-            converged = sigma < CONVERGED_SIGMA
-            done = converged | (sigma > DIVERGED_SIGMA)
+            done = (sigma < CONVERGED_SIGMA) | ~(sigma <= DIVERGED_SIGMA)  # end_status's rule
             if done.any():
-                for t, conv in zip(live[done], converged[done]):
-                    length[t], status[t] = k + 1, CONVERGED if conv else DIVERGED
+                for t, end in zip(live[done], sigma[done]):
+                    length[t], status[t] = k + 1, end_status(end)
                 keep = ~done
                 live, seeds, param_seeds = live[keep], seeds[keep], param_seeds[keep]
                 sigma, center = sigma[keep], center[keep]

@@ -6,15 +6,15 @@ and the scaling sequence is deterministic given the loss sequence, so its
 sample mean has far lower variance.  Mean squared output is reported
 alongside.  Each trial has its own injective seed.
 
-Two layouts run the trials.  From BATCH_MIN_TRIALS = 12 trials on, a
-closed-loop experiment steps them all in lockstep numpy arrays
-(run_closed_loop_batch); narrower ones and time-share targets run one
-scalar trial at a time.  12 is where the batch overtook the scalar loop in
-the median over orders 1-3 and the four strategies (400 steps, 2-core
-Xeon: 1.7x slower at 6 trials, 0.93x at 12, 0.7x at 16).  Both layouts
-make each trial's float operations in the same order, and the per-step
-sums add trials in trial order (never np.sum, whose pairwise order
-differs), so a seeded decay CSV is bit-identical either way.
+The trial count alone picks the layout.  From BATCH_MIN_TRIALS = 12
+trials on, a closed-loop experiment steps its trials in lockstep numpy
+arrays (run_closed_loop_batch); narrower ones and time-share targets run
+one scalar trial at a time.  12 is where the batch overtook the scalar
+loop in the median over orders 1-3 and the four strategies (400 steps,
+2-core Xeon: 1.7x slower at 6 trials, 0.93x at 12, 0.7x at 16).  Both
+layouts make each trial's float operations in the same order, and the
+per-step sums add trials in trial order (never np.sum, whose pairwise
+order differs), so a seeded decay CSV is bit-identical either way.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .channel import ChannelConfig, derive_seed, uniform01
 from .codec_loop import (
     CONVERGED,
     DIVERGED,
+    DIVERGED_SIGMA,
     QuantizerSpec,
     SimTrace,
     run_closed_loop,
@@ -121,8 +122,7 @@ def _run_trial(
 
 def _trial_rows(target, quantizer, channel, exp: Experiment):
     """(y, sigma, status) of every trial in trial order: batched or one at a time."""
-    if (isinstance(target, UncertainPlant) and exp.trials >= BATCH_MIN_TRIALS
-            and quantizer.levels <= 2**53):  # above 2^53 a double cannot hold every symbol
+    if isinstance(target, UncertainPlant) and exp.trials >= BATCH_MIN_TRIALS:
         for first in range(0, exp.trials, BATCH_MAX_TRIALS):
             chunk = range(first, min(first + BATCH_MAX_TRIALS, exp.trials))
             channels, strategies, y0 = zip(*(_trial_setup(target, channel, exp, t) for t in chunk))
@@ -149,6 +149,8 @@ def run_experiment(
     """
     if isinstance(target, UncertainPlant) and quantizer is None:
         raise ValueError("closed-loop experiments need a quantizer spec")
+    if target.y0_bound > DIVERGED_SIGMA:  # the first recorded sigma is Y0: keep its square finite
+        raise ValueError(f"Y0 = {target.y0_bound} exceeds the divergence guard {DIVERGED_SIGMA}")
     order = target.m if isinstance(target, TimeShareConfig) else target.n
     _check_work(exp.trials * exp.steps, order)
     sum_sq_y = np.zeros(exp.steps)

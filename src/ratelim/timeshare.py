@@ -16,16 +16,8 @@ from dataclasses import dataclass
 
 from ._search import first_passing, split_integers
 from .channel import ChannelConfig, draw
-from .codec_loop import (
-    CONVERGED,
-    CONVERGED_SIGMA,
-    DIVERGED,
-    DIVERGED_SIGMA,
-    SIGMA_MIN,
-    SimTrace,
-    quantize,
-)
-from .interval import Interval, measure, midpoint, scale_product
+from .codec_loop import SimTrace, advance_scaling, check_start, end_status, quantize
+from .interval import Interval, midpoint, scale_product
 from .plant import ParamStrategy, UncertainPlant, realize_params
 
 
@@ -39,25 +31,12 @@ class TimeShareConfig:
     y0_bound: float = 1.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.a_star, self.eps, self.levels, self.y0_bound)):
-            raise ValueError(
-                f"time-share parameters must be finite: a*={self.a_star}, eps={self.eps}, "
-                f"levels={self.levels}, Y0={self.y0_bound}"
-            )
-        if self.eps < 0.0:
-            raise ValueError(f"uncertainty radius must be nonnegative, got {self.eps}")
-        if abs(self.a_star) - self.eps <= 1.0:
-            raise ValueError(
-                f"need |a*| - eps > 1, got |{self.a_star}| - {self.eps}"
-            )
+        self.plant()  # checks a*, eps and Y0
+        ChannelConfig(self.p)  # checks p
+        if not (math.isfinite(self.levels) and self.levels >= 1.0):
+            raise ValueError(f"need a finite per-slot level >= 1, got {self.levels}")
         if self.m < 1:
             raise ValueError(f"cycle duration must be >= 1, got {self.m}")
-        if self.levels < 1.0:
-            raise ValueError(f"need per-slot level >= 1, got {self.levels}")
-        if not (0.0 <= self.p < 1.0):
-            raise ValueError(f"loss probability must be in [0, 1), got {self.p}")
-        if self.y0_bound <= 0.0:
-            raise ValueError(f"initial output bound must be positive, got {self.y0_bound}")
 
     def plant(self) -> UncertainPlant:
         return UncertainPlant(
@@ -155,14 +134,11 @@ def run_timeshare_loop(
     n_slot = int(cfg.levels)
     if n_slot != cfg.levels or n_slot < 2:
         raise ValueError(f"simulation needs an integer per-slot level >= 2, got {cfg.levels}")
-    if abs(y0) > cfg.y0_bound / 2.0:
-        raise ValueError(
-            f"|y0| = {abs(y0)} exceeds half the declared bound {cfg.y0_bound}, "
-            "the range the quantizer covers at the start"
-        )
+    check_start(y0, cfg.y0_bound)
     plant = cfg.plant()
     total = n_slot**cfg.m
     a_nom_pow = cfg.a_star**cfg.m
+    hull = power_hull(cfg.a_star, cfg.eps, cfg.m)
     sigma = cfg.y0_bound
     center = 0.0
     y = y0
@@ -178,7 +154,7 @@ def run_timeshare_loop(
         hi = center + sigma / 2.0 if cell_idx == res - 1 else lo + w
         cell = Interval(lo, hi)
         u_end = -a_nom_pow * midpoint(cell)
-        pred = scale_product(power_hull(cfg.a_star, cfg.eps, cfg.m), cell)
+        pred = scale_product(hull, cell)
         trace.append(cfg.m * j, y, sigma, received, u_end, full_symbol, cell, center)
         # evolve the plant through the cycle, input only on the last slot
         for i in range(cfg.m):
@@ -187,12 +163,8 @@ def run_timeshare_loop(
                 plant, strategy, cfg.m * j + i, context=lambda q: q[0] * y + u_step
             )
             y = params[0] * y + u_step
-        sigma = max(measure(pred), SIGMA_MIN)
-        center = midpoint(pred) + u_end
-        if sigma < CONVERGED_SIGMA:
-            trace.status = CONVERGED
-            return trace
-        if sigma > DIVERGED_SIGMA:
-            trace.status = DIVERGED
+        sigma, center = advance_scaling(pred, u_end)
+        if status := end_status(sigma):
+            trace.status = status
             return trace
     return trace

@@ -271,6 +271,16 @@ SLOPE_PROBE = (
             "--range", "1:3:0.5",
         ),
         ("timeshare", "--a-star", "3.3", "--eps", "0.025", "--sweep-m", "1:2:0.25"),
+        # a start range past the divergence guard, whose squares would overflow
+        (
+            "simulate", "--n", "1", "--a-star", "1e10", "--eps", "0", "--y0-bound", "1e300",
+            "--N", "4", "--trials", "1", "--steps", "10", "--seed", "0", "--strategy", "nominal",
+        ),
+        # more levels than a double tells apart
+        (
+            "simulate", "--n", "1", "--a-star", "2", "--eps", "0", "--N", "9007199254740993",
+            "--trials", "12", "--steps", "10",
+        ),
     ],
 )
 def test_invalid_numbers_exit_2(capsys, argv):
@@ -282,6 +292,22 @@ def test_invalid_numbers_exit_2(capsys, argv):
         # the message names the flags whose growth factor left float range
         assert "--a-star/--eps" in err
 
+
+
+@pytest.mark.parametrize("trials", ["1", "12"])
+@pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+def test_overflowed_range_is_a_diverged_trial(capsys, trials, seed):
+    # the prediction set overflows and its length is inf - inf = NaN: one trial
+    # (scalar loop) or twelve (batched) end diverged, whatever the seed
+    code, _, err = run_cli(
+        capsys, "simulate", "--n", "1", "--a-star", "1e300", "--eps", "0", "--y0-bound", "1e10",
+        "--N", "4", "--steps", "10", "--strategy", "nominal", "--trials", trials, "--seed", seed,
+    )
+    assert code == 0, err
+    assert "Traceback" not in err and "NaN to integer" not in err
+    verdict = json.loads(err)
+    assert verdict["verdict"] == "unstable"
+    assert verdict["diverged_trials"] == int(trials)
 
 @pytest.mark.xfail(strict=True, reason="known defect (ROADMAP item 4): random starts "
                    "reach the lost-containment orbit of the range-boundary xfail")

@@ -62,6 +62,18 @@ def test_quantize_saturation():
     assert quantize(4, -0.5 - 1e-13) == 0
 
 
+
+def test_quantizer_spec_holds_up_to_2_pow_53_levels():
+    # the batched loop keeps symbols in doubles, which tell every integer apart up to 2^53
+    assert QuantizerSpec(2**53).levels == 2**53
+    with pytest.raises(ValueError):
+        QuantizerSpec(2**53 + 1)
+
+
+def test_quantize_treats_nan_as_a_range_breach():
+    with pytest.raises(SaturationError):
+        quantize(4, float("nan"))
+
 def test_decode_cell_examples():
     assert decode_cell(2, 1.0, 0.0, 1) == Interval(0.0, 0.5)
     assert decode_cell(8, 1.0, 0.0, LOST) == Interval(-0.5, 0.5)
@@ -363,3 +375,44 @@ def test_trace_csv_roundtrip():
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[2]) == trace.sigma[0]
+
+
+def test_overflowed_range_ends_diverged():
+    # from the top cell both prediction ends overflow to +inf, so sigma = inf - inf is NaN;
+    # the scalar and the batched loop both end such a trial as diverged
+    plant = UncertainPlant(1, (1e300,), (0.0,), y0_bound=1e10)
+    trace = run_closed_loop(plant, QuantizerSpec(4), ChannelConfig(0.0), ParamStrategy(), 10, 4e9)
+    assert (trace.status, trace.sigma) == (DIVERGED, [1e10])
+    starts = [4e9, -4e9, 0.0, 1e9]
+    rows = run_closed_loop_batch(plant, QuantizerSpec(4), [ChannelConfig(0.0)] * 4,
+                                 [ParamStrategy()] * 4, 10, starts)
+    assert [(list(s), status) for _, s, status in rows] == [([1e10], DIVERGED)] * 4
+
+
+def test_batched_breach_names_the_first_trial_of_the_earliest_step():
+    # dyadic starts whose orbits leave the range: 0 at step 17, +-1/2 at step 14.
+    # The batch names trial 6, the lower-numbered of the two that breach at step 14
+    plant = UncertainPlant(1, (2.0,), (0.1,))
+    y0 = [(t - 7.5) / 21.0 for t in range(16)]
+    y0[3], y0[6], y0[9] = 0.0, -0.5, 0.5
+    channels = [ChannelConfig(0.0, t) for t in range(16)]
+    strategies = [ParamStrategy("greedy_adversarial", seed=t) for t in range(16)]
+    messages = []
+    for t in (3, 6, 9):
+        with pytest.raises(SaturationError) as scalar:
+            run_closed_loop(plant, QuantizerSpec(4), channels[t], strategies[t], 400, y0[t])
+        messages.append(str(scalar.value))
+    assert len(set(messages)) == 3
+    with pytest.raises(SaturationError) as batched:
+        run_closed_loop_batch(plant, QuantizerSpec(4), channels, strategies, 400, y0)
+    assert str(batched.value) == messages[1]
+
+
+def test_start_check_refuses_nan_and_names_the_worst_start():
+    plant = UncertainPlant(1, (2.0,), (0.0,))
+    with pytest.raises(ValueError, match="exceeds half"):
+        run_closed_loop(plant, QuantizerSpec(4), ChannelConfig(0.0), ParamStrategy(), 5,
+                        float("nan"))
+    with pytest.raises(ValueError, match=r"\|y0\| = 0.75 exceeds half"):
+        run_closed_loop_batch(plant, QuantizerSpec(4), [ChannelConfig(0.0)] * 3,
+                              [ParamStrategy()] * 3, 5, [0.1, -0.75, 0.6])

@@ -222,6 +222,14 @@ def test_simulator_invariants_under_loss_and_uncertainty():
                         )
 
 
+
+def test_simulator_overflowed_range_ends_diverged():
+    # from the top cell both ends of the cycle's prediction set overflow to +inf,
+    # so sigma = inf - inf is NaN: the trial ends diverged, as in the closed loop
+    cfg = TimeShareConfig(a_star=1e300, eps=0.0, m=1, levels=4, y0_bound=1e10)
+    trace = run_timeshare_loop(cfg, ChannelConfig(0.0), ParamStrategy(), 10, 4e9)
+    assert (trace.status, trace.sigma) == (DIVERGED, [1e10])
+
 def test_simulator_draws_iid_coefficients_per_sub_step():
     # slot i of cycle j reads counter m*j + i: one fresh coefficient per plant step
     cfg = TimeShareConfig(a_star=1.6, eps=0.3, m=3, levels=4, p=0.2)
