@@ -233,6 +233,68 @@ def run_closed_loop(
     return trace
 
 
+def quantize_slots(levels, v: np.ndarray) -> np.ndarray:
+    """quantize's cell index (as a double) per slot, at one level count or one per slot.
+
+    A range breach raises quantize's SaturationError for the first slot breaching.
+    """
+    breach = ~(np.abs(v) <= 0.5 + SATURATION_TOL)  # quantize's test, NaN included
+    if breach.any():
+        quantize(1, float(v[breach.argmax()]))  # raises its SaturationError
+    v = np.minimum(np.maximum(v, -0.5), 0.5)
+    return np.minimum(np.floor((v + 0.5) * levels), levels - 1.0)
+
+
+def advance_slots(boxes, cells: Sequence[Interval], u) -> tuple[np.ndarray, np.ndarray]:
+    """advance_scaling of the sum of scale_product(boxes[i], cells[i]), one cell per slot.
+
+    The range check left the cells finite, so no product is NaN and np.minimum/maximum
+    differ from min/max only in a zero's sign, which no sum from 0.0 keeps.
+    """
+    lo = hi = 0.0
+    for box, cell in zip(boxes, cells):
+        p1, p2, p3, p4 = (a * end for a in box for end in cell)
+        lo = lo + np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+        hi = hi + np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    return np.maximum(hi - lo, SIGMA_MIN), (lo + hi) / 2.0 + u
+
+
+class Lockstep:
+    """Slots of a lockstep batch: the live trials with their channel and strategy
+    seeds, and each trial's y and sigma rows, length and status."""
+
+    def __init__(self, channels: Sequence[ChannelConfig], strategies: Sequence[ParamStrategy],
+                 steps: int):
+        trials = len(channels)
+        self.live = np.arange(trials)
+        self.seeds = np.array([ch.seed & _MASK for ch in channels], dtype=np.uint64)
+        self.param_seeds = np.array([s.seed & _MASK for s in strategies], dtype=np.uint64)
+        self.y, self.sigma = np.zeros((trials, steps)), np.zeros((trials, steps))
+        self.length, self.status = [steps] * trials, [COMPLETED] * trials
+
+    def retire(self, k: int, sigma: np.ndarray, *rows):
+        """End the trials whose sigma passed a guard at step k (length k + 1, end_status);
+        return sigma and rows (arrays, or lists or Intervals of them) for the others."""
+        done = (sigma < CONVERGED_SIGMA) | ~(sigma <= DIVERGED_SIGMA)  # end_status's rule
+        if not done.any():
+            return (sigma, *rows)
+        for t, end in zip(self.live[done], sigma[done]):
+            self.length[t], self.status[t] = k + 1, end_status(end)
+
+        def cut(row):
+            if isinstance(row, np.ndarray):
+                return row[~done]
+            return (Interval._make if isinstance(row, Interval) else list)(map(cut, row))
+
+        self.live, self.seeds, self.param_seeds, sigma, *rows = map(
+            cut, (self.live, self.seeds, self.param_seeds, sigma, *rows))
+        return (sigma, *rows)
+
+    def rows(self) -> list[tuple[np.ndarray, np.ndarray, str]]:
+        return [(self.y[t, :n], self.sigma[t, :n], status)
+                for t, (n, status) in enumerate(zip(self.length, self.status))]
+
+
 def run_closed_loop_batch(
     plant: UncertainPlant,
     quantizer: QuantizerSpec,
@@ -254,44 +316,27 @@ def run_closed_loop_batch(
     kind = strategies[0].kind
     fixed = realize_params(plant, strategies[0], 0) if kind in ("nominal", "fixed_vertex") else None
     boxes = [plant.box(i) for i in range(n)]
-    ys, sigmas = np.zeros((trials, steps)), np.zeros((trials, steps))
-    live, length, status = np.arange(trials), [steps] * trials, [COMPLETED] * trials
-    seeds = np.array([ch.seed & _MASK for ch in channels], dtype=np.uint64)
-    param_seeds = np.array([s.seed & _MASK for s in strategies], dtype=np.uint64)
+    slots = Lockstep(channels, strategies, steps)
     sigma, center = np.full(trials, plant.y0_bound), np.zeros(trials)
     cells = [Interval(center, center)] * n
     history = [center] * (n - 1) + [y0]
     with np.errstate(all="ignore"):
         for k in range(steps):
             y = history[-1]
-            v = (y - center) / sigma
-            breach = ~(np.abs(v) <= 0.5 + SATURATION_TOL)  # quantize's test, NaN included
-            if breach.any():
-                quantize(1, float(v[breach.argmax()]))  # raises its SaturationError
-            v = np.minimum(np.maximum(v, -0.5), 0.5)
-            symbol = np.minimum(np.floor((v + 0.5) * levels), levels - 1.0)
+            symbol = quantize_slots(levels, (y - center) / sigma)
             lo, top, w = center - sigma / 2.0, center + sigma / 2.0, sigma / levels
             last = symbol == levels - 1.0
             cell = Interval(np.where(last, top - w, lo + symbol * w),
                             np.where(last, top, lo + (symbol + 1.0) * w))
             if p != 0.0:
-                got = uniform01(seeds, k) >= p
+                got = uniform01(slots.seeds, k) >= p
                 cell = Interval(np.where(got, cell.lo, lo), np.where(got, cell.hi, top))
             cells = cells[1:] + [cell]
             u = control(plant, cells)
-            ys[live, k], sigmas[live, k] = y, sigma
-            acc_lo = acc_hi = 0.0
-            # predict; the range check left every cell finite, so no product is
-            # NaN and min/max agree with Python's up to a zero's sign, which no
-            # sum starting from 0.0 keeps
-            for i in range(n):
-                p1, p2, p3, p4 = (a * end for a in boxes[i] for end in cells[n - 1 - i])
-                acc_lo = acc_lo + np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-                acc_hi = acc_hi + np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-            sigma = np.maximum(acc_hi - acc_lo, SIGMA_MIN)  # NaN stays, as in advance_scaling
-            center = (acc_lo + acc_hi) / 2.0 + u
+            slots.y[slots.live, k], slots.sigma[slots.live, k] = y, sigma
+            sigma, center = advance_slots(boxes, cells[::-1], u)  # predict's order
             if kind == "iid_uniform":
-                params = iid_params(plant, param_seeds, k)
+                params = iid_params(plant, slots.param_seeds, k)
             elif kind == "greedy_adversarial":  # realize_params' sweep, all trials at once
                 params = list(plant.a_star)
                 for i, (a_lo, a_hi) in enumerate(boxes):
@@ -304,15 +349,7 @@ def run_closed_loop_batch(
             else:
                 params = fixed
             history = history[1:] + [step_unchecked(history, u, params)]
-            done = (sigma < CONVERGED_SIGMA) | ~(sigma <= DIVERGED_SIGMA)  # end_status's rule
-            if done.any():
-                for t, end in zip(live[done], sigma[done]):
-                    length[t], status[t] = k + 1, end_status(end)
-                keep = ~done
-                live, seeds, param_seeds = live[keep], seeds[keep], param_seeds[keep]
-                sigma, center = sigma[keep], center[keep]
-                history = [h[keep] for h in history]
-                cells = [Interval(c.lo[keep], c.hi[keep]) for c in cells]
-                if not live.size:
-                    break
-    return [(ys[t, :length[t]], sigmas[t, :length[t]], status[t]) for t in range(trials)]
+            sigma, center, history, cells = slots.retire(k, sigma, center, history, cells)
+            if not slots.live.size:
+                break
+    return slots.rows()

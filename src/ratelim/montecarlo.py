@@ -6,15 +6,17 @@ and the scaling sequence is deterministic given the loss sequence, so its
 sample mean has far lower variance.  Mean squared output is reported
 alongside.  Each trial has its own injective seed.
 
-The trial count alone picks the layout.  From BATCH_MIN_TRIALS = 12
-trials on, a closed-loop experiment steps its trials in lockstep numpy
-arrays (run_closed_loop_batch); narrower ones and time-share targets run
-one scalar trial at a time.  12 is where the batch overtook the scalar
-loop in the median over orders 1-3 and the four strategies (400 steps,
-2-core Xeon: 1.7x slower at 6 trials, 0.93x at 12, 0.7x at 16).  Both
-layouts make each trial's float operations in the same order, and the
-per-step sums add trials in trial order (never np.sum, whose pairwise
-order differs), so a seeded decay CSV is bit-identical either way.
+The trial count alone picks the layout, for both targets.  From
+BATCH_MIN_TRIALS = 12 trials on, an experiment steps its trials in
+lockstep numpy arrays (run_closed_loop_batch, run_timeshare_loop_batch);
+narrower ones run one scalar trial at a time.  12 is where the batch
+overtook the scalar loop in the median over orders 1-3 and the four
+strategies (400 steps, 2-core Xeon: 1.7x slower at 6 trials, 0.93x at 12,
+0.7x at 16); the time-share batch took 0.75-0.91x the scalar time at 12
+trials (m = 1-3, 400 cycles).  Both layouts make each trial's float
+operations in the same order, and the per-step sums add trials in trial
+order (never np.sum, whose pairwise order differs), so a seeded decay CSV
+is bit-identical either way.
 """
 
 from __future__ import annotations
@@ -44,12 +46,13 @@ from .timeshare import (
     lossless_bound,
     min_feasible_average_level,
     run_timeshare_loop,
+    run_timeshare_loop_batch,
 )
 
 STABLE = "stable"
 UNSTABLE = "unstable"
 INCONCLUSIVE = "inconclusive"
-# From BATCH_MIN_TRIALS trials on, closed-loop experiments run batched (module
+# From BATCH_MIN_TRIALS trials on, experiments run batched (module
 # docstring), BATCH_MAX_TRIALS at a time: the per-step temporaries and the per-trial
 # setup objects grow with the batch (at order 6 on a 2-core Xeon, 100000 x 2 as one
 # batch peaked at 123 MB; 500000 x 2 in batches of 4096 at 34 MB).
@@ -122,11 +125,15 @@ def _run_trial(
 
 def _trial_rows(target, quantizer, channel, exp: Experiment):
     """(y, sigma, status) of every trial in trial order: batched or one at a time."""
-    if isinstance(target, UncertainPlant) and exp.trials >= BATCH_MIN_TRIALS:
+    if exp.trials >= BATCH_MIN_TRIALS:
         for first in range(0, exp.trials, BATCH_MAX_TRIALS):
             chunk = range(first, min(first + BATCH_MAX_TRIALS, exp.trials))
             channels, strategies, y0 = zip(*(_trial_setup(target, channel, exp, t) for t in chunk))
-            yield from run_closed_loop_batch(target, quantizer, channels, strategies, exp.steps, y0)
+            if isinstance(target, TimeShareConfig):
+                yield from run_timeshare_loop_batch(target, channels, strategies, exp.steps, y0)
+            else:
+                yield from run_closed_loop_batch(
+                    target, quantizer, channels, strategies, exp.steps, y0)
         return
     for trial in range(exp.trials):
         trace = _run_trial(target, quantizer, channel, exp, trial)
@@ -229,6 +236,12 @@ def sweep(
     """
     if var not in ("lambda", "p", "N"):
         raise ValueError(f"sweep variable must be lambda, p, or N, got {var!r}")
+    for level in values if var == "N" else [n_levels]:  # before a closed form or int() sees it
+        if empirical is not None and not (level is not None and 1 <= level <= 2**53
+                                          and level == int(level)):
+            raise ValueError(f"empirical sweeps need an integer --N from 1 to 2^53, got {level}")
+        if level is not None and not math.isfinite(level):
+            raise ValueError(f"--N must be finite, got {level}")
     if empirical is not None:
         _check_work(len(values) * empirical.trials * empirical.steps, plant.n)
     rows = []
@@ -251,8 +264,6 @@ def sweep(
         min_level = min_sufficient_level_real(cur_plant, cur_p)
         verdict = ""
         if empirical is not None:
-            if cur_n is None or cur_n < 1 or cur_n != int(cur_n):
-                raise ValueError("empirical sweeps need an integer quantizer level")
             report = run_experiment(
                 cur_plant,
                 QuantizerSpec(int(cur_n)),

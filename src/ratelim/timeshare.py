@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from ._search import first_passing, split_integers
-from .channel import ChannelConfig, draw
-from .codec_loop import SimTrace, advance_scaling, check_start, end_status, quantize
+from .channel import ChannelConfig, draw, uniform01
+from .codec_loop import (Lockstep, SimTrace, advance_scaling, advance_slots, check_start,
+                         end_status, quantize, quantize_slots)
 from .interval import Interval, midpoint, scale_product
-from .plant import ParamStrategy, UncertainPlant, realize_params
+from .plant import ParamStrategy, UncertainPlant, iid_params, realize_params
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,17 @@ def power_hull(a_star: float, eps: float, m: int) -> Interval:
     return Interval(lo, hi) if lo <= hi else Interval(hi, lo)
 
 
+def _slot_level(cfg: TimeShareConfig) -> int:
+    """The per-slot level N of a simulation: an integer >= 2 with N^m at most 2^53, the
+    cells a double in [-1/2, 1/2] tells apart (the batch holds indices in doubles)."""
+    n_slot = int(cfg.levels)
+    if n_slot != cfg.levels or n_slot < 2:
+        raise ValueError(f"simulation needs an integer per-slot level >= 2, got {cfg.levels}")
+    if cfg.m > 53 or n_slot**cfg.m > 2**53:  # 2^m > 2^53 from m = 54 on
+        raise ValueError(f"--N {n_slot} at --m {cfg.m} gives more than 2^53 total levels")
+    return n_slot
+
+
 def run_timeshare_loop(
     cfg: TimeShareConfig,
     channel: ChannelConfig,
@@ -131,9 +146,7 @@ def run_timeshare_loop(
     and the symbol column the full-resolution quantizer index.  Mid-cycle
     inputs are zero; the deadbeat-style input lands on the last slot.
     """
-    n_slot = int(cfg.levels)
-    if n_slot != cfg.levels or n_slot < 2:
-        raise ValueError(f"simulation needs an integer per-slot level >= 2, got {cfg.levels}")
+    n_slot = _slot_level(cfg)
     check_start(y0, cfg.y0_bound)
     plant = cfg.plant()
     total = n_slot**cfg.m
@@ -168,3 +181,58 @@ def run_timeshare_loop(
             trace.status = status
             return trace
     return trace
+
+
+def run_timeshare_loop_batch(
+    cfg: TimeShareConfig,
+    channels: Sequence[ChannelConfig],
+    strategies: Sequence[ParamStrategy],
+    cycles: int,
+    y0: Sequence[float],
+) -> list[tuple[np.ndarray, np.ndarray, str]]:
+    """run_timeshare_loop for many trials in lockstep, one array slot per trial.
+
+    Trial t runs with channels[t], strategies[t] and y0[t]; all share p,
+    kind and signs.  Each slot repeats the scalar operations in order (a
+    level count N^s is exact in a double up to 2^53), so trial t's
+    (y, sigma, status) equal its trace's bit for bit.  A range breach raises
+    quantize's error for the first trial among those breaching earliest.
+    """
+    n_slot = _slot_level(cfg)
+    y = np.asarray(y0, float)
+    check_start(y, cfg.y0_bound)
+    plant, m, trials, p = cfg.plant(), cfg.m, len(y), channels[0].p
+    levels = np.array([float(n_slot**s) for s in range(m + 1)])  # by packets received
+    a_nom_pow = cfg.a_star**m
+    hull = power_hull(cfg.a_star, cfg.eps, m)
+    kind = strategies[0].kind
+    greedy = kind == "greedy_adversarial" and cfg.eps != 0.0
+    (fixed,) = plant.a_star if kind != "fixed_vertex" else realize_params(plant, strategies[0], 0)
+    a_lo, a_hi = plant.box(0)
+    slots = Lockstep(channels, strategies, cycles)
+    sigma, center = np.full(trials, cfg.y0_bound), np.zeros(trials)
+    with np.errstate(all="ignore"):
+        for j in range(cycles):
+            res = levels[m]
+            if p != 0.0:
+                res = levels[sum(uniform01(slots.seeds, m * j + i) >= p for i in range(m))]
+            idx = quantize_slots(res, (y - center) / sigma)
+            w = sigma / res
+            lo = center - sigma / 2.0 + idx * w
+            cell = Interval(lo, np.where(idx == res - 1.0, center + sigma / 2.0, lo + w))
+            u_end = -a_nom_pow * midpoint(cell)
+            slots.y[slots.live, j], slots.sigma[slots.live, j] = y, sigma
+            for i in range(m):  # the plant through the cycle, input only on the last slot
+                u_step = u_end if i == m - 1 else 0.0
+                if kind == "iid_uniform":
+                    (a,) = iid_params(plant, slots.param_seeds, m * j + i)
+                elif greedy:  # realize_params' rule, all trials at once
+                    a = np.where(abs(a_hi * y + u_step) >= abs(a_lo * y + u_step), a_hi, a_lo)
+                else:
+                    a = fixed
+                y = a * y + u_step
+            sigma, center = advance_slots([hull], [cell], u_end)
+            sigma, center, y = slots.retire(j, sigma, center, y)
+            if not slots.live.size:
+                break
+    return slots.rows()

@@ -232,6 +232,21 @@ SLOPE_PROBE = (
 )
 
 
+TOO_MANY_CELLS = ("simulate", "--n", "1", "--a-star", "1.2", "--eps", "0.01", "--p", "0.1",
+                  "--N", "4", "--m", "30", "--steps", "20")
+LAMBDA_SWEEP = ("sweep", "--n", "1", "--a-star", "3", "--eps", "0.1", "--var", "lambda",
+                "--range", "2:3:1")
+# invalid level counts, and the flags their messages must name
+LEVEL_ERRORS = {
+    # 4^30 = 2^60 cells: more than a double in [-1/2, 1/2] tells apart, in either layout
+    (*TOO_MANY_CELLS, "--trials", "2"): ("--N", "--m"),
+    (*TOO_MANY_CELLS, "--trials", "12"): ("--N", "--m"),
+    (*LAMBDA_SWEEP, "--N", "inf"): ("--N",),
+    (*LAMBDA_SWEEP, "--N", "inf", "--empirical", "--trials", "2", "--steps", "10"): ("--N",),
+    (*LAMBDA_SWEEP, "--N", "1e300", "--empirical", "--trials", "2", "--steps", "10"): ("--N",),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -281,6 +296,7 @@ SLOPE_PROBE = (
             "simulate", "--n", "1", "--a-star", "2", "--eps", "0", "--N", "9007199254740993",
             "--trials", "12", "--steps", "10",
         ),
+        *LEVEL_ERRORS,
     ],
 )
 def test_invalid_numbers_exit_2(capsys, argv):
@@ -291,6 +307,9 @@ def test_invalid_numbers_exit_2(capsys, argv):
     if argv[0] == "sufficient" and "1e300" in argv:
         # the message names the flags whose growth factor left float range
         assert "--a-star/--eps" in err
+    for flag in LEVEL_ERRORS.get(argv, ()):
+        assert flag in err
+    assert not re.search(r"\d{30}", err)  # such as the 301 digits of int(1e300)
 
 
 
@@ -309,7 +328,7 @@ def test_overflowed_range_is_a_diverged_trial(capsys, trials, seed):
     assert verdict["verdict"] == "unstable"
     assert verdict["diverged_trials"] == int(trials)
 
-@pytest.mark.xfail(strict=True, reason="known defect (ROADMAP item 4): random starts "
+@pytest.mark.xfail(strict=True, reason="known defect (ROADMAP item 6): random starts "
                    "reach the lost-containment orbit of the range-boundary xfail")
 def test_random_starts_keep_containment(capsys):
     code, _, err = run_cli(
