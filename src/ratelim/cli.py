@@ -58,12 +58,17 @@ def _range(text: str) -> list[float]:
     out = []
     v = lo
     while v <= hi + step * 1e-9:
-        # also stops a step too small to move v, which would never reach hi
         if len(out) == MAX_GRID_POINTS:
             raise argparse.ArgumentTypeError(
                 f"range {text!r} has more than {MAX_GRID_POINTS} points"
             )
         out.append(round(v, 12))
+        if v + step == v:  # v cannot move, so it is the last point and must not fall short of hi
+            if v < hi:
+                raise argparse.ArgumentTypeError(
+                    f"range {text!r}: step {step!r} is below the spacing of doubles at {v!r}"
+                )
+            break
         v += step
     return out
 

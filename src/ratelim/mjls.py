@@ -68,8 +68,6 @@ def build_F(plant: UncertainPlant, n_levels: float, p: float) -> MjlsModel:
     n = plant.n
     if n > N_MAX_ORDER:
         raise ValueError(f"dense construction capped at order {N_MAX_ORDER}, got {n}")
-    if n_levels < 2.0:
-        raise ValueError(f"need N >= 2, got {n_levels}")
     if not (0.0 <= p < 1.0):
         raise ValueError(f"loss probability must be in [0, 1), got {p}")
     table = np.empty((n, 2))
@@ -82,21 +80,16 @@ def build_F(plant: UncertainPlant, n_levels: float, p: float) -> MjlsModel:
                     "--a-star/--eps are out of floating-point range"
                 )
             table[i, gamma] = t
-    size = 1 << n
-    nn = n * n
-    lifted = np.zeros((size * nn, size * nn))
-    for w in range(size):
-        h = np.zeros((n, n))
-        for r in range(n - 1):
-            h[r, r + 1] = 1.0
-        # column j of the last row holds theta_{n-j}, whose flag is bit j
-        for j in range(n):
-            flag = (w >> j) & 1
-            h[n - 1, j] = table[n - 1 - j, flag]
-        block = np.kron(h, h)
-        for v, weight in ((w >> 1, p), ((w >> 1) | (size >> 1), 1.0 - p)):
-            lifted[v * nn : (v + 1) * nn, w * nn : (w + 1) * nn] = weight * block
-    return MjlsModel(lifted)
+    size, nn, windows = 1 << n, n * n, np.arange(1 << n)
+    h = np.zeros((size, n, n))
+    h[:, np.arange(n - 1), np.arange(1, n)] = 1.0
+    # column j of the last row holds theta_{n-j}, whose flag is bit j
+    h[:, n - 1, :] = table[np.arange(n - 1, -1, -1), (windows[:, None] >> np.arange(n)) & 1]
+    block = np.einsum("wij,wkl->wikjl", h, h).reshape(size, nn, nn)  # kron(h_w, h_w)
+    grid = np.zeros((size, nn, size, nn))  # grid[v, :, w, :] is block (v, w)
+    grid[windows >> 1, :, windows, :] = p * block
+    grid[(windows >> 1) | (size >> 1), :, windows, :] = (1.0 - p) * block
+    return MjlsModel(grid.reshape(size * nn, size * nn))
 
 
 # Budget of matrix-vector products per solve, and the relative bracket width
@@ -172,6 +165,36 @@ def sufficient_mss(plant: UncertainPlant, n_levels: float, p: float) -> Sufficie
     return SufficiencyResult(rho, rho < 1.0)
 
 
+def decide_sufficient(plant: UncertainPlant, n_levels: float, p: float) -> bool:
+    """Whether the lifted matrix F has spectral radius below one.
+
+    For nonnegative F, rho < 1 exactly when I - F is a nonsingular
+    M-matrix, and then x* = (I - F)^-1 1 = sum_k F^k 1 >= 1.  One solve of
+    (I - F) x = 1 decides.  Yes: x > 0 and Fx <= (1 - delta) x give rho < 1
+    (Collatz-Wielandt); delta = (dim + 2) 2^-53 covers the rounding of both
+    products, none subnormal.  No: the residual 1 - (I - F) x, widened by a
+    bound on its rounding, has R = max |r_i| < 1 and min x_i < 1 - R, but
+    rho < 1 would give |x - x*| <= R x*, so x >= 1 - R.  Otherwise (rho
+    within rounding of one) sufficient_mss answers.
+    """
+    lifted = build_F(plant, n_levels, p).lifted
+    dim = lifted.shape[0]
+    try:
+        x = np.linalg.solve(np.eye(dim) - lifted, np.ones(dim))
+    except np.linalg.LinAlgError:  # a zero pivot: an eigenvalue of F is within rounding of one
+        return sufficient_mss(plant, n_levels, p).sufficient
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = lifted @ x
+        below = fx <= (1.0 - (dim + 2) * 2.0**-53) * x
+        if np.isfinite(x).all() and x.min() > 0.0 and below.all():
+            return True
+        rounding = (dim + 4) * 2.0**-52 * (1.0 + np.abs(x) + lifted @ np.abs(x))
+        r = float((np.abs(1.0 - x + fx) + rounding).max())  # nan or inf unless x is finite
+        if r < 1.0 and x.min() < 1.0 - r:
+            return False
+    return sufficient_mss(plant, n_levels, p).sufficient
+
+
 class MinLevelResult(NamedTuple):
     level: int | None
     rho: float
@@ -183,33 +206,31 @@ LEVEL_TOL = 1e-9
 
 
 def min_sufficient_N(plant: UncertainPlant, p: float, n_max: int = 4096) -> MinLevelResult:
-    """Smallest integer level in [2, n_max] passing the test.
+    """Smallest integer level in [2, n_max] passing the test, and its radius.
 
     Every theta is nonincreasing in N, hence so is every entry of the
     nonnegative lifted matrix and (Perron-Frobenius) its spectral radius:
     once the test passes it passes for all larger N, so a monotone search
-    finds the minimum.  On failure reports the largest radius probed.
+    of decide_sufficient finds the minimum.  Only the reported radius
+    comes from power iteration: at the level found, or on failure at
+    level 2, the largest radius of the search.
     """
-    results = {}
-
-    def passes(n_levels: int) -> bool:
-        results[n_levels] = sufficient_mss(plant, n_levels, p)
-        return results[n_levels].sufficient
-
-    level = first_passing(passes, 2, n_max, split_integers)
-    rho = max(r.rho for r in results.values()) if level is None else results[level].rho
-    return MinLevelResult(level, rho)
+    level = first_passing(
+        lambda n_levels: decide_sufficient(plant, n_levels, p), 2, n_max, split_integers
+    )
+    return MinLevelResult(level, sufficient_mss(plant, level or 2, p).rho)
 
 
 def min_sufficient_level_real(plant: UncertainPlant, p: float) -> float:
     """Infimum real level N >= 2 with spectral radius below one.
 
     The radius is nonincreasing in N (see min_sufficient_N); the search
-    bisects to a relative width of LEVEL_TOL.  Returns 2.0 if the test
-    passes there and math.inf if it still fails at LEVEL_CAP.
+    bisects decide_sufficient to a relative width of LEVEL_TOL.  Returns
+    2.0 if the test passes there and math.inf if it still fails at
+    LEVEL_CAP.
     """
     level = first_passing(
-        lambda n_levels: sufficient_mss(plant, n_levels, p).sufficient,
+        lambda n_levels: decide_sufficient(plant, n_levels, p),
         2.0,
         LEVEL_CAP,
         lambda lo, hi: None if hi - lo <= LEVEL_TOL * max(1.0, lo) else 0.5 * (lo + hi),

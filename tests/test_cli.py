@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratelim import montecarlo
+from ratelim import mjls, montecarlo
 from ratelim.cli import main
 
 
@@ -95,6 +96,36 @@ def test_sufficient_min_search(capsys):
     )
     assert code == 0
     assert json.loads(out)["min_N"] == 3
+
+
+README_LAMBDA_SWEEP = (
+    "sweep", "--n", "2", "--a-star", "1,1.5", "--eps", "0.05,0.05", "--p", "0.05",
+    "--var", "lambda", "--range", "1.5:4.3:0.05",
+)
+README_MIN_N = (
+    "sufficient", "--n", "2", "--a-star", "1,2.5", "--eps", "0.05,0.05", "--p", "0.05", "--min-n",
+)
+
+
+def test_readme_searches_keep_their_answers_without_power_iteration(capsys, monkeypatch):
+    # the searches decide each level by a linear solve; only a reported rho
+    # comes from power iteration.  Both outputs were recorded when every
+    # probe still ran power iteration.
+    solves = []
+    solve = mjls.spectral_radius
+    monkeypatch.setattr(mjls, "spectral_radius", lambda *args: solves.append(args) or solve(*args))
+    code, out, _ = run_cli(capsys, *README_LAMBDA_SWEEP)
+    assert code == 0
+    assert solves == []
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0aeccb1623e9dbdf4a24e04ccf2a6592470521e3e3c6b6530a7d406427f1b9ff"
+    )
+    code, out, _ = run_cli(capsys, *README_MIN_N)
+    assert code == 0
+    assert len(solves) == 1
+    assert json.loads(out) == {
+        "n": 2, "p": 0.05, "min_N": 6, "rho": 0.9454131145810963, "sufficient": True,
+    }
 
 
 def test_simulate_emits_csv_and_verdict(capsys, tmp_path):
@@ -401,7 +432,7 @@ def test_monte_carlo_work_cap(capsys, argv):
         ("--range", "2:3:1e-9"),
         ("--range", "nan:2:1"),
         ("--range", "1.5:2:nan"),
-        ("--range", "1e20:1e20:1"),  # a step that cannot move the grid value
+        ("--range", "1e20:1.0000000000000002e20:1"),  # a step that cannot move lo up to hi
         ("--sweep-m", "1:1e9:1"),
     ],
 )
@@ -416,6 +447,19 @@ def test_unbounded_or_non_finite_grids_exit_2(capsys, option, grid):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+def test_grid_step_below_the_spacing_of_doubles(capsys):
+    sweep = ("sweep", "--n", "1", "--a-star", "3", "--eps", "0.1", "--var", "N")
+    # lo == hi is one point, however small the step
+    code, out, _ = run_cli(capsys, *sweep, "--range", "1e300:1e300:1")
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["1e+300"]
+    # a step that cannot move lo towards hi
+    code, out, err = run_cli(capsys, *sweep, "--range", "1e300:1.0000000000000002e300:1")
+    assert code == 2
+    assert out == ""
+    assert "step 1.0 is below the spacing of doubles" in err
 
 
 # Any float a flag may carry, with the non-finite and extreme ones named.

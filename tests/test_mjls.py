@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import build_transition, eta_second_moment, window_bits
+from ratelim import mjls
 from ratelim.limits import necessary_bounds
 from ratelim.mjls import (
     PowerIterationError,
     build_F,
+    decide_sufficient,
     min_sufficient_N,
     min_sufficient_level_real,
     spectral_radius,
@@ -261,3 +265,108 @@ def test_min_sufficient_level_real_brackets_integer_search():
     assert rho_above < 1.0
     n_int = min_sufficient_N(plant, 0.05).level
     assert n_int == math.ceil(level - 1e-9)
+
+
+def _certified(plant, n_levels, p):
+    """decide_sufficient's answer, or None where it fell back to power iteration."""
+    fallbacks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mjls, "sufficient_mss", lambda *args: fallbacks.append(args) or sufficient_mss(*args))
+        answer = decide_sufficient(plant, n_levels, p)
+    return None if fallbacks else answer
+
+
+def _eigen_radius(plant, n_levels, p):
+    # the dense eigensolver may overflow or divide on the way; pytest turns that into an error
+    with np.errstate(all="ignore"):
+        return float(np.abs(np.linalg.eigvals(build_F(plant, n_levels, p).lifted)).max())
+
+
+def _check_certificate(answer, radius):
+    if answer is True:
+        assert radius < 1.0
+    if answer is False:
+        assert radius >= 1.0 - 1e-12
+
+
+def _decision_plants():
+    # 200 seeded plants of orders 1..4 with 10 of order 5 among them: about a
+    # quarter lossless, some coefficients and radii zero, real levels; every
+    # other plant of order <= 4 whose radius crosses one between the levels 2
+    # and 1e6 sits within a relative 1e-12..1e-3 of that level, on either side
+    rng = np.random.default_rng(2029)
+    for k in range(200):
+        n = 5 if k % 20 == 19 else 1 + k % 4
+        eps = rng.uniform(0.0, 0.5, size=n) * (rng.uniform(size=n) < 0.7)
+        a_star = rng.uniform(-3.0, 3.0, size=n) * (rng.uniform(size=n) < 0.8)
+        a_star[-1] = rng.choice((-1.0, 1.0)) * (1.0 + eps[-1] + rng.uniform(0.01, 2.0))
+        plant = UncertainPlant(n=n, a_star=tuple(a_star), eps=tuple(eps))
+        p = 0.0 if rng.uniform() < 0.25 else float(rng.uniform(0.0, 0.6))
+        n_levels = float(np.exp(rng.uniform(math.log(2.0), math.log(64.0))))
+        side = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -3.0)
+        if k % 2 and n < 5:
+            edge = min_sufficient_level_real(plant, p)
+            if 2.0 < edge < 1e6:
+                n_levels = edge * (1.0 + side)
+        yield plant, n_levels, p
+
+
+def test_decision_is_certified_and_agrees_with_power_iteration():
+    answers, near_edge, disagree, unclosed = {True: 0, False: 0, None: 0}, 0, [], []
+    for k, (plant, n_levels, p) in enumerate(_decision_plants()):
+        answer, radius = _certified(plant, n_levels, p), _eigen_radius(plant, n_levels, p)
+        _check_certificate(answer, radius)
+        answers[answer] += 1
+        near_edge += abs(radius - 1.0) < 1e-9
+        try:
+            rho = sufficient_mss(plant, n_levels, p).rho
+        except PowerIterationError:
+            unclosed.append(k)
+            continue
+        if decide_sufficient(plant, n_levels, p) != (rho < 1.0):
+            assert abs(rho - 1.0) < 1e-10
+            disagree.append(k)
+    # no plant here needs the fallback, and the decision disagrees with
+    # power iteration on none; plant 6 is decided although power iteration
+    # cannot close its bracket (two eigenvalues of modulus 0.737)
+    assert answers == {True: 54, False: 146, None: 0}
+    assert disagree == []
+    assert unclosed == [6]
+    assert near_edge >= 5
+
+
+
+@pytest.mark.parametrize("n_levels, want", [(3.96, False), (4.1, True)])
+def test_decision_checks_the_solution_it_is_handed(monkeypatch, n_levels, want):
+    # at order one with a certain coefficient the lifted matrix is rank one,
+    # [p, 1 - p]^T [4, 4 / N^2], with the positive Perron vector [p, 1 - p]
+    # of eigenvalue 0.8 + 3.2 / N^2 at p = 0.2: 1.004 at N = 3.96 and 0.990 at
+    # N = 4.1.  Handed that vector for x, the decision must test Fx <= (1 -
+    # delta) x and not trust a positive x.
+    plant, p = UncertainPlant(n=1, a_star=(2.0,), eps=(0.0,)), 0.2
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([p, 1.0 - p]))
+    assert decide_sufficient(plant, n_levels, p) is want
+
+
+@st.composite
+def _decision_cases(draw):
+    n = draw(st.integers(1, 3))
+    eps = [draw(st.sampled_from((0.0, draw(st.floats(0.0, 0.5))))) for _ in range(n)]
+    a_star = [draw(st.floats(-3.0, 3.0)) for _ in range(n)]
+    a_star[-1] = draw(st.sampled_from((-1.0, 1.0))) * (1.0 + eps[-1] + draw(st.floats(0.01, 2.0)))
+    plant = UncertainPlant(n=n, a_star=tuple(a_star), eps=tuple(eps))
+    p = draw(st.sampled_from((0.0, draw(st.floats(0.0, 0.6)))))
+    n_levels = draw(st.floats(2.0, 64.0))
+    if draw(st.booleans()):  # near the crossing, on either side
+        edge = min_sufficient_level_real(plant, p)
+        if 2.0 < edge < 1e6:
+            side = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-13.0, -3.0))
+            n_levels = edge * (1.0 + side)
+    return plant, n_levels, p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_decision_cases())
+def test_certified_answers_bound_the_eigenvalues(case):
+    plant, n_levels, p = case
+    _check_certificate(_certified(plant, n_levels, p), _eigen_radius(plant, n_levels, p))
