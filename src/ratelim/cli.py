@@ -62,14 +62,20 @@ def _range(text: str) -> list[float]:
             raise argparse.ArgumentTypeError(
                 f"range {text!r} has more than {MAX_GRID_POINTS} points"
             )
-        out.append(round(v, 12))
-        if v + step == v:  # v cannot move, so it is the last point and must not fall short of hi
+        point = float(f"{v:.12g}")  # 12 significant digits, at any magnitude
+        if out and point == out[-1]:
+            raise argparse.ArgumentTypeError(
+                f"range {text!r}: step {step!r} is below the 12 significant digits kept at {point!r}"
+            )
+        out.append(point)
+        following = lo + len(out) * step  # not a running sum, which gathers rounding
+        if following == v:  # v cannot move, so it is the last point and must not fall short of hi
             if v < hi:
                 raise argparse.ArgumentTypeError(
                     f"range {text!r}: step {step!r} is below the spacing of doubles at {v!r}"
                 )
             break
-        v += step
+        v = following
     return out
 
 

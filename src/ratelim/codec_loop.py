@@ -18,8 +18,6 @@ only guarantees the quantizer never saturates.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -147,45 +145,14 @@ def end_status(sigma: float) -> str | None:
 
 @dataclass
 class SimTrace:
-    """Per-step record of one closed-loop trial.
+    """One scalar trial: the output y[k] and range sigma[k] at each step it ran, and how it ended."""
 
-    center is the decoder-range midpoint used at each step; it is kept
-    for invariant checking and deliberately left out of the CSV schema.
-    """
-
-    k: list[int] = field(default_factory=list)
     y: list[float] = field(default_factory=list)
     sigma: list[float] = field(default_factory=list)
-    gamma: list[int] = field(default_factory=list)
-    u: list[float] = field(default_factory=list)
-    symbol: list[int] = field(default_factory=list)
-    cell_lo: list[float] = field(default_factory=list)
-    cell_hi: list[float] = field(default_factory=list)
-    center: list[float] = field(default_factory=list)
     status: str = COMPLETED
 
-    def append(self, k, y, sigma, gamma, u, symbol, cell, center):
-        self.k.append(k)
-        self.y.append(y)
-        self.sigma.append(sigma)
-        self.gamma.append(gamma)
-        self.u.append(u)
-        self.symbol.append(symbol)
-        self.cell_lo.append(cell.lo)
-        self.cell_hi.append(cell.hi)
-        self.center.append(center)
-
     def __len__(self) -> int:
-        return len(self.k)
-
-    def to_csv(self, stream: io.TextIOBase) -> None:
-        w = csv.writer(stream)
-        w.writerow(["k", "y", "sigma", "gamma", "u", "symbol", "cell_lo", "cell_hi"])
-        for row in zip(
-            self.k, self.y, self.sigma, self.gamma, self.u, self.symbol,
-            self.cell_lo, self.cell_hi,
-        ):
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        return len(self.y)
 
 
 def run_closed_loop(
@@ -222,7 +189,8 @@ def run_closed_loop(
         cells.pop(0)
         cells.append(cell)
         u = control(plant, cells)
-        trace.append(k, history[-1], sigma, gamma, u, symbol, cell, center)
+        trace.y.append(history[-1])
+        trace.sigma.append(sigma)
         sigma, center = advance_scaling(predict(plant, cells), u)
         params = fixed or realize_params(plant, strategy, k, lambda p: step_unchecked(history, u, p))
         history.append(step_unchecked(history, u, params))

@@ -140,16 +140,15 @@ def run_timeshare_loop(
     cycles: int,
     y0: float,
 ) -> SimTrace:
-    """Simulate the protocol; one trace row per cycle-start sample.
+    """Simulate the protocol; the trace holds y and sigma at each cycle start.
 
-    The gamma column records the number of packets received in the cycle
-    and the symbol column the full-resolution quantizer index.  Mid-cycle
-    inputs are zero; the deadbeat-style input lands on the last slot.
+    A cycle that receives s of its m packets decodes the sample to resolution
+    N^s.  Mid-cycle inputs are zero; the deadbeat-style input lands on the
+    last slot.
     """
     n_slot = _slot_level(cfg)
     check_start(y0, cfg.y0_bound)
     plant = cfg.plant()
-    total = n_slot**cfg.m
     a_nom_pow = cfg.a_star**cfg.m
     hull = power_hull(cfg.a_star, cfg.eps, cfg.m)
     sigma = cfg.y0_bound
@@ -157,18 +156,17 @@ def run_timeshare_loop(
     y = y0
     trace = SimTrace()
     for j in range(cycles):
-        v = (y - center) / sigma
-        full_symbol = quantize(total, v)
         received = sum(draw(channel, cfg.m * j + i) for i in range(cfg.m))
         res = n_slot**received
-        cell_idx = quantize(res, v)
+        cell_idx = quantize(res, (y - center) / sigma)
         w = sigma / res
         lo = center - sigma / 2.0 + cell_idx * w
         hi = center + sigma / 2.0 if cell_idx == res - 1 else lo + w
         cell = Interval(lo, hi)
         u_end = -a_nom_pow * midpoint(cell)
         pred = scale_product(hull, cell)
-        trace.append(cfg.m * j, y, sigma, received, u_end, full_symbol, cell, center)
+        trace.y.append(y)
+        trace.sigma.append(sigma)
         # evolve the plant through the cycle, input only on the last slot
         for i in range(cfg.m):
             u_step = u_end if i == cfg.m - 1 else 0.0

@@ -7,7 +7,8 @@ estimated the spectral radius before the Collatz-Wielandt bracket bounded
 it, the stacked per-trial reduction of a Monte Carlo experiment, and the
 closed loop that kept its encoder/decoder state in a `CodecState` object;
 parity tests compare the runtime answers against them, and the invariant
-checks replay the decoder with that object.
+checks replay the decoder with that object, or a time-share trace with
+`replay_timeshare`.
 Below them sit independent routes to quantities the runtime computes
 another way: the case-split product measure, the worst-cell enumeration
 in exact rationals, the eta growth factors and the branch loss limits,
@@ -24,6 +25,7 @@ import numpy as np
 
 from ratelim.channel import ChannelConfig, draw
 from ratelim.codec_loop import (
+    COMPLETED,
     CONVERGED,
     CONVERGED_SIGMA,
     DIVERGED,
@@ -34,10 +36,11 @@ from ratelim.codec_loop import (
     advance_scaling,
     control,
     decode_cell,
+    end_status,
     predict,
     quantize,
 )
-from ratelim.interval import Interval
+from ratelim.interval import Interval, midpoint, scale_product
 from ratelim.mjls import (
     N_MAX_ORDER,
     MinLevelResult,
@@ -56,7 +59,7 @@ from ratelim.montecarlo import (
     _run_trial,
 )
 from ratelim.plant import ParamStrategy, UncertainPlant, realize_params, step_unchecked
-from ratelim.timeshare import TimeShareConfig, kappa_bar
+from ratelim.timeshare import TimeShareConfig, kappa_bar, power_hull
 
 
 def min_sufficient_N(plant: UncertainPlant, p: float, n_max: int = 4096) -> MinLevelResult:
@@ -369,10 +372,9 @@ def run_closed_loop(
 
     for k in range(steps):
         sigma_k = state.sigma
-        center_k = state.center
         symbol = state.encode(history[-1])
         gamma = draw(channel, k)
-        cell = state.observe(gamma, symbol)
+        state.observe(gamma, symbol)
         u = control(plant, state.cells)
         state.advance(u)
         if fixed_params is not None:
@@ -384,7 +386,8 @@ def run_closed_loop(
         else:
             params = realize_params(plant, strategy, k)
         y_next = step_unchecked(history, u, params)
-        trace.append(k, history[-1], sigma_k, gamma, u, symbol, cell, center_k)
+        trace.y.append(history[-1])
+        trace.sigma.append(sigma_k)
         history.pop(0)
         history.append(y_next)
         if state.sigma < CONVERGED_SIGMA:
@@ -394,6 +397,54 @@ def run_closed_loop(
             trace.status = DIVERGED
             return trace
     return trace
+
+
+# ------------------------------------------------------------ time-share loop
+
+
+@dataclass(frozen=True)
+class Cycle:
+    """What the decoder knew in one time-share cycle."""
+
+    received: int  # packets received out of m
+    center: float
+    cell: Interval  # decoded at resolution N^received
+    u_end: float  # the input of the cycle's last slot
+
+
+def replay_timeshare(
+    cfg: TimeShareConfig, channel: ChannelConfig, strategy: ParamStrategy, trace: SimTrace
+) -> list[Cycle]:
+    """Replay a run_timeshare_loop trace from the channel draws, cycle by cycle.
+
+    Each cycle counts the packets received, decodes the cell, sets u_end from
+    its midpoint, steps the plant through the cycle and advances (sigma,
+    center) by advance_scaling.  Asserts that the trace's y, sigma and status
+    equal the replay's bit for bit; returns every cycle.
+    """
+    n_slot, m = int(cfg.levels), cfg.m
+    plant, hull = cfg.plant(), power_hull(cfg.a_star, cfg.eps, m)
+    sigma, center, y = cfg.y0_bound, 0.0, trace.y[0]
+    cycles = []
+    for j in range(len(trace)):
+        assert (y, sigma) == (trace.y[j], trace.sigma[j])
+        received = sum(draw(channel, m * j + i) for i in range(m))
+        res = n_slot**received
+        w = sigma / res
+        idx = quantize(res, (y - center) / sigma)
+        lo = center - sigma / 2.0 + idx * w
+        cell = Interval(lo, center + sigma / 2.0 if idx == res - 1 else lo + w)
+        u_end = -cfg.a_star**m * midpoint(cell)
+        cycles.append(Cycle(received, center, cell, u_end))
+        for i in range(m):
+            u = u_end if i == m - 1 else 0.0
+            (a,) = realize_params(plant, strategy, m * j + i, context=lambda q: q[0] * y + u)
+            y = a * y + u
+        sigma, center = advance_scaling(scale_product(hull, cell), u_end)
+        ended = end_status(sigma)
+        assert ended is None or j == len(trace) - 1
+    assert (ended or COMPLETED) == trace.status
+    return cycles
 
 
 # ------------------------------------------------------------ interval arithmetic

@@ -172,6 +172,44 @@ def test_simulate_timeshare_mode(capsys):
     assert json.loads(err)["verdict"] == "stable"
 
 
+README_SIMULATE = (
+    "simulate", "--n", "2", "--a-star", "1,2.5", "--eps", "0.05,0.05", "--p", "0.05", "--N", "8",
+    "--steps", "400", "--seed", "7",
+)
+TIMESHARE_SIMULATE = (
+    "simulate", "--n", "1", "--a-star", "3.3", "--eps", "0.025", "--p", "0.05", "--N", "4",
+    "--m", "2", "--trials", "4", "--steps", "100", "--seed", "11",
+)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    pytest.param(
+        (*README_SIMULATE, "--trials", "200", "--strategy", "greedy_adversarial"),
+        "05c5f31517590b7297b765ab00628d98d70a312e8589110b5f17a707de443361", id="readme-batched"),
+    *(pytest.param(
+        (*README_SIMULATE, "--trials", "4", "--signs", "+,-", "--strategy", kind), digest,
+        id=f"scalar-{kind}") for kind, digest in [
+        ("nominal", "0ef72f36633328867faaf323070f8e101615fc03d990f0de8cca03d2ede92694"),
+        ("fixed_vertex", "243cf804216b10ff893805178b9466aa22b8022b4a3379e9193f74735a43e7d9"),
+        ("iid_uniform", "91e0d8ce6e1296c22e025271af64e3012631de18f8a3828715a67499322bb3bb"),
+        ("greedy_adversarial", "01b49815bd8c8dfdb51ca9b4904070c38ff186706818352487d693eef2cf822f"),
+    ]),
+    *(pytest.param((*TIMESHARE_SIMULATE, "--strategy", kind), digest, id=f"timeshare-{kind}")
+      for kind, digest in [
+        ("nominal", "ac5b94dc5ae9d143dfdaf64d44057789e513fd6ed23b74b778296f31ff97205b"),
+        ("iid_uniform", "e81049435e04a4df5796bff7abf17d2b0f8f24f6a8bdf7efcea16cfb62073aa7"),
+        ("greedy_adversarial", "d20bc0bd687d462f00d51d24b4f7800428cd7a8af1a5612c52804d097ecbdc44"),
+    ]),
+])
+def test_seeded_decay_csvs_keep_their_bytes(capsys, tmp_path, argv, digest):
+    # sha256 of each decay CSV: the README run (batched), the same run at 4 trials (the
+    # scalar loop) for every strategy, and scalar time-share runs
+    out_file = tmp_path / "decay.csv"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
 def test_sweep_lambda_csv(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -460,6 +498,28 @@ def test_grid_step_below_the_spacing_of_doubles(capsys):
     assert code == 2
     assert out == ""
     assert "step 1.0 is below the spacing of doubles" in err
+    # a step that moves the double but not the 12 significant digits a point keeps
+    code, out, err = run_cli(capsys, *sweep, "--range", "2:2.000000000005:1e-12")
+    assert code == 2
+    assert out == ""
+    assert "step 1e-12 is below the 12 significant digits kept at 2.0" in err
+
+
+@pytest.mark.parametrize("var, grid, want", [
+    # points far below 1 keep their own digits
+    ("p", "0:4e-13:1e-13", ["0.0", "1e-13", "2e-13", "3e-13", "4e-13"]),
+    ("p", "1e-13:1e-13:1", ["1e-13"]),
+    # points far above 1 carry no rounding noise such as 469.200000000001
+    ("lambda", "2:1000:7.3", [repr(round(2 + 7.3 * i, 9)) for i in range(137)]),
+])
+def test_grid_points_keep_12_significant_digits(capsys, var, grid, want):
+    sweep = ("sweep", "--n", "1", "--a-star", "3", "--eps", "0.1", "--var", var)
+    code, out, _ = run_cli(capsys, *sweep, "--range", grid)
+    assert code == 0
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == want
+    if var == "p":  # each row is evaluated at its own point, not at p = 0
+        assert len({row[1] for row in rows}) == len(rows)
 
 
 # Any float a flag may carry, with the non-finite and extreme ones named.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eta_second_moment
+from oracles import eta_second_moment, replay_timeshare
 from ratelim import montecarlo
 from ratelim.channel import ChannelConfig, uniform01
 from ratelim.cli import main
@@ -209,15 +209,16 @@ def test_simulator_invariants_under_loss_and_uncertainty():
             strat = ParamStrategy(kind, seed=int(rng.integers(0, 2**31)))
             trace = run_timeshare_loop(cfg, channel, strat, 60, float(rng.uniform(-0.5, 0.5)))
             assert trace.status in (COMPLETED, CONVERGED, DIVERGED)
+            cycles = replay_timeshare(cfg, channel, strat, trace)
             dp, dm = deltas(a, eps, m)
-            for k in range(len(trace)):
+            for k, cycle in enumerate(cycles):
                 # sampled output always inside the decoded cell
-                assert trace.cell_lo[k] - 1e-12 <= trace.y[k] <= trace.cell_hi[k] + 1e-12
+                assert cycle.cell.lo - 1e-12 <= trace.y[k] <= cycle.cell.hi + 1e-12
                 if k + 1 < len(trace):
-                    m_level = float(levels) ** trace.gamma[k]
+                    m_level = float(levels) ** cycle.received
                     ceiling = (
                         kappa(a, eps, m, m_level) * trace.sigma[k]
-                        + (dp + dm) * abs(trace.center[k])
+                        + (dp + dm) * abs(cycle.center)
                     )
                     slack = 1e-12 + 1e-12 * ceiling
                     assert trace.sigma[k + 1] <= ceiling + slack
@@ -239,24 +240,26 @@ def test_simulator_draws_iid_coefficients_per_sub_step():
     # slot i of cycle j reads counter m*j + i: one fresh coefficient per plant step
     cfg = TimeShareConfig(a_star=1.6, eps=0.3, m=3, levels=4, p=0.2)
     strat = ParamStrategy("iid_uniform", seed=9)
-    trace = run_timeshare_loop(cfg, ChannelConfig(0.2, 5), strat, 40, 0.3)
+    channel = ChannelConfig(0.2, 5)
+    trace = run_timeshare_loop(cfg, channel, strat, 40, 0.3)
     assert len(trace) > 10
+    cycles = replay_timeshare(cfg, channel, strat, trace)
     for j in range(len(trace) - 1):
         y = trace.y[j]
         for i in range(cfg.m):
             (a,) = iid_params(cfg.plant(), strat.seed, cfg.m * j + i)
-            y = a * y + (trace.u[j] if i == cfg.m - 1 else 0.0)
+            y = a * y + (cycles[j].u_end if i == cfg.m - 1 else 0.0)
         assert y == trace.y[j + 1]
 
 
 def test_simulator_all_lost_cycle_hits_full_box_growth():
     cfg = TimeShareConfig(a_star=3.3, eps=0.025, m=2, levels=4, p=0.9, y0_bound=1.0)
-    trace = run_timeshare_loop(
-        cfg, ChannelConfig(0.9, 11), ParamStrategy("nominal"), 30, 0.2
-    )
+    channel, strategy = ChannelConfig(0.9, 11), ParamStrategy("nominal")
+    trace = run_timeshare_loop(cfg, channel, strategy, 30, 0.2)
+    cycles = replay_timeshare(cfg, channel, strategy, trace)
     hit = False
     for k in range(len(trace) - 1):
-        if trace.gamma[k] == 0 and abs(trace.center[k]) <= trace.sigma[k] / 2:
+        if cycles[k].received == 0 and abs(cycles[k].center) <= trace.sigma[k] / 2:
             # range straddles zero: growth factor is exactly kappa at M=1
             ratio = trace.sigma[k + 1] / trace.sigma[k]
             assert ratio == pytest.approx(kappa(3.3, 0.025, 2, 1.0), rel=1e-12)
