@@ -178,7 +178,7 @@ def cmd_simulate(args) -> int:
         strategy=strategy,
         tol_slope=args.tol_slope,
     )
-    channel = ChannelConfig(p=args.p, seed=args.seed)
+    channel = ChannelConfig(args.p)
     if args.m is not None:
         a, e = _scalar_plant_from(args, "time-sharing simulation")
         target = TimeShareConfig(
@@ -234,7 +234,6 @@ def cmd_sweep(args) -> int:
         args.range,
         channel_p=args.p,
         n_levels=args.N,
-        channel_seed=args.seed,
         empirical=empirical,
     )
     with _out_stream(args) as out:

@@ -6,17 +6,18 @@ and the scaling sequence is deterministic given the loss sequence, so its
 sample mean has far lower variance.  Mean squared output is reported
 alongside.  Each trial has its own injective seed.
 
-The trial count alone picks the layout, for both targets.  From
-BATCH_MIN_TRIALS = 12 trials on, an experiment steps its trials in
-lockstep numpy arrays (run_closed_loop_batch, run_timeshare_loop_batch);
-narrower ones run one scalar trial at a time.  12 is where the batch
-overtook the scalar loop in the median over orders 1-3 and the four
-strategies (400 steps, 2-core Xeon: 1.7x slower at 6 trials, 0.93x at 12,
-0.7x at 16); the time-share batch took 0.75-0.91x the scalar time at 12
-trials (m = 1-3, 400 cycles).  Both layouts make each trial's float
-operations in the same order, and the per-step sums add trials in trial
-order (never np.sum, whose pairwise order differs), so a seeded decay CSV
-is bit-identical either way.
+Time-share experiments always step their trials in lockstep numpy arrays
+(run_timeshare_loop_batch).  For closed-loop experiments the trial count
+picks the layout: from BATCH_MIN_TRIALS = 12 trials on they run batched
+(run_closed_loop_batch), narrower ones one scalar trial at a time.  12 is
+where the batch overtook the scalar loop in the median over orders 1-3 and
+the four strategies (400 steps, 2-core Xeon: 1.7x slower at 6 trials,
+0.93x at 12, 0.7x at 16).  The time-share loop has one layout because no
+measured workload runs a narrow time-share experiment, so a second loop
+would be code to keep in step for nothing.  Both closed-loop layouts make
+each trial's float operations in the same order, and the per-step sums add
+trials in trial order (never np.sum, whose pairwise order differs), so a
+seeded decay CSV is bit-identical either way.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .codec_loop import (
     DIVERGED,
     DIVERGED_SIGMA,
     QuantizerSpec,
-    SimTrace,
     run_closed_loop,
     run_closed_loop_batch,
 )
@@ -45,22 +45,25 @@ from .timeshare import (
     kappa_bar,
     lossless_bound,
     min_feasible_average_level,
-    run_timeshare_loop,
     run_timeshare_loop_batch,
 )
 
 STABLE = "stable"
 UNSTABLE = "unstable"
 INCONCLUSIVE = "inconclusive"
-# From BATCH_MIN_TRIALS trials on, experiments run batched (module
-# docstring), BATCH_MAX_TRIALS at a time: the per-step temporaries and the per-trial
-# setup objects grow with the batch (at order 6 on a 2-core Xeon, 100000 x 2 as one
-# batch peaked at 123 MB; 500000 x 2 in batches of 4096 at 34 MB).
+# From BATCH_MIN_TRIALS trials on, closed-loop experiments run batched (module
+# docstring); a batched experiment runs BATCH_MAX_TRIALS trials at a time: the per-step
+# temporaries and the per-trial setup objects grow with the batch (at order 6 on a 2-core
+# Xeon, 100000 x 2 as one batch peaked at 123 MB; 500000 x 2 in batches of 4096 at 34 MB).
 BATCH_MIN_TRIALS, BATCH_MAX_TRIALS = 12, 4096
 # Cap on trial steps x max(order, 6) per experiment, or per sweep's experiments
 # (order: plant order or time-share cycle; a step costs about in proportion).
 # 10^6 trial steps at order 6 took 15-31 s and 420 MB as one scalar trial on a
 # 2-core Xeon; batched, 0.6-1.8 s as 2500 x 400, 18 s as 500000 x 2, 31 s as 12 x 83333.
+# A batch narrower than BATCH_MIN_TRIALS costs about as much as one that wide (one
+# time-share trial of 10^6 cycles at m = 2 took 143 s, 16 s on the old scalar loop),
+# so a time-share experiment counts at least BATCH_MIN_TRIALS trials: 1 x 83333 cycles
+# at m = 2 took 12 s, 12 x 83333 14 s.
 MAX_WORK = 6_000_000
 
 
@@ -79,10 +82,11 @@ class Experiment:
             raise ValueError(f"slope tolerance must be finite and >= 0, got {self.tol_slope}")
 
 
-def _check_work(trial_steps: int, order: int) -> None:
+def _check_work(trial_steps: int, order: int, counted: str = "") -> None:
     cap = MAX_WORK // max(order, 6)
     if trial_steps > cap:
-        raise ValueError(f"{trial_steps} trial steps at order {order} exceed the cap of {cap}")
+        raise ValueError(
+            f"{trial_steps} trial steps{counted} at order {order} exceed the cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -110,34 +114,22 @@ def _trial_setup(target, channel: ChannelConfig, exp: Experiment, trial: int):
     return ch, replace(exp.strategy, seed=derive_seed(root, 1)), y0
 
 
-def _run_trial(
-    target: UncertainPlant | TimeShareConfig,
-    quantizer: QuantizerSpec | None,
-    channel: ChannelConfig,
-    exp: Experiment,
-    trial: int,
-) -> SimTrace:
-    ch, strat, y0 = _trial_setup(target, channel, exp, trial)
-    if isinstance(target, TimeShareConfig):
-        return run_timeshare_loop(target, ch, strat, exp.steps, y0)
-    return run_closed_loop(target, quantizer, ch, strat, exp.steps, y0)
-
-
 def _trial_rows(target, quantizer, channel, exp: Experiment):
     """(y, sigma, status) of every trial in trial order: batched or one at a time."""
-    if exp.trials >= BATCH_MIN_TRIALS:
-        for first in range(0, exp.trials, BATCH_MAX_TRIALS):
-            chunk = range(first, min(first + BATCH_MAX_TRIALS, exp.trials))
-            channels, strategies, y0 = zip(*(_trial_setup(target, channel, exp, t) for t in chunk))
-            if isinstance(target, TimeShareConfig):
-                yield from run_timeshare_loop_batch(target, channels, strategies, exp.steps, y0)
-            else:
-                yield from run_closed_loop_batch(
-                    target, quantizer, channels, strategies, exp.steps, y0)
+    timeshare = isinstance(target, TimeShareConfig)
+    if not timeshare and exp.trials < BATCH_MIN_TRIALS:
+        for trial in range(exp.trials):
+            ch, strat, y0 = _trial_setup(target, channel, exp, trial)
+            trace = run_closed_loop(target, quantizer, ch, strat, exp.steps, y0)
+            yield np.asarray(trace.y), np.asarray(trace.sigma), trace.status
         return
-    for trial in range(exp.trials):
-        trace = _run_trial(target, quantizer, channel, exp, trial)
-        yield np.asarray(trace.y), np.asarray(trace.sigma), trace.status
+    for first in range(0, exp.trials, BATCH_MAX_TRIALS):
+        chunk = range(first, min(first + BATCH_MAX_TRIALS, exp.trials))
+        channels, strategies, y0 = zip(*(_trial_setup(target, channel, exp, t) for t in chunk))
+        if timeshare:
+            yield from run_timeshare_loop_batch(target, channels, strategies, exp.steps, y0)
+        else:
+            yield from run_closed_loop_batch(target, quantizer, channels, strategies, exp.steps, y0)
 
 
 def run_experiment(
@@ -147,6 +139,9 @@ def run_experiment(
     exp: Experiment,
 ) -> DecayReport:
     """Average many seeded trials and classify the decay of E[sigma^2].
+
+    Only the channel's loss probability is read: each trial's channel seed,
+    like its strategy seed and initial output, derives from exp.base_seed.
 
     A diverged trial counts only up to its last recorded step; any other
     trial counts over the whole horizon, its early-converged tail as zero.
@@ -158,8 +153,12 @@ def run_experiment(
         raise ValueError("closed-loop experiments need a quantizer spec")
     if target.y0_bound > DIVERGED_SIGMA:  # the first recorded sigma is Y0: keep its square finite
         raise ValueError(f"Y0 = {target.y0_bound} exceeds the divergence guard {DIVERGED_SIGMA}")
-    order = target.m if isinstance(target, TimeShareConfig) else target.n
-    _check_work(exp.trials * exp.steps, order)
+    if isinstance(target, TimeShareConfig) and exp.trials < BATCH_MIN_TRIALS:
+        _check_work(BATCH_MIN_TRIALS * exp.steps, target.m,
+                    f" (a time-share run counts at least {BATCH_MIN_TRIALS} trials)")
+    else:
+        order = target.m if isinstance(target, TimeShareConfig) else target.n
+        _check_work(exp.trials * exp.steps, order)
     sum_sq_y = np.zeros(exp.steps)
     sum_sq_sigma = np.zeros(exp.steps)
     counts = np.zeros(exp.steps)
@@ -223,7 +222,6 @@ def sweep(
     *,
     channel_p: float = 0.0,
     n_levels: float | None = None,
-    channel_seed: int = 0,
     empirical: Experiment | None = None,
 ) -> list[dict]:
     """Grid evaluation of the analytic limits, one row per grid point.
@@ -267,7 +265,7 @@ def sweep(
             report = run_experiment(
                 cur_plant,
                 QuantizerSpec(int(cur_n)),
-                ChannelConfig(p=cur_p, seed=channel_seed),
+                ChannelConfig(p=cur_p),
                 empirical,
             )
             verdict = report.verdict

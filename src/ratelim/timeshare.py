@@ -18,10 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from ._search import first_passing, split_integers
-from .channel import ChannelConfig, draw, uniform01
-from .codec_loop import (Lockstep, SimTrace, advance_scaling, advance_slots, check_start,
-                         end_status, quantize, quantize_slots)
-from .interval import Interval, midpoint, scale_product
+from .channel import ChannelConfig, uniform01
+from .codec_loop import Lockstep, SimTrace, advance_slots, check_start, quantize_slots
+from .interval import Interval, midpoint
 from .plant import ParamStrategy, UncertainPlant, iid_params, realize_params
 
 
@@ -133,54 +132,6 @@ def _slot_level(cfg: TimeShareConfig) -> int:
     return n_slot
 
 
-def run_timeshare_loop(
-    cfg: TimeShareConfig,
-    channel: ChannelConfig,
-    strategy: ParamStrategy,
-    cycles: int,
-    y0: float,
-) -> SimTrace:
-    """Simulate the protocol; the trace holds y and sigma at each cycle start.
-
-    A cycle that receives s of its m packets decodes the sample to resolution
-    N^s.  Mid-cycle inputs are zero; the deadbeat-style input lands on the
-    last slot.
-    """
-    n_slot = _slot_level(cfg)
-    check_start(y0, cfg.y0_bound)
-    plant = cfg.plant()
-    a_nom_pow = cfg.a_star**cfg.m
-    hull = power_hull(cfg.a_star, cfg.eps, cfg.m)
-    sigma = cfg.y0_bound
-    center = 0.0
-    y = y0
-    trace = SimTrace()
-    for j in range(cycles):
-        received = sum(draw(channel, cfg.m * j + i) for i in range(cfg.m))
-        res = n_slot**received
-        cell_idx = quantize(res, (y - center) / sigma)
-        w = sigma / res
-        lo = center - sigma / 2.0 + cell_idx * w
-        hi = center + sigma / 2.0 if cell_idx == res - 1 else lo + w
-        cell = Interval(lo, hi)
-        u_end = -a_nom_pow * midpoint(cell)
-        pred = scale_product(hull, cell)
-        trace.y.append(y)
-        trace.sigma.append(sigma)
-        # evolve the plant through the cycle, input only on the last slot
-        for i in range(cfg.m):
-            u_step = u_end if i == cfg.m - 1 else 0.0
-            params = realize_params(
-                plant, strategy, cfg.m * j + i, context=lambda q: q[0] * y + u_step
-            )
-            y = params[0] * y + u_step
-        sigma, center = advance_scaling(pred, u_end)
-        if status := end_status(sigma):
-            trace.status = status
-            return trace
-    return trace
-
-
 def run_timeshare_loop_batch(
     cfg: TimeShareConfig,
     channels: Sequence[ChannelConfig],
@@ -188,13 +139,16 @@ def run_timeshare_loop_batch(
     cycles: int,
     y0: Sequence[float],
 ) -> list[tuple[np.ndarray, np.ndarray, str]]:
-    """run_timeshare_loop for many trials in lockstep, one array slot per trial.
+    """Simulate the protocol for many trials in lockstep, one array slot per trial.
 
-    Trial t runs with channels[t], strategies[t] and y0[t]; all share p,
-    kind and signs.  Each slot repeats the scalar operations in order (a
-    level count N^s is exact in a double up to 2^53), so trial t's
-    (y, sigma, status) equal its trace's bit for bit.  A range breach raises
-    quantize's error for the first trial among those breaching earliest.
+    Trial t runs with channels[t], strategies[t] and y0[t]; all share p, kind
+    and signs.  Its row holds y and sigma at each cycle start, and how it
+    ended.  A cycle that receives s of its m packets decodes the sample to
+    resolution N^s (exact in a double up to 2^53).  Mid-cycle inputs are
+    zero; the deadbeat-style input lands on the last slot.  A slot's float
+    operations do not depend on the other trials, so a trial's row is the
+    same in any batch.  A range breach raises quantize's error for the first
+    trial among those breaching earliest.
     """
     n_slot = _slot_level(cfg)
     y = np.asarray(y0, float)
@@ -234,3 +188,15 @@ def run_timeshare_loop_batch(
             if not slots.live.size:
                 break
     return slots.rows()
+
+
+def run_timeshare_loop(
+    cfg: TimeShareConfig,
+    channel: ChannelConfig,
+    strategy: ParamStrategy,
+    cycles: int,
+    y0: float,
+) -> SimTrace:
+    """One trial of run_timeshare_loop_batch, as a trace."""
+    ((y, sigma, status),) = run_timeshare_loop_batch(cfg, [channel], [strategy], cycles, [y0])
+    return SimTrace(y.tolist(), sigma.tolist(), status)

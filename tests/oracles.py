@@ -7,8 +7,10 @@ estimated the spectral radius before the Collatz-Wielandt bracket bounded
 it, the stacked per-trial reduction of a Monte Carlo experiment, and the
 closed loop that kept its encoder/decoder state in a `CodecState` object;
 parity tests compare the runtime answers against them, and the invariant
-checks replay the decoder with that object, or a time-share trace with
-`replay_timeshare`.
+checks replay the decoder with that object.  `timeshare_trial` runs one
+time-share trial with scalar floats: every time-share batch row is
+replayed by it bit for bit (`replay_timeshare`), and every breach the
+batch raises is checked against it.
 Below them sit independent routes to quantities the runtime computes
 another way: the case-split product measure, the worst-cell enumeration
 in exact rationals, the eta growth factors and the branch loss limits,
@@ -23,15 +25,15 @@ from typing import Sequence
 
 import numpy as np
 
+from ratelim import codec_loop
 from ratelim.channel import ChannelConfig, draw
 from ratelim.codec_loop import (
     COMPLETED,
     CONVERGED,
-    CONVERGED_SIGMA,
     DIVERGED,
-    DIVERGED_SIGMA,
     LOST,
     QuantizerSpec,
+    SaturationError,
     SimTrace,
     advance_scaling,
     control,
@@ -56,7 +58,7 @@ from ratelim.montecarlo import (
     UNSTABLE,
     DecayReport,
     _fit_slope,
-    _run_trial,
+    _trial_setup,
 )
 from ratelim.plant import ParamStrategy, UncertainPlant, realize_params, step_unchecked
 from ratelim.timeshare import TimeShareConfig, kappa_bar, power_hull
@@ -242,6 +244,14 @@ def power_sufficient_mss(plant: UncertainPlant, n_levels: float, p: float) -> Su
     return SufficiencyResult(rho, rho < 1.0)
 
 
+def _run_trial(target, quantizer, channel, exp, trial: int) -> SimTrace:
+    """One seeded trial of an experiment, run on its own; a time-share trial by timeshare_trial."""
+    ch, strat, y0 = _trial_setup(target, channel, exp, trial)
+    if isinstance(target, TimeShareConfig):
+        return timeshare_trial(target, ch, strat, exp.steps, y0)[0]
+    return codec_loop.run_closed_loop(target, quantizer, ch, strat, exp.steps, y0)
+
+
 def _trial_arrays(trace: SimTrace, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
     got = len(trace)
     sq_y = np.zeros(steps)
@@ -259,17 +269,21 @@ def _trial_arrays(trace: SimTrace, steps: int) -> tuple[np.ndarray, np.ndarray, 
 
 
 def run_experiment(target, quantizer, channel, exp) -> DecayReport:
-    """Monte Carlo experiment reduced over stacked per-trial arrays.
+    """Monte Carlo experiment run one trial at a time and reduced by reduce_traces."""
+    if isinstance(target, UncertainPlant) and quantizer is None:
+        raise ValueError("closed-loop experiments need a quantizer spec")
+    return reduce_traces(
+        [_run_trial(target, quantizer, channel, exp, t) for t in range(exp.trials)], exp
+    )
+
+
+def reduce_traces(traces: Sequence[SimTrace], exp) -> DecayReport:
+    """An experiment's report from its trials' traces, reduced over stacked arrays.
 
     Every trial is turned into squared-output, squared-sigma and weight
     rows first; the means are weighted column sums of the stacked rows.
     """
-    if isinstance(target, UncertainPlant) and quantizer is None:
-        raise ValueError("closed-loop experiments need a quantizer spec")
-    results = [
-        _trial_arrays(_run_trial(target, quantizer, channel, exp, t), exp.steps)
-        for t in range(exp.trials)
-    ]
+    results = [_trial_arrays(trace, exp.steps) for trace in traces]
     sq_y = np.stack([r[0] for r in results])
     sq_sigma = np.stack([r[1] for r in results])
     weight = np.stack([r[2] for r in results])
@@ -356,7 +370,7 @@ def run_closed_loop(
 
     sigma starts at the plant's initial output bound (the minimal choice),
     center at 0, so the quantizer covers y0 in [-Y0/2, Y0/2].  Terminates
-    early once sigma passes the convergence or divergence guard.
+    early once sigma passes the convergence or divergence guard (end_status).
     """
     if abs(y0) > plant.y0_bound:
         raise ValueError(f"|y0| = {abs(y0)} exceeds the declared bound {plant.y0_bound}")
@@ -390,11 +404,8 @@ def run_closed_loop(
         trace.sigma.append(sigma_k)
         history.pop(0)
         history.append(y_next)
-        if state.sigma < CONVERGED_SIGMA:
-            trace.status = CONVERGED
-            return trace
-        if state.sigma > DIVERGED_SIGMA:
-            trace.status = DIVERGED
+        if status := end_status(state.sigma):
+            trace.status = status
             return trace
     return trace
 
@@ -412,39 +423,62 @@ class Cycle:
     u_end: float  # the input of the cycle's last slot
 
 
-def replay_timeshare(
-    cfg: TimeShareConfig, channel: ChannelConfig, strategy: ParamStrategy, trace: SimTrace
-) -> list[Cycle]:
-    """Replay a run_timeshare_loop trace from the channel draws, cycle by cycle.
+def timeshare_trial(
+    cfg: TimeShareConfig, channel: ChannelConfig, strategy: ParamStrategy, cycles: int, y0: float
+) -> tuple[SimTrace, list[Cycle]]:
+    """Run one time-share trial from y0, cycle by cycle, with scalar floats.
 
     Each cycle counts the packets received, decodes the cell, sets u_end from
     its midpoint, steps the plant through the cycle and advances (sigma,
-    center) by advance_scaling.  Asserts that the trace's y, sigma and status
-    equal the replay's bit for bit; returns every cycle.
+    center) by advance_scaling.  The trial ends as end_status says.  A range
+    breach raises quantize's SaturationError, with the breaching cycle as
+    its `cycle` attribute.  Returns the trace and every cycle.
     """
     n_slot, m = int(cfg.levels), cfg.m
     plant, hull = cfg.plant(), power_hull(cfg.a_star, cfg.eps, m)
-    sigma, center, y = cfg.y0_bound, 0.0, trace.y[0]
-    cycles = []
-    for j in range(len(trace)):
-        assert (y, sigma) == (trace.y[j], trace.sigma[j])
+    sigma, center, y = cfg.y0_bound, 0.0, y0
+    trace, decoded = SimTrace(), []
+    for j in range(cycles):
+        trace.y.append(y)
+        trace.sigma.append(sigma)
         received = sum(draw(channel, m * j + i) for i in range(m))
         res = n_slot**received
         w = sigma / res
-        idx = quantize(res, (y - center) / sigma)
+        try:
+            idx = quantize(res, (y - center) / sigma)
+        except SaturationError as exc:
+            exc.cycle = j
+            raise
         lo = center - sigma / 2.0 + idx * w
         cell = Interval(lo, center + sigma / 2.0 if idx == res - 1 else lo + w)
         u_end = -cfg.a_star**m * midpoint(cell)
-        cycles.append(Cycle(received, center, cell, u_end))
+        decoded.append(Cycle(received, center, cell, u_end))
         for i in range(m):
             u = u_end if i == m - 1 else 0.0
             (a,) = realize_params(plant, strategy, m * j + i, context=lambda q: q[0] * y + u)
             y = a * y + u
         sigma, center = advance_scaling(scale_product(hull, cell), u_end)
-        ended = end_status(sigma)
-        assert ended is None or j == len(trace) - 1
-    assert (ended or COMPLETED) == trace.status
-    return cycles
+        if status := end_status(sigma):
+            trace.status = status
+            break
+    return trace, decoded
+
+
+def replay_timeshare(
+    cfg: TimeShareConfig, channel: ChannelConfig, strategy: ParamStrategy, trace: SimTrace
+) -> list[Cycle]:
+    """Re-run a time-share trace's trial by timeshare_trial; its cycles.
+
+    Asserts that the trace's y, sigma and status equal the re-run's bit for
+    bit (float.hex tells -0.0 from 0.0).
+    """
+    want, decoded = timeshare_trial(cfg, channel, strategy, len(trace), trace.y[0])
+
+    def fields(t: SimTrace):
+        return [float(v).hex() for v in t.y], [float(v).hex() for v in t.sigma], t.status
+
+    assert fields(trace) == fields(want)
+    return decoded
 
 
 # ------------------------------------------------------------ interval arithmetic

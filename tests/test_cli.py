@@ -200,10 +200,13 @@ TIMESHARE_SIMULATE = (
         ("iid_uniform", "e81049435e04a4df5796bff7abf17d2b0f8f24f6a8bdf7efcea16cfb62073aa7"),
         ("greedy_adversarial", "d20bc0bd687d462f00d51d24b4f7800428cd7a8af1a5612c52804d097ecbdc44"),
     ]),
+    pytest.param((*TIMESHARE_SIMULATE, "--strategy", "fixed_vertex", "--signs=+"),
+                 "2a018fa1d1c6007f86a3256338175a9e315cb0fcff1a877b988422b28abfac1e",
+                 id="timeshare-fixed_vertex"),
 ])
 def test_seeded_decay_csvs_keep_their_bytes(capsys, tmp_path, argv, digest):
     # sha256 of each decay CSV: the README run (batched), the same run at 4 trials (the
-    # scalar loop) for every strategy, and scalar time-share runs
+    # scalar loop) for every strategy, and 4-trial time-share runs for every strategy
     out_file = tmp_path / "decay.csv"
     code, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
     assert code == 0
@@ -302,14 +305,14 @@ SLOPE_PROBE = (
 
 
 TOO_MANY_CELLS = ("simulate", "--n", "1", "--a-star", "1.2", "--eps", "0.01", "--p", "0.1",
-                  "--N", "4", "--m", "30", "--steps", "20")
+                  "--steps", "20", "--trials", "2")
 LAMBDA_SWEEP = ("sweep", "--n", "1", "--a-star", "3", "--eps", "0.1", "--var", "lambda",
                 "--range", "2:3:1")
 # invalid level counts, and the flags their messages must name
 LEVEL_ERRORS = {
-    # 4^30 = 2^60 cells: more than a double in [-1/2, 1/2] tells apart, in either layout
-    (*TOO_MANY_CELLS, "--trials", "2"): ("--N", "--m"),
-    (*TOO_MANY_CELLS, "--trials", "12"): ("--N", "--m"),
+    # 4^30 = 2^60 cells, and 2^54 just past 2^53: more than a double in [-1/2, 1/2] tells apart
+    (*TOO_MANY_CELLS, "--N", "4", "--m", "30"): ("--N", "--m"),
+    (*TOO_MANY_CELLS, "--N", "2", "--m", "54"): ("--N", "--m"),
     (*LAMBDA_SWEEP, "--N", "inf"): ("--N",),
     (*LAMBDA_SWEEP, "--N", "inf", "--empirical", "--trials", "2", "--steps", "10"): ("--N",),
     (*LAMBDA_SWEEP, "--N", "1e300", "--empirical", "--trials", "2", "--steps", "10"): ("--N",),
@@ -449,10 +452,13 @@ ORDER_30 = ("--n", "30", "--a-star", "0," * 29 + "2", "--eps", "0," * 29 + "0")
         ("simulate", *ORDER_30, "--N", "2", "--trials", "1", "--steps", "200001"),
         ("simulate", "--n", "1", "--a-star", "2", "--eps", "0", "--N", "2", "--m", "30",
          "--trials", "1", "--steps", "200001"),
+        # one time-share trial costs about as much as BATCH_MIN_TRIALS = 12: 12 x 83334 > 10^6
+        ("simulate", "--n", "1", "--a-star", "2", "--eps", "0", "--N", "2", "--m", "2",
+         "--trials", "1", "--steps", "83334"),
         ("sweep", "--n", "1", "--a-star", "2", "--eps", "0.1", "--var", "N", "--range", "2:4:1",
          "--empirical", "--trials", "1", "--steps", "333334"),
     ],
-    ids=["steps", "order_30", "timeshare_m_30", "sweep_grid"],
+    ids=["steps", "order_30", "timeshare_m_30", "timeshare_narrow", "sweep_grid"],
 )
 def test_monte_carlo_work_cap(capsys, argv):
     start = time.perf_counter()

@@ -278,6 +278,11 @@ def test_loop_matches_codec_state_oracle():
                     assert _trace_fields(got) == _trace_fields(want)
                     statuses.add(got.status)
     assert statuses == {COMPLETED, CONVERGED, DIVERGED}
+    # both prediction ends overflow, so sigma is NaN: both loops end the trial diverged
+    plant = UncertainPlant(1, (1e300,), (0.0,), y0_bound=1e10)
+    setup = (plant, QuantizerSpec(4), ChannelConfig(0.0), ParamStrategy(), 300, 4e9)
+    got, want = run_closed_loop(*setup), oracles.run_closed_loop(*setup)
+    assert _trace_fields(got) == _trace_fields(want) == ([4e9], [1e10], DIVERGED, 1)
 
 
 @st.composite
@@ -293,7 +298,7 @@ def _loop_configs(draw):
     channel = ChannelConfig(p, draw(st.integers(0, 2**31)))
     signs = tuple(draw(st.sampled_from((-1, 1))) for _ in range(n))
     strategy = ParamStrategy(draw(st.sampled_from(ParamStrategy.KINDS)), draw(st.integers(0, 2**31)), signs)
-    # drawn as montecarlo._run_trial draws a trial's initial output
+    # drawn as montecarlo._trial_setup draws a trial's initial output
     y0 = (2.0 * uniform01(draw(st.integers(0, 2**63)), 0) - 1.0) * plant.y0_bound / 2.0
     return plant, levels, channel, strategy, y0
 

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eta_second_moment, replay_timeshare
+from oracles import eta_second_moment, reduce_traces, replay_timeshare, timeshare_trial
 from ratelim import montecarlo
 from ratelim.channel import ChannelConfig, uniform01
 from ratelim.cli import main
-from ratelim.codec_loop import COMPLETED, CONVERGED, DIVERGED, SaturationError
+from ratelim.codec_loop import COMPLETED, CONVERGED, DIVERGED, SaturationError, SimTrace
 from ratelim.limits import necessary_bounds
+from ratelim.montecarlo import Experiment
 from ratelim.plant import ParamStrategy, iid_params
 from ratelim.timeshare import (
     TimeShareConfig,
@@ -267,15 +269,24 @@ def test_simulator_all_lost_cycle_hits_full_box_growth():
     assert hit
 
 
-def _batch_matches_scalar(cfg, channels, strategies, y0, cycles) -> list[str]:
-    """Run both loops, check each trial's y, sigma and status agree bit for bit; the statuses."""
+def _replayed(cfg, channel, strategy, row, cycles, start) -> SimTrace:
+    """A batch row as a trace, after timeshare_trial has re-derived its every bit from
+    the trial's start and checked its length."""
+    y, sigma, status = row
+    assert len(y) == len(sigma) and 0 < len(y) <= cycles
+    assert status != COMPLETED or len(y) == cycles
+    assert float(y[0]).hex() == float(start).hex()
+    trace = SimTrace(y.tolist(), sigma.tolist(), status)
+    replay_timeshare(cfg, channel, strategy, trace)
+    return trace
+
+
+def _batch_matches_oracle(cfg, channels, strategies, y0, cycles) -> list[str]:
+    """Run the batch and replay each trial's row by timeshare_trial; the statuses."""
     rows = run_timeshare_loop_batch(cfg, channels, strategies, cycles, y0)
     assert len(rows) == len(y0)
-    for (y, sigma, status), channel, strategy, start in zip(rows, channels, strategies, y0):
-        trace = run_timeshare_loop(cfg, channel, strategy, cycles, start)
-        assert y.tobytes() == np.array(trace.y).tobytes()
-        assert sigma.tobytes() == np.array(trace.sigma).tobytes()
-        assert status == trace.status
+    for row, channel, strategy, start in zip(rows, channels, strategies, y0):
+        _replayed(cfg, channel, strategy, row, cycles, start)
     return [status for _, _, status in rows]
 
 
@@ -292,8 +303,9 @@ def _trials(kind: str, p: float, trials: int, sign: int = 1):
 @pytest.mark.parametrize("kind", ParamStrategy.KINDS)
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_batched_loop_matches_scalar_loop(m, kind, p):
+    # the scalar loop is the oracle's timeshare_trial
     cfg = TimeShareConfig(a_star=-1.9 if m % 2 else 1.7, eps=0.04, m=m, levels=3, p=p)
-    _batch_matches_scalar(cfg, *_trials(kind, p, 13, sign=-1 if m > 2 else 1), 80)
+    _batch_matches_oracle(cfg, *_trials(kind, p, 13, sign=-1 if m > 2 else 1), 80)
 
 
 @pytest.mark.parametrize(
@@ -315,7 +327,7 @@ def test_batched_early_exits_match_scalar_loop(a_star, eps, m, levels, p, cycles
                                                kind):
     cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m, levels=levels, p=p, y0_bound=y0_bound)
     channels, strategies, y0 = _trials(kind, p, 40)
-    statuses = _batch_matches_scalar(cfg, channels, strategies, [y0_bound * y for y in y0], cycles)
+    statuses = _batch_matches_oracle(cfg, channels, strategies, [y0_bound * y for y in y0], cycles)
     if kind == "nominal":
         assert set(statuses) == ends
 
@@ -340,20 +352,22 @@ def _timeshare_batches(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_timeshare_batches())
 def test_batched_loop_property(config):
-    # either both loops agree bit for bit, or the batch raises a scalar trial's breach
+    # either no trial breaches under the scalar oracle and every row of the batch replays
+    # bit for bit, or the batch raises the oracle's breach of the first trial among those
+    # breaching earliest
     cfg, channels, strategies, y0 = config
-    messages = set()
-    for channel, strategy, start in zip(channels, strategies, y0):
+    breaches = {}
+    for t, (channel, strategy, start) in enumerate(zip(channels, strategies, y0)):
         try:
-            run_timeshare_loop(cfg, channel, strategy, 40, start)
+            timeshare_trial(cfg, channel, strategy, 40, start)
         except SaturationError as exc:
-            messages.add(str(exc))
-    if not messages:
-        _batch_matches_scalar(cfg, channels, strategies, y0, 40)
+            breaches[t] = exc.cycle, str(exc)
+    if not breaches:
+        _batch_matches_oracle(cfg, channels, strategies, y0, 40)
         return
     with pytest.raises(SaturationError) as batched:
         run_timeshare_loop_batch(cfg, channels, strategies, 40, y0)
-    assert str(batched.value) in messages
+    assert str(batched.value) == breaches[min(breaches, key=lambda t: (breaches[t][0], t))][1]
 
 
 def test_batched_breach_names_the_first_trial_of_the_earliest_cycle():
@@ -362,13 +376,14 @@ def test_batched_breach_names_the_first_trial_of_the_earliest_cycle():
     cfg = TimeShareConfig(a_star=1.5, eps=0.05, m=3, levels=4, p=0.0)
     channels, strategies, y0 = _trials("greedy_adversarial", 0.0, 16)
     y0[3], y0[6], y0[9] = 0.0, -0.5, 0.5
-    messages = {}
+    messages, cycles = {}, {}
     for t in (3, 6, 9, 12):
         start = -0.25 if t == 12 else y0[t]
         with pytest.raises(SaturationError) as scalar:
-            run_timeshare_loop(cfg, channels[t], strategies[t], 400, start)
-        messages[t] = str(scalar.value)
+            timeshare_trial(cfg, channels[t], strategies[t], 400, start)
+        messages[t], cycles[t] = str(scalar.value), scalar.value.cycle
     assert len(set(messages.values())) == 4
+    assert cycles == {3: 12, 6: 9, 9: 9, 12: 8}
     # trials 6 and 9 breach first, at cycle 9: the batch names trial 6, not trial 3
     with pytest.raises(SaturationError) as batched:
         run_timeshare_loop_batch(cfg, channels, strategies, 400, y0)
@@ -379,21 +394,21 @@ def test_batched_breach_names_the_first_trial_of_the_earliest_cycle():
         run_timeshare_loop_batch(cfg, channels, strategies, 400, y0)
     assert str(batched.value) == messages[12]
     y0[3] = y0[6] = y0[9] = y0[12] = 0.1
-    assert set(_batch_matches_scalar(cfg, channels, strategies, y0, 400)) == {CONVERGED}
+    assert set(_batch_matches_oracle(cfg, channels, strategies, y0, 400)) == {CONVERGED}
 
 
 def test_simulators_refuse_totals_past_2_pow_53():
     # 4^26 = 2^52 cells fit a double's indices; 4^27 = 2^54 and 2^54 do not
     for levels, m, ok in ((4, 26, True), (4, 27, False), (2, 54, False), (2, 10**9, False)):
         cfg = TimeShareConfig(a_star=1.2, eps=0.01, m=m, levels=levels, p=0.1)
-        for run in (lambda: run_timeshare_loop(cfg, ChannelConfig(0.1, 1), ParamStrategy(), 2, 0.1),
-                    lambda: run_timeshare_loop_batch(cfg, [ChannelConfig(0.1, 1)] * 2,
-                                                     [ParamStrategy()] * 2, 2, [0.1, -0.2])):
-            if ok:
+        def run():
+            return run_timeshare_loop_batch(cfg, [ChannelConfig(0.1, 1)] * 2,
+                                            [ParamStrategy()] * 2, 2, [0.1, -0.2])
+        if ok:
+            run()
+        else:
+            with pytest.raises(ValueError, match=f"--N {levels} at --m {m} gives more than 2"):
                 run()
-            else:
-                with pytest.raises(ValueError, match=f"--N {levels} at --m {m} gives more than 2"):
-                    run()
 
 
 @pytest.mark.xfail(strict=True, raises=SaturationError, reason="known defect (ROADMAP item 6): "
@@ -401,14 +416,21 @@ def test_simulators_refuse_totals_past_2_pow_53():
 def test_random_start_keeps_containment_at_2_pow_34_total_levels():
     # trial 930 of `simulate --m 2 --a-star 2 --eps 1e-11 --N 131072 --trials 4097 --seed 11
     # --strategy greedy_adversarial`, the only one of the 4097 that leaves the range
+    # the scalar oracle leaves the range too; the runtime must raise its message
     cfg = TimeShareConfig(a_star=2.0, eps=1e-11, m=2, levels=131072)
-    strategy = ParamStrategy("greedy_adversarial")
-    run_timeshare_loop(cfg, ChannelConfig(0.0), strategy, 100, 0.44195487606925443)
+    strategy, y0 = ParamStrategy("greedy_adversarial"), 0.44195487606925443
+    with pytest.raises(SaturationError) as want:
+        timeshare_trial(cfg, ChannelConfig(0.0), strategy, 100, y0)
+    try:
+        run_timeshare_loop(cfg, ChannelConfig(0.0), strategy, 100, y0)
+    except SaturationError as exc:
+        assert str(exc) == str(want.value)
+        raise
 
 
 # --m 2 runs: full 100-cycle horizons at 12 and 200 trials; at 4097 trials (two batches,
 # the second of one trial) a level at which trials converge within about 30 cycles keeps
-# the scalar layout's 4097 traces short
+# the 4097 replays short
 SIMULATE_M2 = {
     12: ("--a-star", "3.3", "--eps", "0.025", "--N", "4", "--p", "0.05", "--steps", "100"),
     200: ("--a-star", "3.3", "--eps", "0.025", "--N", "4", "--p", "0.05", "--steps", "100"),
@@ -419,18 +441,26 @@ SIMULATE_M2 = {
 @pytest.mark.parametrize("trials", sorted(SIMULATE_M2))
 @pytest.mark.parametrize("kind", ParamStrategy.KINDS)
 def test_simulate_csv_is_identical_in_both_layouts(monkeypatch, capsys, tmp_path, trials, kind):
+    # the batched CLI run against one trial at a time: every row the batches return replays
+    # under the scalar oracle, and the CSV is the stacked reduction of those rows
     argv = ["simulate", "--n", "1", *SIMULATE_M2[trials], "--m", "2", "--trials", str(trials),
             "--strategy", kind, "--signs", "-", "--seed", "11"]
-    batches = []
+    batches, runs = [], []
     batch = montecarlo.run_timeshare_loop_batch
-    monkeypatch.setattr(montecarlo, "run_timeshare_loop_batch",
-                        lambda *args: batches.append(len(args[1])) or batch(*args))
-    csv = {}
-    for layout, first_batched in (("batched", montecarlo.BATCH_MIN_TRIALS), ("scalar", trials + 1)):
-        monkeypatch.setattr(montecarlo, "BATCH_MIN_TRIALS", first_batched)
-        out = tmp_path / f"{layout}.csv"
-        assert main([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
-        csv[layout] = out.read_bytes()
+
+    def recorded(cfg, channels, strategies, cycles, y0):
+        rows = batch(cfg, channels, strategies, cycles, y0)
+        batches.append(len(channels))
+        runs.extend((cfg, channel, strategy, row, cycles, start)
+                    for channel, strategy, row, start in zip(channels, strategies, rows, y0))
+        return rows
+
+    monkeypatch.setattr(montecarlo, "run_timeshare_loop_batch", recorded)
+    out = tmp_path / "decay.csv"
+    assert main([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
     assert batches == [min(trials, montecarlo.BATCH_MAX_TRIALS)] + [1] * (trials > 4096)
-    assert csv["batched"] == csv["scalar"]
-    assert len(csv["batched"].splitlines()) == 101
+    traces = [_replayed(*run) for run in runs]
+    want = io.StringIO()
+    reduce_traces(traces, Experiment(trials=trials, steps=100)).to_csv(want)
+    assert out.read_bytes() == want.getvalue().encode()
+    assert len(out.read_bytes().splitlines()) == 101
