@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import _MASK, ChannelConfig, draw, uniform01
 from .interval import Interval, measure, midpoint, scale_product
-from .plant import ParamStrategy, UncertainPlant, iid_params, realize_params, step_unchecked
+from .plant import ParamStrategy, UncertainPlant, realize_params, step_unchecked
 
 # Lower guard on sigma: keeps logs finite and avoids denormal underflow.
 SIGMA_MIN = 1e-300
@@ -192,7 +192,7 @@ def run_closed_loop(
         trace.y.append(history[-1])
         trace.sigma.append(sigma)
         sigma, center = advance_scaling(predict(plant, cells), u)
-        params = fixed or realize_params(plant, strategy, k, lambda p: step_unchecked(history, u, p))
+        params = fixed or realize_params(plant, strategy, k, history, u)
         history.append(step_unchecked(history, u, params))
         history.pop(0)
         if status := end_status(sigma):
@@ -303,19 +303,7 @@ def run_closed_loop_batch(
             u = control(plant, cells)
             slots.y[slots.live, k], slots.sigma[slots.live, k] = y, sigma
             sigma, center = advance_slots(boxes, cells[::-1], u)  # predict's order
-            if kind == "iid_uniform":
-                params = iid_params(plant, slots.param_seeds, k)
-            elif kind == "greedy_adversarial":  # realize_params' sweep, all trials at once
-                params = list(plant.a_star)
-                for i, (a_lo, a_hi) in enumerate(boxes):
-                    if plant.eps[i] != 0.0:
-                        params[i] = a_lo
-                        y_lo = abs(step_unchecked(history, u, params))
-                        params[i] = a_hi
-                        y_hi = abs(step_unchecked(history, u, params))
-                        params[i] = np.where(y_hi >= y_lo, a_hi, a_lo)
-            else:
-                params = fixed
+            params = fixed or realize_params(plant, strategies[0], k, history, u, slots.param_seeds)
             history = history[1:] + [step_unchecked(history, u, params)]
             sigma, center, history, cells = slots.retire(k, sigma, center, history, cells)
             if not slots.live.size:

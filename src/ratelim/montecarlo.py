@@ -99,11 +99,10 @@ class DecayReport:
     converged_trials: int
 
     def to_csv(self, stream) -> None:
-        stream.write("k,mean_sq_y,mean_sq_sigma\n")
-        for k in range(len(self.mean_sq_y)):
-            stream.write(
-                f"{k},{float(self.mean_sq_y[k])!r},{float(self.mean_sq_sigma[k])!r}\n"
-            )
+        # Python floats: under numpy 2, repr(np.float64(x)) prints np.float64(...)
+        rows = zip(self.mean_sq_y.tolist(), self.mean_sq_sigma.tolist())
+        write_rows_csv([{"k": k, "mean_sq_y": y, "mean_sq_sigma": s}
+                        for k, (y, s) in enumerate(rows)], stream)
 
 
 def _trial_setup(target, channel: ChannelConfig, exp: Experiment, trial: int):

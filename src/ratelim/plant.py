@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .channel import uniform01
-
-ParamContext = Callable[[Sequence[float]], float]
 
 
 @dataclass(frozen=True)
@@ -116,37 +114,38 @@ def realize_params(
     plant: UncertainPlant,
     strategy: ParamStrategy,
     k: int,
-    context: ParamContext | None = None,
-) -> tuple[float, ...]:
-    """Coefficient vector of step k according to the strategy.
+    history: Sequence | None = None,
+    u=None,
+    seed=None,
+) -> tuple:
+    """Coefficient vector of step k according to the strategy, for one trial or a batch.
 
-    context maps a full parameter vector to the candidate next output and
-    is required for greedy_adversarial, which sweeps the coordinates once,
-    keeping for each the endpoint that gives the larger |next output|
-    (starting from the nominal vector, so the result never does worse than
-    nominal).
+    history and u, the plant step's inputs, and seed (default strategy.seed)
+    are scalars or arrays with one slot per trial.  greedy_adversarial sweeps
+    the coordinates once from the nominal vector (so it never does worse than
+    nominal), setting each to a + s*e with s = +1 if that gives a |next
+    output| at least that of s = -1 (inf against inf too), else -1 (a NaN).
+    1.0*e and -1.0*e are exact, so every slot gets exactly a + e or a - e.
     """
     kind = strategy.kind
     if kind == "nominal":
         return plant.a_star
     if kind == "fixed_vertex":
-        signs = strategy.signs
-        if signs is None or len(signs) != plant.n:
+        if len(strategy.signs) != plant.n:  # ParamStrategy refuses a fixed_vertex without signs
             raise ValueError(f"sign pattern must have length {plant.n}")
-        return tuple(a + s * e for a, s, e in zip(plant.a_star, signs, plant.eps))
+        return tuple(a + s * e for a, s, e in zip(plant.a_star, strategy.signs, plant.eps))
     if kind == "iid_uniform":
-        return iid_params(plant, strategy.seed, k)
+        return iid_params(plant, strategy.seed if seed is None else seed, k)
     # greedy_adversarial
-    if context is None:
-        raise ValueError("greedy_adversarial strategy needs a context function")
+    if history is None or u is None or len(history) != plant.n:
+        raise ValueError(f"greedy_adversarial strategy needs the last {plant.n} outputs")
     current = list(plant.a_star)
-    for i in range(plant.n):
-        if plant.eps[i] == 0.0:
+    for i, (a, e) in enumerate(zip(plant.a_star, plant.eps)):
+        if e == 0.0:
             continue
-        lo, hi = plant.box(i)
-        current[i] = lo
-        y_lo = abs(context(current))
-        current[i] = hi
-        y_hi = abs(context(current))
-        current[i] = hi if y_hi >= y_lo else lo
+        current[i] = a - e
+        y_lo = abs(step_unchecked(history, u, current))
+        current[i] = a + e
+        y_hi = abs(step_unchecked(history, u, current))
+        current[i] = a + (2.0 * (y_hi >= y_lo) - 1.0) * e
     return tuple(current)

@@ -21,7 +21,7 @@ from ._search import first_passing, split_integers
 from .channel import ChannelConfig, uniform01
 from .codec_loop import Lockstep, SimTrace, advance_slots, check_start, quantize_slots
 from .interval import Interval, midpoint
-from .plant import ParamStrategy, UncertainPlant, iid_params, realize_params
+from .plant import ParamStrategy, UncertainPlant, realize_params
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,7 @@ def run_timeshare_loop_batch(
     a_nom_pow = cfg.a_star**m
     hull = power_hull(cfg.a_star, cfg.eps, m)
     kind = strategies[0].kind
-    greedy = kind == "greedy_adversarial" and cfg.eps != 0.0
-    (fixed,) = plant.a_star if kind != "fixed_vertex" else realize_params(plant, strategies[0], 0)
-    a_lo, a_hi = plant.box(0)
+    fixed = realize_params(plant, strategies[0], 0) if kind in ("nominal", "fixed_vertex") else None
     slots = Lockstep(channels, strategies, cycles)
     sigma, center = np.full(trials, cfg.y0_bound), np.zeros(trials)
     with np.errstate(all="ignore"):
@@ -176,12 +174,8 @@ def run_timeshare_loop_batch(
             slots.y[slots.live, j], slots.sigma[slots.live, j] = y, sigma
             for i in range(m):  # the plant through the cycle, input only on the last slot
                 u_step = u_end if i == m - 1 else 0.0
-                if kind == "iid_uniform":
-                    (a,) = iid_params(plant, slots.param_seeds, m * j + i)
-                elif greedy:  # realize_params' rule, all trials at once
-                    a = np.where(abs(a_hi * y + u_step) >= abs(a_lo * y + u_step), a_hi, a_lo)
-                else:
-                    a = fixed
+                (a,) = fixed or realize_params(
+                    plant, strategies[0], m * j + i, [y], u_step, slots.param_seeds)
                 y = a * y + u_step
             sigma, center = advance_slots([hull], [cell], u_end)
             sigma, center, y = slots.retire(j, sigma, center, y)

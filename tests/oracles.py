@@ -5,9 +5,10 @@ minimum-level questions before the shared monotone search, the product
 form of the lifted matrix, the geometric-mean power iteration that
 estimated the spectral radius before the Collatz-Wielandt bracket bounded
 it, the stacked per-trial reduction of a Monte Carlo experiment, and the
-closed loop that kept its encoder/decoder state in a `CodecState` object;
-parity tests compare the runtime answers against them, and the invariant
-checks replay the decoder with that object.  `timeshare_trial` runs one
+closed loop that kept its encoder/decoder state in a `CodecState` object,
+stepped by the `realize_params` that took the candidate next output as a
+callback; parity tests compare the runtime answers against them, and the
+invariant checks replay the decoder with that object.  `timeshare_trial` runs one
 time-share trial with scalar floats: every time-share batch row is
 replayed by it bit for bit (`replay_timeshare`), and every breach the
 batch raises is checked against it.
@@ -21,7 +22,7 @@ instability check.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from ratelim.montecarlo import (
     _fit_slope,
     _trial_setup,
 )
-from ratelim.plant import ParamStrategy, UncertainPlant, realize_params, step_unchecked
+from ratelim.plant import ParamStrategy, UncertainPlant, iid_params, step_unchecked
 from ratelim.timeshare import TimeShareConfig, kappa_bar, power_hull
 
 
@@ -356,6 +357,49 @@ class CodecState:
         pred = predict(self.plant, self.cells)
         self.sigma, self.center = advance_scaling(pred, u)
         return pred
+
+
+ParamContext = Callable[[Sequence[float]], float]
+
+
+def realize_params(
+    plant: UncertainPlant,
+    strategy: ParamStrategy,
+    k: int,
+    context: ParamContext | None = None,
+) -> tuple[float, ...]:
+    """Coefficient vector of step k according to the strategy.
+
+    context maps a full parameter vector to the candidate next output and
+    is required for greedy_adversarial, which sweeps the coordinates once,
+    keeping for each the endpoint that gives the larger |next output|
+    (starting from the nominal vector, so the result never does worse than
+    nominal).
+    """
+    kind = strategy.kind
+    if kind == "nominal":
+        return plant.a_star
+    if kind == "fixed_vertex":
+        signs = strategy.signs
+        if signs is None or len(signs) != plant.n:
+            raise ValueError(f"sign pattern must have length {plant.n}")
+        return tuple(a + s * e for a, s, e in zip(plant.a_star, signs, plant.eps))
+    if kind == "iid_uniform":
+        return iid_params(plant, strategy.seed, k)
+    # greedy_adversarial
+    if context is None:
+        raise ValueError("greedy_adversarial strategy needs a context function")
+    current = list(plant.a_star)
+    for i in range(plant.n):
+        if plant.eps[i] == 0.0:
+            continue
+        lo, hi = plant.box(i)
+        current[i] = lo
+        y_lo = abs(context(current))
+        current[i] = hi
+        y_hi = abs(context(current))
+        current[i] = hi if y_hi >= y_lo else lo
+    return tuple(current)
 
 
 def run_closed_loop(

@@ -23,7 +23,7 @@ from ratelim.codec_loop import (
 )
 from ratelim.interval import Interval, measure
 from ratelim.montecarlo import BATCH_MIN_TRIALS, Experiment, run_experiment
-from ratelim.plant import ParamStrategy, UncertainPlant, realize_params, step_unchecked
+from ratelim.plant import ParamStrategy, UncertainPlant, step_unchecked
 from ratelim.timeshare import TimeShareConfig, run_timeshare_loop
 
 
@@ -206,7 +206,7 @@ def _replay_and_check(plant, levels, trace, channel, strategy):
         state.advance(u)
         if state.sigma > 1e-290:
             assert state.sigma == pytest.approx(expected_sigma, abs=1e-12 * max(1, expected_sigma))
-        params = realize_params(plant, strategy, k, lambda p: step_unchecked(history, u, p))
+        params = oracles.realize_params(plant, strategy, k, lambda p: step_unchecked(history, u, p))
         history = history[1:] + [step_unchecked(history, u, params)]
 
 

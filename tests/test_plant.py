@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oracles import check_unstable_assumption, companion_matrix, lambda_pi, step
 from ratelim.channel import uniform01
-from ratelim.plant import ParamStrategy, UncertainPlant, iid_params, realize_params
+from ratelim.plant import ParamStrategy, UncertainPlant, iid_params, realize_params, step_unchecked
 
 
 def make_plant(n=2, a=(1.0, 2.5), e=(0.05, 0.05)):
@@ -114,6 +117,69 @@ def test_iid_array_seed_gives_each_trial_the_scalar_bits():
             assert tuple(float(c[t]) for c in batched) == iid_params(p, seed, k)
 
 
+def _slot_bits(params, trials):
+    """Each slot's coefficient vector as float.hex strings; a float coefficient fills every slot."""
+    cols = [np.broadcast_to(np.asarray(c, float), (trials,)) for c in params]
+    return [tuple(float(c[t]).hex() for c in cols) for t in range(trials)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ParamStrategy.KINDS)
+def test_array_call_gives_each_slot_the_scalar_bits(kind, n):
+    p = make_plant(n=n, a=(0.3, -1.0, 2.5)[3 - n:], e=(0.1, 0.0, 0.05)[3 - n:])
+    inf, nan = float("inf"), float("nan")
+    # per slot: finite, a tie at zero, NaN, +-inf and overflowing candidates
+    rows = [([0.2, -0.4, 0.3], 0.1), ([0.0, 0.0, 0.0], 0.0), ([0.1, nan, 0.2], 0.0),
+            ([inf, 0.5, -0.5], 0.0), ([0.1, 0.2, -inf], 1.0), ([1e308, -1e308, 1e308], 0.0),
+            ([0.3, 0.1, 0.2], -inf), ([0.3, 0.1, 0.2], nan), ([0.0, 0.0, 0.0], inf)]
+    seeds = [0, 1, 123, 2**63 + 5, 2**64 - 1, 7, 8, 9, 10]
+    trials = len(rows)
+    history = [np.array([h[3 - n + j] for h, _ in rows]) for j in range(n)]
+    u = np.array([u for _, u in rows])
+    signs = (1, -1, 1)[:n]
+    keys = np.array(seeds, dtype=np.uint64)
+    with np.errstate(all="ignore"):
+        for k in (0, 1, 399):
+            batched = realize_params(p, ParamStrategy(kind, signs=signs), k, history, u, keys)
+            want = [realize_params(p, ParamStrategy(kind, seed=seed, signs=signs), k,
+                                   [float(h[t]) for h in history], float(u[t]))
+                    for t, seed in enumerate(seeds)]
+            assert _slot_bits(batched, trials) == [tuple(map(float.hex, w)) for w in want]
+    if kind != "greedy_adversarial":
+        return
+    for t, got in enumerate(want):  # greedy entries are exact box endpoints
+        for v, a, e in zip(got, p.a_star, p.eps):
+            assert v in (a - e, a + e)
+    uncertain = [(v, a + e) for v, a, e in zip(want[1], p.a_star, p.eps) if e]
+    assert all(v == hi for v, hi in uncertain)  # a tie picks a + e
+    nan_slot = [(v, a - e) for v, a, e in zip(want[7], p.a_star, p.eps) if e]
+    assert all(v == lo for v, lo in nan_slot)  # a NaN candidate picks a - e
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.data())
+def test_greedy_matches_the_callback_oracle_bitwise(n, data):
+    def floats(lo, hi):
+        return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+    a = data.draw(st.lists(floats(-3.0, 3.0), min_size=n, max_size=n))
+    e = data.draw(st.lists(st.sampled_from([0.0, 0.01, 0.3]) | floats(0.0, 0.5),
+                           min_size=n, max_size=n))
+    a[-1] = 1.6 + e[-1] if abs(a[-1]) - e[-1] <= 1.0 else a[-1]
+    p = UncertainPlant(n=n, a_star=tuple(a), eps=tuple(e))
+    values = st.floats(width=64) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+    history = data.draw(st.lists(values, min_size=n, max_size=n))
+    u = data.draw(values)
+    strat = ParamStrategy("greedy_adversarial")
+    with np.errstate(all="ignore"):
+        want = oracles.realize_params(p, strat, 0, lambda q: step_unchecked(history, u, q))
+        got = realize_params(p, strat, 0, history, u)
+        assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
+        batched = realize_params(p, strat, 0, [np.array([h, 0.0]) for h in history],
+                                 np.array([u, 0.0]))
+        assert _slot_bits(batched, 2)[0] == tuple(map(float.hex, want))
+
+
 def test_iid_stream_is_apart_from_an_equally_seeded_channel():
     # with n = 1 the parameter stream reads counter k, as the channel does;
     # the complemented key keeps the two uniforms apart under one seed
@@ -136,15 +202,18 @@ def test_greedy_adversarial_dominates_nominal():
         def out(params):
             return params[0] * h[1] + params[1] * h[0] + u
 
-        greedy = realize_params(p, strat, 0, context=out)
+        greedy = realize_params(p, strat, 0, h, u)
         assert abs(out(greedy)) >= abs(out(p.a_star)) - 1e-12
         for v, a, e in zip(greedy, p.a_star, p.eps):
             assert v in (a - e, a + e) or e == 0.0
 
 
 def test_greedy_requires_context():
-    with pytest.raises(ValueError):
-        realize_params(make_plant(), ParamStrategy("greedy_adversarial"), 0)
+    # greedy needs the step's n last outputs and input: a ValueError, never an IndexError
+    greedy = ParamStrategy("greedy_adversarial")
+    for history, u in [(None, None), ([0.1, 0.2], None), ([0.1], 0.0)]:
+        with pytest.raises(ValueError):
+            realize_params(make_plant(), greedy, 0, history, u)
 
 
 def test_companion_matrix_layout():

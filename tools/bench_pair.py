@@ -12,7 +12,9 @@ which side goes first alternates from pair to pair, so drift in the
 machine's speed falls on both sides alike.  Every result line goes into
 the output file, next to the machine (core count, CPU model, Python,
 numpy, BLAS), both revisions and, per workload and metric, each side's
-median and the base's quartiles.
+median and the base's quartiles, and how many pairs the change won and
+lost in the direction BENCHMARK.json calls better (ties count for
+neither), so a "better in nine of ten pairs" rule reads off the file.
 """
 
 from __future__ import annotations
@@ -63,22 +65,35 @@ def _run(checkout: Path, workload: str) -> dict:
     return json.loads(lines[-1])
 
 
-def _summary(runs: list[dict]) -> dict:
+def _better() -> dict[str, str]:
+    """Each metric's better direction ("lower" or "higher"), from BENCHMARK.json."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+
+
+def _summary(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per workload and metric: each side's median, the base's quartiles, and the
+    pairs the change won and lost in the metric's better direction (ties count for
+    neither side)."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
         metrics = mine[0]["result"]["metrics"]
         out[workload] = {}
         for name in metrics:
-            side = {s: [r["result"]["metrics"][name]["value"] for r in mine if r["side"] == s]
-                    for s in ("base", "change")}
-            base = side["base"]
+            side = {s: {r["pair"]: r["result"]["metrics"][name]["value"]
+                        for r in mine if r["side"] == s} for s in ("base", "change")}
+            base = list(side["base"].values())
             base_q = statistics.quantiles(base, n=4) if len(base) > 1 else base * 3
+            sign = 1.0 if better[name] == "lower" else -1.0
+            gains = [sign * (b - side["change"][pair]) for pair, b in side["base"].items()]
             out[workload][name] = {
                 "base_median": statistics.median(base),
-                "change_median": statistics.median(side["change"]),
+                "change_median": statistics.median(side["change"].values()),
                 "base_q1": base_q[0],
                 "base_q3": base_q[2],
+                "pairs_won": sum(g > 0 for g in gains),
+                "pairs_lost": sum(g < 0 for g in gains),
             }
     return out
 
@@ -106,7 +121,7 @@ def main(argv=None) -> int:
                     record["runs"].append({"workload": workload, "pair": pair, "side": side,
                                            "order": order, "result": result})
                     print(json.dumps(record["runs"][-1]), flush=True)
-    record["summary"] = _summary(record["runs"])
+    record["summary"] = _summary(record["runs"], _better())
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}")
