@@ -7,11 +7,13 @@ estimated the spectral radius before the Collatz-Wielandt bracket bounded
 it, the stacked per-trial reduction of a Monte Carlo experiment, and the
 closed loop that kept its encoder/decoder state in a `CodecState` object,
 stepped by the `realize_params` that took the candidate next output as a
-callback; parity tests compare the runtime answers against them, and the
-invariant checks replay the decoder with that object.  `timeshare_trial` runs one
-time-share trial with scalar floats: every time-share batch row is
-replayed by it bit for bit (`replay_timeshare`), and every breach the
-batch raises is checked against it.
+callback and by the one-trial codec steps (`quantize`, `decode_cell`,
+`predict`, `advance_scaling`, `scale_product`); parity tests compare the
+runtime answers against them, and the invariant checks replay the decoder
+with that object.  `timeshare_trial` runs one time-share trial with scalar
+floats on those codec steps: every time-share batch row is replayed by it
+bit for bit (`replay_timeshare`), and every breach the batch raises is
+checked against it.
 Below them sit independent routes to quantities the runtime computes
 another way: the case-split product measure, the worst-cell enumeration
 in exact rationals, the eta growth factors and the branch loss limits,
@@ -32,18 +34,15 @@ from ratelim.codec_loop import (
     COMPLETED,
     CONVERGED,
     DIVERGED,
-    LOST,
+    SATURATION_TOL,
+    SIGMA_MIN,
     QuantizerSpec,
     SaturationError,
     SimTrace,
-    advance_scaling,
     control,
-    decode_cell,
     end_status,
-    predict,
-    quantize,
 )
-from ratelim.interval import Interval, midpoint, scale_product
+from ratelim.interval import Interval, measure, midpoint
 from ratelim.mjls import (
     N_MAX_ORDER,
     MinLevelResult,
@@ -317,6 +316,89 @@ def reduce_traces(traces: Sequence[SimTrace], exp) -> DecayReport:
 
 
 # ------------------------------------------------------------ closed loop
+
+
+# The codec's step functions as they stood before one definition served the
+# scalar loop and the lockstep batches, copied verbatim: one trial of floats
+# and Intervals, a lost symbol passed as LOST.
+
+LOST = None
+
+
+def quantize(levels: int, v: float) -> int:
+    """Uniform N-level quantizer on [-1/2, 1/2]; the top cell is closed.
+
+    Raises SaturationError if v lies outside the range by more than a tiny
+    numerical slack, or is NaN; within the slack v is clamped.
+    """
+    if not -0.5 <= v <= 0.5:
+        if not -0.5 - SATURATION_TOL <= v <= 0.5 + SATURATION_TOL:
+            raise SaturationError(f"quantizer input {v} outside [-1/2, 1/2]")
+        v = 0.5 if v > 0.5 else -0.5
+    i = int((v + 0.5) * levels)
+    return levels - 1 if i >= levels else i
+
+
+def decode_cell(levels: int, sigma: float, center: float, symbol: int | None) -> Interval:
+    """Estimation interval for the output given the channel outcome.
+
+    On reception of symbol i this is cell i of the range
+    [center - sigma/2, center + sigma/2]; on loss (symbol is LOST) it is
+    the whole range.
+    """
+    if sigma <= 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    lo = center - sigma / 2.0
+    if symbol is LOST:
+        return Interval(lo, center + sigma / 2.0)
+    if not 0 <= symbol < levels:
+        raise ValueError(f"symbol {symbol} outside alphabet of size {levels}")
+    w = sigma / levels
+    if symbol == levels - 1:
+        return Interval(center + sigma / 2.0 - w, center + sigma / 2.0)
+    return Interval(lo + symbol * w, lo + (symbol + 1) * w)
+
+
+def predict(plant: UncertainPlant, cells: Sequence[Interval]) -> Interval:
+    """One-step prediction set from the last n estimation intervals.
+
+    cells are oldest-first; the set is the Minkowski sum of the products
+    of each coefficient box with its matching interval, so its length is
+    exactly the sum of the product-hull lengths.
+    """
+    n = plant.n
+    if len(cells) != n:
+        raise ValueError(f"need {n} stored cells, got {len(cells)}")
+    a_star, eps = plant.a_star, plant.eps
+    acc_lo = 0.0
+    acc_hi = 0.0
+    for i in range(n):
+        a, e = a_star[i], eps[i]
+        prod = scale_product(Interval(a - e, a + e), cells[n - 1 - i])
+        acc_lo += prod.lo
+        acc_hi += prod.hi
+    return Interval(acc_lo, acc_hi)
+
+
+def advance_scaling(prediction: Interval, u: float) -> tuple[float, float]:
+    """Next (sigma, center): minimal admissible range and its shifted midpoint."""
+    sigma = measure(prediction)
+    if sigma < SIGMA_MIN:
+        sigma = SIGMA_MIN
+    return sigma, midpoint(prediction) + u
+
+
+def scale_product(a: Interval, y: Interval) -> Interval:
+    """Exact hull of {x * v : x in a, v in y}.
+
+    The product of two intervals is attained at endpoint pairs, so the
+    hull is the min/max over the four endpoint products.
+    """
+    p1 = a.lo * y.lo
+    p2 = a.lo * y.hi
+    p3 = a.hi * y.lo
+    p4 = a.hi * y.hi
+    return Interval(min(p1, p2, p3, p4), max(p1, p2, p3, p4))
 
 
 @dataclass

