@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import _MASK, ChannelConfig, draw, uniform01
-from .interval import Interval, measure, midpoint, scale_product
+from .interval import FLOATS, SLOTS, Interval, Ops, measure, midpoint, scale_product
 from .plant import ParamStrategy, UncertainPlant, realize_params, step_unchecked
 
 # Lower guard on sigma: keeps logs finite and avoids denormal underflow.
@@ -32,8 +32,6 @@ SIGMA_MIN = 1e-300
 CONVERGED_SIGMA = 1e-150
 DIVERGED_SIGMA = 1e150
 SATURATION_TOL = 1e-9
-
-LOST = None
 
 COMPLETED = "completed"
 CONVERGED = "converged"
@@ -53,59 +51,52 @@ class QuantizerSpec:
             raise ValueError(f"quantizer needs 1 to 2^53 levels, got {self.levels}")
 
 
-def quantize(levels: int, v: float) -> int:
+def quantize(levels, v, ops: Ops = FLOATS):
     """Uniform N-level quantizer on [-1/2, 1/2]; the top cell is closed.
 
-    Raises SaturationError if v lies outside the range by more than a tiny
-    numerical slack, or is NaN; within the slack v is clamped.
+    v is one input or one per slot (levels one count or one per slot); the
+    cell index is an int for a float and a double per slot for an array.
+    Raises SaturationError, naming the first slot breaching, if v lies
+    outside the range by more than a tiny numerical slack or is NaN;
+    within the slack v falls in the end cell.
     """
-    if not -0.5 <= v <= 0.5:
-        if not -0.5 - SATURATION_TOL <= v <= 0.5 + SATURATION_TOL:
-            raise SaturationError(f"quantizer input {v} outside [-1/2, 1/2]")
-        v = 0.5 if v > 0.5 else -0.5
-    i = int((v + 0.5) * levels)
-    return levels - 1 if i >= levels else i
+    inside = abs(v) <= 0.5 + SATURATION_TOL  # False for NaN
+    if not ops.all(inside):
+        breach = np.extract(np.logical_not(inside), v)[0]
+        raise SaturationError(f"quantizer input {float(breach)} outside [-1/2, 1/2]")
+    return ops.minimum(ops.maximum(ops.floor((v + 0.5) * levels), 0), levels - 1)
 
 
-def decode_cell(levels: int, sigma: float, center: float, symbol: int | None) -> Interval:
+def decode_cell(levels, sigma, center, symbol, got, ops: Ops = FLOATS) -> Interval:
     """Estimation interval for the output given the channel outcome.
 
-    On reception of symbol i this is cell i of the range
-    [center - sigma/2, center + sigma/2]; on loss (symbol is LOST) it is
-    the whole range.
+    If the symbol got through this is its cell of the range
+    [center - sigma/2, center + sigma/2]; on a loss it is the whole range.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    lo = center - sigma / 2.0
-    if symbol is LOST:
-        return Interval(lo, center + sigma / 2.0)
-    if not 0 <= symbol < levels:
-        raise ValueError(f"symbol {symbol} outside alphabet of size {levels}")
-    w = sigma / levels
-    if symbol == levels - 1:
-        return Interval(center + sigma / 2.0 - w, center + sigma / 2.0)
-    return Interval(lo + symbol * w, lo + (symbol + 1) * w)
+    lo, top, w = center - sigma / 2.0, center + sigma / 2.0, sigma / levels
+    last = symbol == levels - 1
+    cell = Interval(ops.where(last, top - w, lo + symbol * w),
+                    ops.where(last, top, lo + (symbol + 1) * w))
+    if ops.all(got):  # nothing lost: skip the choice (every lossless step, most lossy ones)
+        return cell
+    return Interval(ops.where(got, cell.lo, lo), ops.where(got, cell.hi, top))
 
 
-def predict(plant: UncertainPlant, cells: Sequence[Interval]) -> Interval:
-    """One-step prediction set from the last n estimation intervals.
+def predict(boxes: Sequence[Interval], cells: Sequence[Interval], ops: Ops = FLOATS) -> Interval:
+    """One-step prediction set from the coefficient boxes and the last n estimation intervals.
 
-    cells are oldest-first; the set is the Minkowski sum of the products
-    of each coefficient box with its matching interval, so its length is
-    exactly the sum of the product-hull lengths.
+    cells are oldest-first, so box i meets cells[n - 1 - i]; the set is the
+    Minkowski sum of the products, so its length is exactly the sum of the
+    product-hull lengths.
     """
-    n = plant.n
-    if len(cells) != n:
-        raise ValueError(f"need {n} stored cells, got {len(cells)}")
-    a_star, eps = plant.a_star, plant.eps
-    acc_lo = 0.0
-    acc_hi = 0.0
-    for i in range(n):
-        a, e = a_star[i], eps[i]
-        prod = scale_product(Interval(a - e, a + e), cells[n - 1 - i])
-        acc_lo += prod.lo
-        acc_hi += prod.hi
-    return Interval(acc_lo, acc_hi)
+    if len(cells) != len(boxes):
+        raise ValueError(f"need {len(boxes)} stored cells, got {len(cells)}")
+    lo = hi = 0.0
+    for box, cell in zip(boxes, reversed(cells)):
+        prod = scale_product(box, cell, ops)
+        lo = lo + prod.lo  # never in place: the sums may be arrays
+        hi = hi + prod.hi
+    return Interval(lo, hi)
 
 
 def control(plant: UncertainPlant, cells: Sequence[Interval]) -> float:
@@ -120,12 +111,9 @@ def control(plant: UncertainPlant, cells: Sequence[Interval]) -> float:
     return u
 
 
-def advance_scaling(prediction: Interval, u: float) -> tuple[float, float]:
+def advance_scaling(prediction: Interval, u, ops: Ops = FLOATS) -> tuple:
     """Next (sigma, center): minimal admissible range and its shifted midpoint."""
-    sigma = measure(prediction)
-    if sigma < SIGMA_MIN:
-        sigma = SIGMA_MIN
-    return sigma, midpoint(prediction) + u
+    return ops.maximum(measure(prediction), SIGMA_MIN), midpoint(prediction) + u
 
 
 def check_start(y0, y0_bound: float) -> None:
@@ -172,6 +160,7 @@ def run_closed_loop(
     check_start(y0, plant.y0_bound)
     n = plant.n
     levels = quantizer.levels
+    boxes = [plant.box(i) for i in range(n)]
     sigma = plant.y0_bound
     center = 0.0
     # the last n estimation intervals, oldest-first; before time 0 the
@@ -183,48 +172,21 @@ def run_closed_loop(
     kind = strategy.kind  # nominal and fixed_vertex realize one vector for every step
     fixed = realize_params(plant, strategy, 0) if kind in ("nominal", "fixed_vertex") else None
     for k in range(steps):
-        symbol = quantize(levels, (history[-1] - center) / sigma)
-        gamma = draw(channel, k)
-        cell = decode_cell(levels, sigma, center, symbol if gamma else LOST)
+        symbol = quantize(levels, (history[-1] - center) / sigma, FLOATS)
+        cell = decode_cell(levels, sigma, center, symbol, draw(channel, k), FLOATS)
         cells.pop(0)
         cells.append(cell)
         u = control(plant, cells)
         trace.y.append(history[-1])
         trace.sigma.append(sigma)
-        sigma, center = advance_scaling(predict(plant, cells), u)
-        params = fixed or realize_params(plant, strategy, k, history, u)
+        sigma, center = advance_scaling(predict(boxes, cells, FLOATS), u, FLOATS)
+        params = fixed or realize_params(plant, strategy, k, history, u, ops=FLOATS)
         history.append(step_unchecked(history, u, params))
         history.pop(0)
         if status := end_status(sigma):
             trace.status = status
             return trace
     return trace
-
-
-def quantize_slots(levels, v: np.ndarray) -> np.ndarray:
-    """quantize's cell index (as a double) per slot, at one level count or one per slot.
-
-    A range breach raises quantize's SaturationError for the first slot breaching.
-    """
-    breach = ~(np.abs(v) <= 0.5 + SATURATION_TOL)  # quantize's test, NaN included
-    if breach.any():
-        quantize(1, float(v[breach.argmax()]))  # raises its SaturationError
-    v = np.minimum(np.maximum(v, -0.5), 0.5)
-    return np.minimum(np.floor((v + 0.5) * levels), levels - 1.0)
-
-
-def advance_slots(boxes, cells: Sequence[Interval], u) -> tuple[np.ndarray, np.ndarray]:
-    """advance_scaling of the sum of scale_product(boxes[i], cells[i]), one cell per slot.
-
-    The range check left the cells finite, so no product is NaN and np.minimum/maximum
-    differ from min/max only in a zero's sign, which no sum from 0.0 keeps.
-    """
-    lo = hi = 0.0
-    for box, cell in zip(boxes, cells):
-        p1, p2, p3, p4 = (a * end for a in box for end in cell)
-        lo = lo + np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-        hi = hi + np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    return np.maximum(hi - lo, SIGMA_MIN), (lo + hi) / 2.0 + u
 
 
 class Lockstep:
@@ -274,13 +236,14 @@ def run_closed_loop_batch(
     """run_closed_loop for many trials in lockstep, one array slot per trial.
 
     Trial t runs with channels[t], strategies[t] and y0[t]; all share
-    p, kind and signs.  Each slot repeats the scalar operations in order, so
-    trial t's (y, sigma, status) equal its trace's bit for bit.  A range breach
-    raises quantize's error for the first trial among those breaching earliest.
+    p, kind and signs.  Each slot calls the scalar loop's step functions on
+    SLOTS, so trial t's (y, sigma, status) equal its trace's bit for bit.  A
+    range breach raises quantize's error for the first trial among those
+    breaching earliest.
     """
     y0 = np.asarray(y0, float)
     check_start(y0, plant.y0_bound)
-    n, trials, levels, p = plant.n, len(y0), float(quantizer.levels), channels[0].p
+    n, trials, levels, p = plant.n, len(y0), quantizer.levels, channels[0].p
     kind = strategies[0].kind
     fixed = realize_params(plant, strategies[0], 0) if kind in ("nominal", "fixed_vertex") else None
     boxes = [plant.box(i) for i in range(n)]
@@ -291,19 +254,15 @@ def run_closed_loop_batch(
     with np.errstate(all="ignore"):
         for k in range(steps):
             y = history[-1]
-            symbol = quantize_slots(levels, (y - center) / sigma)
-            lo, top, w = center - sigma / 2.0, center + sigma / 2.0, sigma / levels
-            last = symbol == levels - 1.0
-            cell = Interval(np.where(last, top - w, lo + symbol * w),
-                            np.where(last, top, lo + (symbol + 1.0) * w))
-            if p != 0.0:
-                got = uniform01(slots.seeds, k) >= p
-                cell = Interval(np.where(got, cell.lo, lo), np.where(got, cell.hi, top))
+            symbol = quantize(levels, (y - center) / sigma, SLOTS)
+            got = p == 0.0 or uniform01(slots.seeds, k) >= p
+            cell = decode_cell(levels, sigma, center, symbol, got, SLOTS)
             cells = cells[1:] + [cell]
             u = control(plant, cells)
             slots.y[slots.live, k], slots.sigma[slots.live, k] = y, sigma
-            sigma, center = advance_slots(boxes, cells[::-1], u)  # predict's order
-            params = fixed or realize_params(plant, strategies[0], k, history, u, slots.param_seeds)
+            sigma, center = advance_scaling(predict(boxes, cells, SLOTS), u, SLOTS)
+            params = fixed or realize_params(plant, strategies[0], k, history, u,
+                                             slots.param_seeds, SLOTS)
             history = history[1:] + [step_unchecked(history, u, params)]
             sigma, center, history, cells = slots.retire(k, sigma, center, history, cells)
             if not slots.live.size:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .channel import uniform01
+from .interval import FLOATS, Interval, Ops
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,9 @@ class UncertainPlant:
         if self.y0_bound <= 0.0:
             raise ValueError(f"initial output bound must be positive, got {self.y0_bound}")
 
-    def box(self, i: int) -> tuple[float, float]:
+    def box(self, i: int) -> Interval:
         """Uncertainty interval of coefficient i (0-based)."""
-        return (self.a_star[i] - self.eps[i], self.a_star[i] + self.eps[i])
+        return Interval(self.a_star[i] - self.eps[i], self.a_star[i] + self.eps[i])
 
 
 def step_unchecked(history: Sequence[float], u: float, params: Sequence[float]) -> float:
@@ -117,15 +118,16 @@ def realize_params(
     history: Sequence | None = None,
     u=None,
     seed=None,
+    ops: Ops = FLOATS,
 ) -> tuple:
     """Coefficient vector of step k according to the strategy, for one trial or a batch.
 
     history and u, the plant step's inputs, and seed (default strategy.seed)
-    are scalars or arrays with one slot per trial.  greedy_adversarial sweeps
-    the coordinates once from the nominal vector (so it never does worse than
-    nominal), setting each to a + s*e with s = +1 if that gives a |next
-    output| at least that of s = -1 (inf against inf too), else -1 (a NaN).
-    1.0*e and -1.0*e are exact, so every slot gets exactly a + e or a - e.
+    are scalars or arrays with one slot per trial; ops is FLOATS or SLOTS to
+    match.  greedy_adversarial sweeps the coordinates once from the nominal
+    vector (so it never does worse than nominal), setting each to a + e if
+    that gives a |next output| at least that of a - e (inf against inf too),
+    else to a - e (a NaN).
     """
     kind = strategy.kind
     if kind == "nominal":
@@ -147,5 +149,5 @@ def realize_params(
         y_lo = abs(step_unchecked(history, u, current))
         current[i] = a + e
         y_hi = abs(step_unchecked(history, u, current))
-        current[i] = a + (2.0 * (y_hi >= y_lo) - 1.0) * e
+        current[i] = ops.where(y_hi >= y_lo, a + e, a - e)
     return tuple(current)

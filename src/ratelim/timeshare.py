@@ -19,8 +19,8 @@ import numpy as np
 
 from ._search import first_passing, split_integers
 from .channel import ChannelConfig, uniform01
-from .codec_loop import Lockstep, SimTrace, advance_slots, check_start, quantize_slots
-from .interval import Interval, midpoint
+from .codec_loop import Lockstep, SimTrace, advance_scaling, check_start, quantize
+from .interval import SLOTS, Interval, midpoint, scale_product
 from .plant import ParamStrategy, UncertainPlant, realize_params
 
 
@@ -166,7 +166,7 @@ def run_timeshare_loop_batch(
             res = levels[m]
             if p != 0.0:
                 res = levels[sum(uniform01(slots.seeds, m * j + i) >= p for i in range(m))]
-            idx = quantize_slots(res, (y - center) / sigma)
+            idx = quantize(res, (y - center) / sigma, SLOTS)
             w = sigma / res
             lo = center - sigma / 2.0 + idx * w
             cell = Interval(lo, np.where(idx == res - 1.0, center + sigma / 2.0, lo + w))
@@ -175,9 +175,9 @@ def run_timeshare_loop_batch(
             for i in range(m):  # the plant through the cycle, input only on the last slot
                 u_step = u_end if i == m - 1 else 0.0
                 (a,) = fixed or realize_params(
-                    plant, strategies[0], m * j + i, [y], u_step, slots.param_seeds)
+                    plant, strategies[0], m * j + i, [y], u_step, slots.param_seeds, SLOTS)
                 y = a * y + u_step
-            sigma, center = advance_slots([hull], [cell], u_end)
+            sigma, center = advance_scaling(scale_product(hull, cell, SLOTS), u_end, SLOTS)
             sigma, center, y = slots.retire(j, sigma, center, y)
             if not slots.live.size:
                 break

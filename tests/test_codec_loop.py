@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import LOST, CodecState, product_measure_cases
+from oracles import CodecState, product_measure_cases
 from ratelim.channel import ChannelConfig, draw, uniform01
 from ratelim.codec_loop import (
     COMPLETED,
@@ -20,7 +20,7 @@ from ratelim.codec_loop import (
     run_closed_loop,
     run_closed_loop_batch,
 )
-from ratelim.interval import Interval, measure
+from ratelim.interval import SLOTS, Interval, measure
 from ratelim.montecarlo import BATCH_MIN_TRIALS, Experiment, run_experiment
 from ratelim.plant import ParamStrategy, UncertainPlant, step_unchecked
 from ratelim.timeshare import TimeShareConfig, run_timeshare_loop
@@ -72,9 +72,9 @@ def test_quantize_treats_nan_as_a_range_breach():
         quantize(4, float("nan"))
 
 def test_decode_cell_examples():
-    assert decode_cell(2, 1.0, 0.0, 1) == Interval(0.0, 0.5)
-    assert decode_cell(8, 1.0, 0.0, LOST) == Interval(-0.5, 0.5)
-    assert decode_cell(4, 2.0, 3.0, 0) == Interval(2.0, 2.5)
+    assert decode_cell(2, 1.0, 0.0, 1, True) == Interval(0.0, 0.5)
+    assert decode_cell(8, 1.0, 0.0, 3, False) == Interval(-0.5, 0.5)
+    assert decode_cell(4, 2.0, 3.0, 0, True) == Interval(2.0, 2.5)
     # the loops never pass a symbol outside the alphabet or a sigma <= 0; the
     # one-trial oracle copy refuses both
     with pytest.raises(ValueError):
@@ -85,7 +85,7 @@ def test_decode_cell_examples():
 
 def test_decode_cells_partition_the_range():
     sigma, center, n = 1.7, -0.4, 5
-    cells = [decode_cell(n, sigma, center, i) for i in range(n)]
+    cells = [decode_cell(n, sigma, center, i, True) for i in range(n)]
     assert cells[0].lo == pytest.approx(center - sigma / 2)
     assert cells[-1].hi == pytest.approx(center + sigma / 2)
     for a, b in zip(cells, cells[1:]):
@@ -93,13 +93,17 @@ def test_decode_cells_partition_the_range():
         assert measure(a) == pytest.approx(sigma / n)
 
 
+def _boxes(plant):
+    return [plant.box(i) for i in range(plant.n)]
+
+
 def test_predict_examples():
     p1 = UncertainPlant(n=1, a_star=(2.0,), eps=(0.1,))
-    assert predict(p1, [Interval(0.3, 0.5)]) == pytest.approx((0.57, 1.05))
+    assert predict(_boxes(p1), [Interval(0.3, 0.5)]) == pytest.approx((0.57, 1.05))
     p2 = UncertainPlant(n=2, a_star=(1.0, 2.5), eps=(0.05, 0.05))
-    assert predict(p2, [Interval(0, 0), Interval(0, 0)]) == Interval(0, 0)
+    assert predict(_boxes(p2), [Interval(0, 0), Interval(0, 0)]) == Interval(0, 0)
     # oldest-first cells: Y[k-1] = [0.2, 0.3], Y[k] = [0, 0.1]
-    got = predict(p2, [Interval(0.2, 0.3), Interval(0.0, 0.1)])
+    got = predict(_boxes(p2), [Interval(0.2, 0.3), Interval(0.0, 0.1)])
     a1 = Interval(0.95, 1.05)
     a2 = Interval(2.45, 2.55)
     want_lo = a1.lo * 0.0 + a2.lo * 0.2
@@ -124,6 +128,62 @@ def test_advance_scaling_examples():
     sigma, center = advance_scaling(Interval(0.0, 0.0), 0.7)
     assert sigma == 1e-300
     assert center == 0.7
+
+
+def _slot_hex(x, slots):
+    """Each slot of x as float.hex; a float fills every slot."""
+    return [float(v).hex() for v in np.broadcast_to(np.asarray(x, float), (slots,))]
+
+
+@pytest.mark.parametrize("levels", [1, 2, 5, 2**53])
+def test_slot_call_gives_each_slot_the_scalar_bits(levels):
+    # per slot: the range ends, inputs within the clamping slack, signed zeros,
+    # the last cell's inner edge and cells inside; every loop passes FLOATS or SLOTS
+    v = np.array([-0.5, 0.5, -0.5 - 1e-13, 0.5 + 1e-13, 0.0, -0.0, 0.3, -0.2999, 0.5 - 2**-53, 0.1])
+    slots = len(v)
+    symbol = quantize(levels, v, SLOTS)
+    want = [quantize(levels, x) for x in v.tolist()]
+    assert want[1] == want[3] == levels - 1 and want[0] == want[2] == 0
+    assert _slot_hex(symbol, slots) == [float(i).hex() for i in want]
+
+    sigma = np.array([1.0, 0.7, 1e-150, 2.0, 3e5, 1.0, 0.25, 1e150, 1.5, 1.0])
+    center = np.array([0.0, -0.0, 1e-160, -3.0, 7e5, -0.0, 0.1, -1e149, 0.3, 2.0])
+    got = np.array([True, False, True, True, False, True, True, False, True, True])
+    cell = decode_cell(levels, sigma, center, symbol, got, SLOTS)
+    want = [decode_cell(levels, s, c, i, g)
+            for s, c, i, g in zip(sigma.tolist(), center.tolist(), want, got.tolist())]
+    assert _slot_hex(cell.lo, slots) == [w.lo.hex() for w in want]
+    assert _slot_hex(cell.hi, slots) == [w.hi.hex() for w in want]
+    every = decode_cell(levels, sigma, center, symbol, True, SLOTS)  # a lossless step
+    assert _slot_hex(every.hi, slots) == [
+        decode_cell(levels, s, c, i, 1).hi.hex()
+        for s, c, i in zip(sigma.tolist(), center.tolist(), symbol.tolist())]
+
+    # box 1 times the 1e10 cells overflows: to +inf at both ends (slot 0, a NaN
+    # sigma) or at one end per sign (slot 1, an infinite sigma)
+    boxes = [Interval(-2.0, 3.0), Interval(1e300, 2e300), Interval(-1.0, 0.0)]
+    big = Interval(np.array([1e10, -1e10] + [0.1] * 8), np.array([2e10, 1e10] + [0.2] * 8))
+    zeros = Interval(np.array([-0.0, 0.0] * 5), np.array([0.0, -0.0, 0.0, 1e-300, 5.0] * 2))
+    cells = [zeros, big, cell]  # oldest-first: box 0 meets the decoded cell
+    u = np.array([0.5, -0.0, 0.0, 1e300, -2.0, 0.0, 3.0, -0.0, 1.0, 0.0])
+    with np.errstate(all="ignore"):
+        prediction = predict(boxes, cells, SLOTS)
+        step = advance_scaling(prediction, u, SLOTS)
+    for t in range(slots):
+        cells_t = [Interval(float(c.lo[t]), float(c.hi[t])) for c in cells]
+        pred_t = predict(boxes, cells_t)
+        assert [_slot_hex(e, slots)[t] for e in prediction] == [e.hex() for e in pred_t]
+        assert [_slot_hex(e, slots)[t] for e in step] == [
+            e.hex() for e in advance_scaling(pred_t, float(u[t]))]
+    assert step[0][0] != step[0][0] and step[0][1] == float("inf")
+
+    # a breach names the first slot breaching, with the float call's message
+    for bad in (0.5 + 1e-6, -0.6, float("nan"), float("-inf")):
+        with pytest.raises(SaturationError) as scalar:
+            quantize(levels, bad)
+        with pytest.raises(SaturationError) as batched:
+            quantize(levels, np.array([0.1, -0.5, bad, 0.7, float("nan"), 0.2]), SLOTS)
+        assert str(batched.value) == str(scalar.value)
 
 
 def test_marginal_scalar_loop_holds_sigma():

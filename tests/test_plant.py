@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import check_unstable_assumption, companion_matrix, lambda_pi, step
 from ratelim.channel import uniform01
+from ratelim.interval import SLOTS
 from ratelim.plant import ParamStrategy, UncertainPlant, iid_params, realize_params, step_unchecked
 
 
@@ -140,7 +141,7 @@ def test_array_call_gives_each_slot_the_scalar_bits(kind, n):
     keys = np.array(seeds, dtype=np.uint64)
     with np.errstate(all="ignore"):
         for k in (0, 1, 399):
-            batched = realize_params(p, ParamStrategy(kind, signs=signs), k, history, u, keys)
+            batched = realize_params(p, ParamStrategy(kind, signs=signs), k, history, u, keys, SLOTS)
             want = [realize_params(p, ParamStrategy(kind, seed=seed, signs=signs), k,
                                    [float(h[t]) for h in history], float(u[t]))
                     for t, seed in enumerate(seeds)]
@@ -176,7 +177,7 @@ def test_greedy_matches_the_callback_oracle_bitwise(n, data):
         got = realize_params(p, strat, 0, history, u)
         assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
         batched = realize_params(p, strat, 0, [np.array([h, 0.0]) for h in history],
-                                 np.array([u, 0.0]))
+                                 np.array([u, 0.0]), ops=SLOTS)
         assert _slot_bits(batched, 2)[0] == tuple(map(float.hex, want))
 
 
