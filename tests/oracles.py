@@ -13,7 +13,9 @@ runtime answers against them, and the invariant checks replay the decoder
 with that object.  `timeshare_trial` runs one time-share trial with scalar
 floats on those codec steps: every time-share batch row is replayed by it
 bit for bit (`replay_timeshare`), and every breach the batch raises is
-checked against it.
+checked against it.  The stacked reduction (`run_experiment`) runs each
+closed-loop trial on the CodecState loop and each time-share trial on
+`timeshare_trial`, never on the runtime's loops.
 Below them sit independent routes to quantities the runtime computes
 another way: the case-split product measure, the worst-cell enumeration
 in exact rationals, the eta growth factors and the branch loss limits,
@@ -28,7 +30,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ratelim import codec_loop
 from ratelim.channel import ChannelConfig, draw
 from ratelim.codec_loop import (
     COMPLETED,
@@ -245,11 +246,12 @@ def power_sufficient_mss(plant: UncertainPlant, n_levels: float, p: float) -> Su
 
 
 def _run_trial(target, quantizer, channel, exp, trial: int) -> SimTrace:
-    """One seeded trial of an experiment, run on its own; a time-share trial by timeshare_trial."""
+    """One seeded trial of an experiment, run on its own: a closed-loop trial by the
+    CodecState loop (run_closed_loop below), a time-share trial by timeshare_trial."""
     ch, strat, y0 = _trial_setup(target, channel, exp, trial)
     if isinstance(target, TimeShareConfig):
         return timeshare_trial(target, ch, strat, exp.steps, y0)[0]
-    return codec_loop.run_closed_loop(target, quantizer, ch, strat, exp.steps, y0)
+    return run_closed_loop(target, quantizer, ch, strat, exp.steps, y0)
 
 
 def _trial_arrays(trace: SimTrace, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:

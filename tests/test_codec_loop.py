@@ -397,7 +397,8 @@ def test_batched_experiment_property(config):
 def test_batched_loop_raises_on_the_boundary_orbit():
     # the orbit of the xfail below, entered as one trial among sixteen; the
     # others start off the dyadic grid, whose points can also reach a cell
-    # boundary.  The batched loop raises the error the scalar loop meets first
+    # boundary.  The batched loop raises the error the CodecState oracle (and the
+    # one-trial run) meets first
     plant = UncertainPlant(1, (2.0,), (0.1,))
     y0 = [(t - 7.5) / 21.0 for t in range(16)]
     y0[5] = plant.y0_bound / 2.0
@@ -406,8 +407,10 @@ def test_batched_loop_raises_on_the_boundary_orbit():
     with pytest.raises(SaturationError) as batched:
         run_closed_loop_batch(plant, QuantizerSpec(4), channels, strategies, 400, y0)
     with pytest.raises(SaturationError) as scalar:
+        oracles.run_closed_loop(plant, QuantizerSpec(4), channels[5], strategies[5], 400, y0[5])
+    with pytest.raises(SaturationError) as runtime:
         run_closed_loop(plant, QuantizerSpec(4), channels[5], strategies[5], 400, y0[5])
-    assert str(batched.value) == str(scalar.value)
+    assert str(batched.value) == str(scalar.value) == str(runtime.value)
     y0[5] = 0.1
     rows = run_closed_loop_batch(plant, QuantizerSpec(4), channels, strategies, 400, y0)
     assert len(rows) == 16
@@ -444,7 +447,10 @@ def test_batched_breach_names_the_first_trial_of_the_earliest_step():
     messages = []
     for t in (3, 6, 9):
         with pytest.raises(SaturationError) as scalar:
+            oracles.run_closed_loop(plant, QuantizerSpec(4), channels[t], strategies[t], 400, y0[t])
+        with pytest.raises(SaturationError) as runtime:
             run_closed_loop(plant, QuantizerSpec(4), channels[t], strategies[t], 400, y0[t])
+        assert str(runtime.value) == str(scalar.value)
         messages.append(str(scalar.value))
     assert len(set(messages)) == 3
     with pytest.raises(SaturationError) as batched:
