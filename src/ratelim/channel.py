@@ -43,10 +43,14 @@ class ChannelConfig:
             raise ValueError(f"loss probability must be in [0, 1), got {self.p}")
 
 
+def received(p: float, seed, k: int):
+    """Whether time k's packet gets through: False with probability p.  seed may be a
+    uint64 array, one slot per trial; p = 0 delivers every packet without a draw."""
+    return p == 0.0 or uniform01(seed, k) >= p
+
+
 def draw(ch: ChannelConfig, k: int) -> int:
-    """Reception flag at time k: 0 (lost) with probability p, else 1."""
+    """Reception flag at time k, received's one-trial form: 0 (lost) with probability p, else 1."""
     if k < 0:
         raise ValueError(f"time index must be >= 0, got {k}")
-    if ch.p == 0.0:
-        return 1
-    return 0 if uniform01(ch.seed, k) < ch.p else 1
+    return int(received(ch.p, ch.seed, k))

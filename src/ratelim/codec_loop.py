@@ -4,7 +4,9 @@ Per step k the encoder quantizes (y[k] - c[k]) / sigma[k] with an N-level
 uniform quantizer on [-1/2, 1/2], the channel delivers or drops the
 symbol, the decoder turns the outcome into an estimation interval for
 y[k], the controller applies certainty-equivalent state feedback on the
-interval midpoints, and both sides advance the shared scaling state.
+interval midpoints, and both sides advance the shared scaling state.  One
+loop body steps this sequence for one trial on floats (run_closed_loop)
+and for a lockstep batch on trial slots (run_closed_loop_batch).
 
 Center tracking: the classical zoom encoder quantizes y/sigma, which
 presumes the containing set is centered at zero.  Under the midpoint
@@ -23,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import _MASK, ChannelConfig, draw, uniform01
+from .channel import _MASK, ChannelConfig, received
 from .interval import FLOATS, SLOTS, Interval, Ops, measure, midpoint, scale_product
 from .plant import ParamStrategy, UncertainPlant, realize_params, step_unchecked
 
@@ -143,50 +145,22 @@ class SimTrace:
         return len(self.y)
 
 
-def run_closed_loop(
-    plant: UncertainPlant,
-    quantizer: QuantizerSpec,
-    channel: ChannelConfig,
-    strategy: ParamStrategy,
-    steps: int,
-    y0: float,
-) -> SimTrace:
-    """Run the synchronized loop for `steps` steps starting from y0.
+class Trial:
+    """The slot of a one-trial run: its channel and strategy seeds, and its SimTrace."""
 
-    sigma starts at the plant's initial output bound (the minimal choice),
-    center at 0, so the quantizer covers y0 in [-Y0/2, Y0/2].  Terminates
-    early once sigma passes the convergence or divergence guard (end_status).
-    """
-    check_start(y0, plant.y0_bound)
-    n = plant.n
-    levels = quantizer.levels
-    boxes = [plant.box(i) for i in range(n)]
-    sigma = plant.y0_bound
-    center = 0.0
-    # the last n estimation intervals, oldest-first; before time 0 the
-    # output is known to be zero
-    cells = [Interval(0.0, 0.0)] * n
-    history = [0.0] * (n - 1) + [y0]
-    trace = SimTrace()
+    def __init__(self, channel: ChannelConfig, strategy: ParamStrategy):
+        self.seeds, self.param_seeds, self.trace = channel.seed, strategy.seed, SimTrace()
 
-    kind = strategy.kind  # nominal and fixed_vertex realize one vector for every step
-    fixed = realize_params(plant, strategy, 0) if kind in ("nominal", "fixed_vertex") else None
-    for k in range(steps):
-        symbol = quantize(levels, (history[-1] - center) / sigma, FLOATS)
-        cell = decode_cell(levels, sigma, center, symbol, draw(channel, k), FLOATS)
-        cells.pop(0)
-        cells.append(cell)
-        u = control(plant, cells)
-        trace.y.append(history[-1])
-        trace.sigma.append(sigma)
-        sigma, center = advance_scaling(predict(boxes, cells, FLOATS), u, FLOATS)
-        params = fixed or realize_params(plant, strategy, k, history, u, ops=FLOATS)
-        history.append(step_unchecked(history, u, params))
-        history.pop(0)
-        if status := end_status(sigma):
+    def retire(self, k: int, y: float, sigma_k: float, *state):
+        """Record step k's y and sigma_k; end the trial and return None if the next
+        sigma, state[0], passed a guard (end_status), else return state."""
+        trace = self.trace
+        trace.y.append(y)
+        trace.sigma.append(sigma_k)
+        if status := end_status(state[0]):
             trace.status = status
-            return trace
-    return trace
+            return None
+        return state
 
 
 class Lockstep:
@@ -202,12 +176,15 @@ class Lockstep:
         self.y, self.sigma = np.zeros((trials, steps)), np.zeros((trials, steps))
         self.length, self.status = [steps] * trials, [COMPLETED] * trials
 
-    def retire(self, k: int, sigma: np.ndarray, *rows):
-        """End the trials whose sigma passed a guard at step k (length k + 1, end_status);
-        return sigma and rows (arrays, or lists or Intervals of them) for the others."""
+    def retire(self, k: int, y: np.ndarray, sigma_k: np.ndarray, *state):
+        """Record step k's y and sigma_k for the live trials; end those whose next sigma,
+        state[0], passed a guard (length k + 1, end_status); return state (arrays, or
+        lists or Intervals of them) for the others, or None once none is left."""
+        self.y[self.live, k], self.sigma[self.live, k] = y, sigma_k
+        sigma = state[0]
         done = (sigma < CONVERGED_SIGMA) | ~(sigma <= DIVERGED_SIGMA)  # end_status's rule
         if not done.any():
-            return (sigma, *rows)
+            return state
         for t, end in zip(self.live[done], sigma[done]):
             self.length[t], self.status[t] = k + 1, end_status(end)
 
@@ -216,55 +193,74 @@ class Lockstep:
                 return row[~done]
             return (Interval._make if isinstance(row, Interval) else list)(map(cut, row))
 
-        self.live, self.seeds, self.param_seeds, sigma, *rows = map(
-            cut, (self.live, self.seeds, self.param_seeds, sigma, *rows))
-        return (sigma, *rows)
+        self.live, self.seeds, self.param_seeds, *state = map(
+            cut, (self.live, self.seeds, self.param_seeds, *state))
+        return tuple(state) if self.live.size else None
 
     def rows(self) -> list[tuple[np.ndarray, np.ndarray, str]]:
         return [(self.y[t, :n], self.sigma[t, :n], status)
                 for t, (n, status) in enumerate(zip(self.length, self.status))]
 
 
+def _run(plant: UncertainPlant, levels: int, p: float, strategy: ParamStrategy, steps: int,
+         slots: Trial | Lockstep, ops: Ops, sigma, center, y0) -> None:
+    """The closed loop on a Trial with FLOATS or a Lockstep with SLOTS: slots holds the
+    seeds, records each step and ends the trials whose sigma passed a guard."""
+    n = plant.n
+    boxes = [plant.box(i) for i in range(n)]
+    kind = strategy.kind  # nominal and fixed_vertex realize one vector for every step
+    fixed = realize_params(plant, strategy, 0) if kind in ("nominal", "fixed_vertex") else None
+    # the last n estimation intervals, oldest-first; before time 0 the output is 0 (center)
+    cells = [Interval(center, center)] * n
+    history = [center] * (n - 1) + [y0]
+    for k in range(steps):
+        y = history[-1]
+        symbol = quantize(levels, (y - center) / sigma, ops)
+        cell = decode_cell(levels, sigma, center, symbol, received(p, slots.seeds, k), ops)
+        cells.pop(0)
+        cells.append(cell)
+        u = control(plant, cells)
+        sigma_next, center = advance_scaling(predict(boxes, cells, ops), u, ops)
+        params = fixed or realize_params(plant, strategy, k, history, u, slots.param_seeds, ops)
+        history.append(step_unchecked(history, u, params))
+        history.pop(0)
+        state = slots.retire(k, y, sigma, sigma_next, center, history, cells)
+        if state is None:
+            return
+        sigma, center, history, cells = state
+
+
+def run_closed_loop(plant: UncertainPlant, quantizer: QuantizerSpec, channel: ChannelConfig,
+                    strategy: ParamStrategy, steps: int, y0: float) -> SimTrace:
+    """Run the synchronized loop for `steps` steps starting from y0.
+
+    sigma starts at the plant's initial output bound (the minimal choice),
+    center at 0, so the quantizer covers y0 in [-Y0/2, Y0/2].  Terminates
+    early once sigma passes the convergence or divergence guard (end_status).
+    """
+    check_start(y0, plant.y0_bound)
+    trial = Trial(channel, strategy)
+    _run(plant, quantizer.levels, channel.p, strategy, steps, trial, FLOATS,
+         plant.y0_bound, 0.0, y0)
+    return trial.trace
+
+
 def run_closed_loop_batch(
-    plant: UncertainPlant,
-    quantizer: QuantizerSpec,
-    channels: Sequence[ChannelConfig],
-    strategies: Sequence[ParamStrategy],
-    steps: int,
-    y0: Sequence[float],
+    plant: UncertainPlant, quantizer: QuantizerSpec, channels: Sequence[ChannelConfig],
+    strategies: Sequence[ParamStrategy], steps: int, y0: Sequence[float],
 ) -> list[tuple[np.ndarray, np.ndarray, str]]:
     """run_closed_loop for many trials in lockstep, one array slot per trial.
 
     Trial t runs with channels[t], strategies[t] and y0[t]; all share
-    p, kind and signs.  Each slot calls the scalar loop's step functions on
-    SLOTS, so trial t's (y, sigma, status) equal its trace's bit for bit.  A
-    range breach raises quantize's error for the first trial among those
-    breaching earliest.
+    p, kind and signs.  The batch runs run_closed_loop's loop body on SLOTS,
+    so trial t's (y, sigma, status) equal its trace's bit for bit.  A range
+    breach raises quantize's error for the first trial among those breaching
+    earliest.
     """
     y0 = np.asarray(y0, float)
     check_start(y0, plant.y0_bound)
-    n, trials, levels, p = plant.n, len(y0), quantizer.levels, channels[0].p
-    kind = strategies[0].kind
-    fixed = realize_params(plant, strategies[0], 0) if kind in ("nominal", "fixed_vertex") else None
-    boxes = [plant.box(i) for i in range(n)]
     slots = Lockstep(channels, strategies, steps)
-    sigma, center = np.full(trials, plant.y0_bound), np.zeros(trials)
-    cells = [Interval(center, center)] * n
-    history = [center] * (n - 1) + [y0]
     with np.errstate(all="ignore"):
-        for k in range(steps):
-            y = history[-1]
-            symbol = quantize(levels, (y - center) / sigma, SLOTS)
-            got = p == 0.0 or uniform01(slots.seeds, k) >= p
-            cell = decode_cell(levels, sigma, center, symbol, got, SLOTS)
-            cells = cells[1:] + [cell]
-            u = control(plant, cells)
-            slots.y[slots.live, k], slots.sigma[slots.live, k] = y, sigma
-            sigma, center = advance_scaling(predict(boxes, cells, SLOTS), u, SLOTS)
-            params = fixed or realize_params(plant, strategies[0], k, history, u,
-                                             slots.param_seeds, SLOTS)
-            history = history[1:] + [step_unchecked(history, u, params)]
-            sigma, center, history, cells = slots.retire(k, sigma, center, history, cells)
-            if not slots.live.size:
-                break
+        _run(plant, quantizer.levels, channels[0].p, strategies[0], steps, slots, SLOTS,
+             np.full(len(y0), plant.y0_bound), np.zeros(len(y0)), y0)
     return slots.rows()

@@ -14,8 +14,8 @@ where the batch overtook the scalar loop in the median over orders 1-3 and
 the four strategies (400 steps, 2-core Xeon: 1.7x slower at 6 trials,
 0.93x at 12, 0.7x at 16).  The time-share loop has one layout because no
 measured workload runs a narrow time-share experiment, so a second loop
-would be code to keep in step for nothing.  Both closed-loop layouts call
-the same step functions, on floats or on trial slots, and the per-step
+would be code to keep in step for nothing.  Both closed-loop layouts run
+one loop body (codec_loop), on floats or on trial slots, and the per-step
 sums add trials in trial order (never np.sum, whose pairwise order
 differs), so a seeded decay CSV is bit-identical either way.
 """

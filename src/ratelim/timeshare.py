@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ._search import first_passing, split_integers
-from .channel import ChannelConfig, uniform01
+from .channel import ChannelConfig, received
 from .codec_loop import Lockstep, SimTrace, advance_scaling, check_start, quantize
 from .interval import SLOTS, Interval, midpoint, scale_product
 from .plant import ParamStrategy, UncertainPlant, realize_params
@@ -163,24 +163,23 @@ def run_timeshare_loop_batch(
     sigma, center = np.full(trials, cfg.y0_bound), np.zeros(trials)
     with np.errstate(all="ignore"):
         for j in range(cycles):
-            res = levels[m]
-            if p != 0.0:
-                res = levels[sum(uniform01(slots.seeds, m * j + i) >= p for i in range(m))]
+            res = levels[sum(received(p, slots.seeds, m * j + i) for i in range(m))]
             idx = quantize(res, (y - center) / sigma, SLOTS)
             w = sigma / res
             lo = center - sigma / 2.0 + idx * w
             cell = Interval(lo, np.where(idx == res - 1.0, center + sigma / 2.0, lo + w))
             u_end = -a_nom_pow * midpoint(cell)
-            slots.y[slots.live, j], slots.sigma[slots.live, j] = y, sigma
+            start = y
             for i in range(m):  # the plant through the cycle, input only on the last slot
                 u_step = u_end if i == m - 1 else 0.0
                 (a,) = fixed or realize_params(
                     plant, strategies[0], m * j + i, [y], u_step, slots.param_seeds, SLOTS)
                 y = a * y + u_step
-            sigma, center = advance_scaling(scale_product(hull, cell, SLOTS), u_end, SLOTS)
-            sigma, center, y = slots.retire(j, sigma, center, y)
-            if not slots.live.size:
+            sigma_next, center = advance_scaling(scale_product(hull, cell, SLOTS), u_end, SLOTS)
+            state = slots.retire(j, start, sigma, sigma_next, center, y)
+            if state is None:
                 break
+            sigma, center, y = state
     return slots.rows()
 
 

@@ -9,9 +9,13 @@ from ratelim.channel import ChannelConfig, draw, uniform01
 from ratelim.codec_loop import (
     COMPLETED,
     CONVERGED,
+    CONVERGED_SIGMA,
     DIVERGED,
+    DIVERGED_SIGMA,
+    Lockstep,
     QuantizerSpec,
     SaturationError,
+    Trial,
     advance_scaling,
     control,
     decode_cell,
@@ -414,6 +418,90 @@ def test_batched_loop_raises_on_the_boundary_orbit():
     y0[5] = 0.1
     rows = run_closed_loop_batch(plant, QuantizerSpec(4), channels, strategies, 400, y0)
     assert len(rows) == 16
+
+
+def _row_fields(y, sigma, status):
+    """A trial's y and sigma as float.hex (which tells -0.0 from 0.0), status and length."""
+    return [float(v).hex() for v in y], [float(v).hex() for v in sigma], status, len(y)
+
+
+def _closed_batch_matches_oracle(plant, levels, channels, strategies, y0, steps):
+    """Run the batch; each row must equal its trial's trace under the CodecState oracle,
+    and so must run_closed_loop's trace of that trial.  Each row's (length, status)."""
+    quantizer = QuantizerSpec(levels)
+    rows = run_closed_loop_batch(plant, quantizer, channels, strategies, steps, y0)
+    assert len(rows) == len(y0)
+    for row, channel, strategy, start in zip(rows, channels, strategies, y0):
+        want = oracles.run_closed_loop(plant, quantizer, channel, strategy, steps, start)
+        got = run_closed_loop(plant, quantizer, channel, strategy, steps, start)
+        assert _row_fields(*row) == _row_fields(want.y, want.sigma, want.status)
+        assert _row_fields(got.y, got.sigma, got.status) == _row_fields(*row)
+    return [(len(y), status) for y, _, status in rows]
+
+
+# order -> plant whose trials converge at 2^20 levels, and one whose trials diverge at 2,
+# each within 300 steps at loss probability 0 and 0.3
+ENDING_PLANTS = {
+    CONVERGED: {1: UncertainPlant(1, (2.0,), (1e-3,)),
+                2: UncertainPlant(2, (2.0, 1.1), (1e-3, 1e-3)),
+                3: UncertainPlant(3, (-2.0, 0.1, 1.05), (1e-4, 1e-4, 1e-4))},
+    DIVERGED: {1: UncertainPlant(1, (30.0,), (0.5,)),
+               2: UncertainPlant(2, (30.0, 1.5), (0.5, 0.1)),
+               3: UncertainPlant(3, (-30.0, 0.4, 1.5), (0.5, 0.1, 0.1))},
+}
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+@pytest.mark.parametrize("kind", ParamStrategy.KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batch_rows_replay_under_the_codec_state_oracle(n, kind, p):
+    # row by row, not through a mean-square report, which hides y's sign and when each
+    # trial ended; under loss the trials leave the batch at different steps
+    trials = 10
+    channels = [ChannelConfig(p, 100 * n + t) for t in range(trials)]
+    strategies = [ParamStrategy(kind, 500 + t, (1, -1, 1)[:n]) for t in range(trials)]
+    y0 = [uniform01(900 + t, 0) - 0.5 for t in range(trials)]
+    for end, levels in ((CONVERGED, 2**20), (DIVERGED, 2)):
+        ends = _closed_batch_matches_oracle(ENDING_PLANTS[end][n], levels, channels,
+                                            strategies, y0, 300)
+        assert end in {status for _, status in ends} <= {end, COMPLETED}
+        assert end == CONVERGED or max(length for length, _ in ends) < 300
+        if p:
+            assert len({length for length, _ in ends}) > 1
+
+
+def test_both_retire_rules_agree_at_the_guards():
+    # a Trial ends its trial by end_status, a Lockstep by its array copy of that rule:
+    # at each guard and the double past it, at inf and at NaN they end the same trials
+    sigmas = [CONVERGED_SIGMA, float(np.nextafter(CONVERGED_SIGMA, 0.0)), DIVERGED_SIGMA,
+              float(np.nextafter(DIVERGED_SIGMA, np.inf)), float("inf"), float("nan")]
+    want = [(3, COMPLETED), (2, CONVERGED), (3, COMPLETED), (2, DIVERGED), (2, DIVERGED),
+            (2, DIVERGED)]
+    nexts = np.array([[1.0] * 6, sigmas, [1.0] * 6])  # each trial's next sigma at steps 0-2
+
+    def lockstep(columns):
+        slots = Lockstep([ChannelConfig(0.0)] * len(columns), [ParamStrategy()] * len(columns), 3)
+        for k in range(3):
+            live = slots.live
+            state = slots.retire(k, np.zeros(live.size), np.ones(live.size),
+                                 nexts[k, columns][live], live)
+            if state is None:
+                break
+            assert np.array_equal(state[1], slots.live)  # the rows leave with their trials
+        return [(len(y), status) for y, _, status in slots.rows()]
+
+    def one_trial(column):
+        trial = Trial(ChannelConfig(0.0), ParamStrategy())
+        for k in range(3):
+            state = trial.retire(k, 0.0, 1.0, float(nexts[k, column]), "row")
+            if state is None:
+                break
+            assert state[1] == "row"
+        return len(trial.trace), trial.trace.status
+
+    assert [one_trial(t) for t in range(6)] == want
+    assert lockstep(list(range(6))) == want
+    assert [lockstep([t])[0] for t in range(6)] == want
 
 
 @pytest.mark.xfail(strict=True, raises=SaturationError, reason="known defect: an orbit "
