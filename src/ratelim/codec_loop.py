@@ -230,8 +230,14 @@ def _run(plant: UncertainPlant, levels: int, p: float, strategy: ParamStrategy, 
         sigma, center, history, cells = state
 
 
-def run_closed_loop(plant: UncertainPlant, quantizer: QuantizerSpec, channel: ChannelConfig,
-                    strategy: ParamStrategy, steps: int, y0: float) -> SimTrace:
+def run_closed_loop(
+    plant: UncertainPlant,
+    quantizer: QuantizerSpec,
+    channel: ChannelConfig,
+    strategy: ParamStrategy,
+    steps: int,
+    y0: float,
+) -> SimTrace:
     """Run the synchronized loop for `steps` steps starting from y0.
 
     sigma starts at the plant's initial output bound (the minimal choice),
@@ -246,8 +252,12 @@ def run_closed_loop(plant: UncertainPlant, quantizer: QuantizerSpec, channel: Ch
 
 
 def run_closed_loop_batch(
-    plant: UncertainPlant, quantizer: QuantizerSpec, channels: Sequence[ChannelConfig],
-    strategies: Sequence[ParamStrategy], steps: int, y0: Sequence[float],
+    plant: UncertainPlant,
+    quantizer: QuantizerSpec,
+    channels: Sequence[ChannelConfig],
+    strategies: Sequence[ParamStrategy],
+    steps: int,
+    y0: Sequence[float],
 ) -> list[tuple[np.ndarray, np.ndarray, str]]:
     """run_closed_loop for many trials in lockstep, one array slot per trial.
 

@@ -169,17 +169,16 @@ def run_timeshare_loop_batch(
             lo = center - sigma / 2.0 + idx * w
             cell = Interval(lo, np.where(idx == res - 1.0, center + sigma / 2.0, lo + w))
             u_end = -a_nom_pow * midpoint(cell)
-            start = y
+            sigma_next, center = advance_scaling(scale_product(hull, cell, SLOTS), u_end, SLOTS)
+            state = slots.retire(j, y, sigma, sigma_next, center, y, u_end)
+            if state is None:
+                break
+            sigma, center, y, u_end = state
             for i in range(m):  # the plant through the cycle, input only on the last slot
                 u_step = u_end if i == m - 1 else 0.0
                 (a,) = fixed or realize_params(
                     plant, strategies[0], m * j + i, [y], u_step, slots.param_seeds, SLOTS)
                 y = a * y + u_step
-            sigma_next, center = advance_scaling(scale_product(hull, cell, SLOTS), u_end, SLOTS)
-            state = slots.retire(j, start, sigma, sigma_next, center, y)
-            if state is None:
-                break
-            sigma, center, y = state
     return slots.rows()
 
 

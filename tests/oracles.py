@@ -7,11 +7,12 @@ estimated the spectral radius before the Collatz-Wielandt bracket bounded
 it, the stacked per-trial reduction of a Monte Carlo experiment, and the
 closed loop that kept its encoder/decoder state in a `CodecState` object,
 stepped by the `realize_params` that took the candidate next output as a
-callback and by the one-trial codec steps (`quantize`, `decode_cell`,
-`predict`, `advance_scaling`, `scale_product`); parity tests compare the
-runtime answers against them, and the invariant checks replay the decoder
-with that object.  `timeshare_trial` runs one time-share trial with scalar
-floats on those codec steps: every time-share batch row is replayed by it
+callback, by the one-trial codec steps (`quantize`, `decode_cell`,
+`predict`, `advance_scaling`, `scale_product`) and by the one-trial
+reception flag (`draw`); parity tests compare the runtime answers against
+them, and the invariant checks replay the decoder with that object.
+`timeshare_trial` runs one time-share trial with scalar floats on those
+codec steps and that flag: every time-share batch row is replayed by it
 bit for bit (`replay_timeshare`), and every breach the batch raises is
 checked against it.  The stacked reduction (`run_experiment`) runs each
 closed-loop trial on the CodecState loop and each time-share trial on
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ratelim.channel import ChannelConfig, draw
+from ratelim.channel import ChannelConfig, uniform01
 from ratelim.codec_loop import (
     COMPLETED,
     CONVERGED,
@@ -401,6 +402,19 @@ def scale_product(a: Interval, y: Interval) -> Interval:
     p3 = a.hi * y.lo
     p4 = a.hi * y.hi
     return Interval(min(p1, p2, p3, p4), max(p1, p2, p3, p4))
+
+
+# The reception flag as it stood before one rule (channel.received) served the
+# scalar loop and the lockstep batches, copied verbatim.
+
+
+def draw(ch: ChannelConfig, k: int) -> int:
+    """Reception flag at time k: 0 (lost) with probability p, else 1."""
+    if k < 0:
+        raise ValueError(f"time index must be >= 0, got {k}")
+    if ch.p == 0.0:
+        return 1
+    return 0 if uniform01(ch.seed, k) < ch.p else 1
 
 
 @dataclass

@@ -1,8 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
-from ratelim.channel import ChannelConfig, derive_seed, draw, splitmix64, uniform01
+import oracles
+from ratelim.channel import (
+    ChannelConfig,
+    derive_seed,
+    draw,
+    received,
+    splitmix64,
+    uniform01,
+)
 
 
 def test_config_validation():
@@ -29,6 +38,18 @@ def test_draws_deterministic_and_order_independent():
 def test_rejects_negative_time():
     with pytest.raises(ValueError):
         draw(ChannelConfig(p=0.1), -1)
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.05, 0.3, 0.5, 0.9])
+def test_reception_rule_matches_the_oracle_flag(p):
+    """received, on one seed or a slot array, and draw give the oracle's flag."""
+    seeds = [0, 1, 42, 2024, 2**63, 2**64 - 1]
+    slots = np.array(seeds, dtype=np.uint64)
+    for k in range(300):
+        want = [oracles.draw(ChannelConfig(p, seed), k) for seed in seeds]
+        assert [draw(ChannelConfig(p, seed), k) for seed in seeds] == want
+        assert [int(received(p, seed, k)) for seed in seeds] == want
+        assert (np.broadcast_to(received(p, slots, k), slots.shape) == np.array(want, bool)).all()
 
 
 def test_empirical_loss_fraction():

@@ -1,13 +1,14 @@
 """Time the simulation loops of two revisions side by side in one process.
 
-    python3 tools/loop_pair.py [--rev HEAD] [--reps 15] [--only scalar]
+    python3 tools/loop_pair.py
 
-Run from the repository root.  The committed ``src/ratelim`` of --rev is
-exported (``git archive``) into a temporary directory and imported as the
-package ``ratelim_base``; the working tree's ``src/ratelim`` is imported as
-``ratelim_change``.  Each case runs once per side per rep, interleaved, and
-which side goes first alternates from rep to rep, so drift in the machine's
-speed falls on both sides alike.  Separate processes cannot resolve a few
+Run from the repository root.  The committed files of HEAD are exported
+(``git archive``, as tools/bench_pair.py does) into a temporary directory
+and its ``src/ratelim`` is imported as the package ``ratelim_base``; the
+working tree's ``src/ratelim`` is imported as ``ratelim_change``.  Each
+case runs once per side in each of REPS reps, interleaved, and which side
+goes first alternates from rep to rep, so drift in the machine's speed
+falls on both sides alike.  Separate processes cannot resolve a few
 percent on a machine whose speed moves between runs; one process can.
 
 Cases, each over orders 1-3 and the four coefficient strategies, at loss
@@ -23,16 +24,14 @@ measuring tool, not a gate.
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
-import io
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 from time import perf_counter
+
+from bench_pair import _export
 
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = ("nominal", "fixed_vertex", "iid_uniform", "greedy_adversarial")
@@ -41,7 +40,7 @@ PLANTS = {  # order -> (a*, eps): none of these trials passes a guard within STE
     2: ((0.5, 2.2), (0.05, 0.05)),
     3: ((0.3, -0.4, 2.0), (0.05, 0.1, 0.05)),
 }
-LEVELS, P, STEPS, TRIALS, BATCH = 4, 0.2, 400, 20, 200
+LEVELS, P, STEPS, TRIALS, BATCH, REPS = 4, 0.2, 400, 20, 200, 15
 
 
 def _load(name: str, package: Path):
@@ -51,14 +50,6 @@ def _load(name: str, package: Path):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
-
-
-def _export_package(rev: str, dest: Path) -> Path:
-    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src/ratelim"],
-                         cwd=ROOT, check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
-    return dest / "src" / "ratelim"
 
 
 def _case(lib, family: str, order: int, kind: str):
@@ -89,21 +80,16 @@ def _timed(fn) -> tuple[float, int]:
     return perf_counter() - start, steps
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--rev", default="HEAD", help="the base revision (default HEAD)")
-    parser.add_argument("--reps", type=int, default=15)
-    parser.add_argument("--only", choices=("scalar", "batch", "timeshare"), action="append",
-                        help="run only these case families (repeatable)")
-    args = parser.parse_args(argv)
-    families = args.only or ["scalar", "batch", "timeshare"]
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"base": _load("ratelim_base", _export_package(args.rev, Path(tmp))),
+        _export("HEAD", Path(tmp))
+        sides = {"base": _load("ratelim_base", Path(tmp) / "src" / "ratelim"),
                  "change": _load("ratelim_change", ROOT / "src" / "ratelim")}
-        cases = [(f, n, kind) for f in families for n in (1, 2, 3) for kind in KINDS]
+        cases = [(f, n, kind) for f in ("scalar", "batch", "timeshare")
+                 for n in (1, 2, 3) for kind in KINDS]
         runs = {case: {side: _case(lib, *case) for side, lib in sides.items()} for case in cases}
         times = {case: {"base": [], "change": []} for case in cases}
-        for rep in range(args.reps):
+        for rep in range(REPS):
             for case in cases:
                 order = ("base", "change") if rep % 2 == 0 else ("change", "base")
                 for side in order:
@@ -114,7 +100,7 @@ def main(argv=None) -> int:
     for case in cases:
         base, change = times[case]["base"], times[case]["change"]
         ratios = [c / b for b, c in zip(base, change)]
-        q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+        q1, _, q3 = statistics.quantiles(ratios, n=4)
         scale, unit = (1e6, "us") if case[0] == "scalar" else (1e3, "ms")
         print(f"{case[0] + ' n=' + str(case[1]) + ' ' + case[2]:<38} "
               f"{scale * statistics.median(base):>8.2f}{unit} "
