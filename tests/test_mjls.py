@@ -203,6 +203,51 @@ def test_certified_radius_matches_eigensolver_and_old_solver():
             assert new.sufficient == old.sufficient
 
 
+def _solve_or_unclosed(solve):
+    try:
+        return solve()
+    except PowerIterationError:
+        return None
+
+
+def test_compact_solve_matches_dense_solve():
+    # sufficient_mss against the dense solve of build_F's matrix at the same
+    # period: 60 seeded plants of orders 1..5 with 3 of order 6 among them
+    # (about a quarter lossless, some coefficients zero, half the levels
+    # real), the pure delays (periodic), and a plant whose two largest
+    # eigenvalues, 0.620597 and -0.620569, keep both solves from closing
+    rng = np.random.default_rng(2030)
+    cases = []
+    for k in range(60):
+        n = 6 if k % 20 == 19 else 1 + k % 5
+        eps = rng.uniform(0.0, 0.5, size=n) * (rng.uniform(size=n) < 0.7)
+        a_star = rng.uniform(-3.0, 3.0, size=n) * (rng.uniform(size=n) < 0.8)
+        a_star[-1] = rng.choice((-1.0, 1.0)) * (1.0 + eps[-1] + rng.uniform(0.01, 2.0))
+        p = 0.0 if rng.uniform() < 0.25 else float(rng.uniform(0.0, 0.6))
+        n_levels = float(rng.uniform(2.0, 64.0)) if k % 2 else int(rng.integers(2, 65))
+        cases.append((UncertainPlant(n=n, a_star=tuple(a_star), eps=tuple(eps)), n_levels, p))
+    for n in (3, 4, 5, 6):
+        delay = UncertainPlant(n=n, a_star=(0.0,) * (n - 1) + (2.0,), eps=(0.0,) * (n - 1) + (0.1,))
+        cases += [(delay, 4, 0.0), (delay, 4, 0.1)]
+    near = UncertainPlant(
+        n=2, a_star=(-0.0, 1.3021310772101409), eps=(0.003507637168617328, 0.09975728448767646)
+    )
+    cases.append((near, 22, 0.18608033829235668))
+    unclosed = []
+    for k, (plant, n_levels, p) in enumerate(cases):
+        lags = (i + 1 for i in range(plant.n) if plant.a_star[i] != 0.0 or plant.eps[i] != 0.0)
+        lifted = build_F(plant, n_levels, p).lifted
+        dense = _solve_or_unclosed(lambda: spectral_radius(lifted, math.gcd(*lags)))
+        got = _solve_or_unclosed(lambda: sufficient_mss(plant, n_levels, p))
+        assert (got is None) == (dense is None)
+        if got is None:
+            unclosed.append(k)
+            continue
+        assert abs(got.rho - dense) <= 1e-13 * dense
+        assert got.sufficient == (dense < 1.0)
+    assert unclosed == [len(cases) - 1]
+
+
 def test_closed_form_examples():
     certain = UncertainPlant(n=1, a_star=(2.0,), eps=(0.0,))
     rho, ok = sufficient_mss(certain, 4, 0.0)
