@@ -24,7 +24,7 @@ import numpy as np
 from ._search import first_passing, split_integers
 from .plant import UncertainPlant
 
-# Dense storage: F is (2^n * n^2) square, so n = 6 is already 2304 x 2304.
+# The level searches' dense LU: F is (2^n * n^2) square, so n = 6 is already 2304 x 2304.
 N_MAX_ORDER = 6
 
 
@@ -53,17 +53,28 @@ class MjlsModel:
     lifted: np.ndarray  # the stability test matrix
 
 
-def build_F(plant: UncertainPlant, n_levels: float, p: float) -> MjlsModel:
-    """Assemble the lifted second-moment matrix for spectral-radius testing.
+@dataclass(frozen=True)
+class BlockRows:
+    """Nonzero blocks of F: rows[c, j] is block row c 2^(n-1) + j at block columns 2j, 2j + 1."""
 
-    Each window's companion matrix H_w carries the theta factors in its
-    last row, ordered (theta_n, ..., theta_1); coefficient i reads the flag
-    of time k-i+1, which is bit n-i of the window.  Block (v, w) of the
-    lifted matrix is P[w, v] * kron(H_w, H_w), written directly: each
-    source window w fills two blocks, v = w >> 1 with weight p (loss) and
-    v = (w >> 1) | 2^(n-1) with weight 1 - p (reception); every other
-    block is zero.  An entry of kron(H_w, H_w) is at most max(theta, 1)^2,
-    so every entry is finite once every theta^2 is.
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return math.prod(self.rows.shape[:3])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return (self.rows @ x.reshape(self.rows.shape[1], -1, 1)).ravel()
+
+
+def block_rows(plant: UncertainPlant, n_levels: float, p: float) -> BlockRows:
+    """The nonzero blocks of the lifted second-moment matrix, block row by block row.
+
+    H_w carries the theta factors in its last row, ordered (theta_n, ...,
+    theta_1); coefficient i reads the flag of time k-i+1, bit n-i of window
+    w.  Block (v, w) is P[w, v] kron(H_w, H_w): w reaches v = w >> 1 with
+    weight p (loss) and v = (w >> 1) | 2^(n-1) with 1 - p (reception), so
+    block row c 2^(n-1) + j is zero but at w = 2j, 2j + 1.  An entry is at
+    most max(theta, 1)^2, so finite once every theta^2 is.
     """
     n = plant.n
     if n > N_MAX_ORDER:
@@ -85,11 +96,18 @@ def build_F(plant: UncertainPlant, n_levels: float, p: float) -> MjlsModel:
     h[:, np.arange(n - 1), np.arange(1, n)] = 1.0
     # column j of the last row holds theta_{n-j}, whose flag is bit j
     h[:, n - 1, :] = table[np.arange(n - 1, -1, -1), (windows[:, None] >> np.arange(n)) & 1]
-    block = np.einsum("wij,wkl->wikjl", h, h).reshape(size, nn, nn)  # kron(h_w, h_w)
-    grid = np.zeros((size, nn, size, nn))  # grid[v, :, w, :] is block (v, w)
-    grid[windows >> 1, :, windows, :] = p * block
-    grid[(windows >> 1) | (size >> 1), :, windows, :] = (1.0 - p) * block
-    return MjlsModel(grid.reshape(size * nn, size * nn))
+    h = h.reshape(size >> 1, 2, n, n)  # h[j, t] is H_{2j+t}
+    pair = np.einsum("jtab,jtcd->jactbd", h, h).reshape(size >> 1, nn, 2 * nn)  # kron(H, H)
+    return BlockRows(np.array([p, 1.0 - p])[:, None, None, None] * pair)
+
+
+def build_F(plant: UncertainPlant, n_levels: float, p: float) -> MjlsModel:
+    """The lifted matrix dense: block_rows' blocks in the zero (2^n n^2)^2 grid."""
+    rows = block_rows(plant, n_levels, p).rows
+    _, half, nn, _ = rows.shape
+    grid = np.zeros((2, half, nn, half, 2 * nn))  # grid[c, j, :, j] is rows[c, j]
+    grid[:, np.arange(half), :, np.arange(half), :] = rows.swapaxes(0, 1)
+    return MjlsModel(grid.reshape(2 * half * nn, 2 * half * nn))
 
 
 # Budget of matrix-vector products per solve, and the relative bracket width
@@ -98,8 +116,8 @@ MAX_MATVECS = 100_000
 BRACKET_TOL = 1e-11
 
 
-def spectral_radius(mat: np.ndarray, period: int = 1) -> float:
-    """Upper bound on the spectral radius of a nonnegative matrix.
+def spectral_radius(mat: np.ndarray | BlockRows, period: int = 1) -> float:
+    """Upper bound on the spectral radius of a nonnegative matrix, dense or BlockRows.
 
     For nonnegative A and positive x, min (Ax)_i/x_i <= rho(A) <= max
     (Ax)_i/x_i (Collatz-Wielandt), so the upper end is certified up to the
@@ -116,16 +134,19 @@ def spectral_radius(mat: np.ndarray, period: int = 1) -> float:
     two that keeps every entry at most 2^64 against it, so no product
     overflows and the scale divides out exactly.
     """
-    a = np.asarray(mat, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if isinstance(mat, BlockRows):
+        a, entries = mat, mat.rows
+    else:
+        a = entries = np.asarray(mat, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"need a square matrix, got shape {a.shape}")
+    if not np.isfinite(entries).all():
         raise ValueError("matrix entries must be finite")
-    if (a < 0.0).any():
+    if (entries < 0.0).any():
         raise ValueError("matrix must be elementwise nonnegative")
     q = math.lcm(2, period)
-    scale = math.ldexp(1.0, min(0, 64 - math.frexp(float(a.max(initial=0.0)))[1]))
-    y, growth, upper, stalls = np.ones(a.shape[0]), 1.0, math.inf, 0
+    scale = math.ldexp(1.0, min(0, 64 - math.frexp(float(entries.max(initial=0.0)))[1]))
+    y, growth, upper, stalls = np.ones(len(a)), 1.0, math.inf, 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(MAX_MATVECS // q):
             x = y = y / growth
@@ -159,9 +180,8 @@ def sufficient_mss(plant: UncertainPlant, n_levels: float, p: float) -> Sufficie
     d, every cycle of the lifted matrix has a length divisible by d, and d
     eigenvalues rho * exp(2 pi i k / d) share the spectral circle.
     """
-    lifted = build_F(plant, n_levels, p).lifted
     lags = (i + 1 for i in range(plant.n) if plant.a_star[i] != 0.0 or plant.eps[i] != 0.0)
-    rho = spectral_radius(lifted, math.gcd(*lags))
+    rho = spectral_radius(block_rows(plant, n_levels, p), math.gcd(*lags))
     return SufficiencyResult(rho, rho < 1.0)
 
 

@@ -52,6 +52,7 @@ from ratelim.mjls import (
     SufficiencyResult,
     build_F,
     spectral_radius,
+    sufficient_mss,
     theta,
 )
 from ratelim.montecarlo import (
@@ -70,8 +71,11 @@ def min_sufficient_N(plant: UncertainPlant, p: float, n_max: int = 4096) -> MinL
     """Smallest integer level in [2, n_max] passing the test.
 
     Plain upward scan: assumes nothing about monotonicity, so the first
-    hit is the minimum by construction.  On failure reports the largest
-    spectral radius seen.
+    hit is the minimum by construction.  Each level is decided by the
+    dense solve; the radius reported at the level found is the runtime
+    sufficient_mss's, whose distance from the dense solve
+    test_compact_solve_matches_dense_solve bounds.  On failure reports
+    the largest spectral radius seen.
     """
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
@@ -80,7 +84,7 @@ def min_sufficient_N(plant: UncertainPlant, p: float, n_max: int = 4096) -> MinL
         rho = spectral_radius(build_F(plant, n_levels, p).lifted)
         worst = max(worst, rho)
         if rho < 1.0:
-            return MinLevelResult(n_levels, rho)
+            return MinLevelResult(n_levels, sufficient_mss(plant, n_levels, p).rho)
     return MinLevelResult(None, worst)
 
 

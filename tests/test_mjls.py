@@ -248,6 +248,24 @@ def test_compact_solve_matches_dense_solve():
     assert unclosed == [len(cases) - 1]
 
 
+def test_block_rows_product_matches_dense_product():
+    # the operator sufficient_mss iterates against build_F's dense matrix:
+    # same dimension, and products within rounding on nonnegative vectors
+    rng = np.random.default_rng(2031)
+    for k in range(24):
+        n = 1 + k % 6
+        eps = rng.uniform(0.0, 0.5, size=n) * (rng.uniform(size=n) < 0.7)
+        a_star = rng.uniform(-3.0, 3.0, size=n) * (rng.uniform(size=n) < 0.8)
+        a_star[-1] = rng.choice((-1.0, 1.0)) * (1.0 + eps[-1] + rng.uniform(0.01, 2.0))
+        plant = UncertainPlant(n=n, a_star=tuple(a_star), eps=tuple(eps))
+        p, n_levels = (0.0 if k % 4 == 0 else float(rng.uniform(0.0, 0.6))), rng.uniform(2.0, 64.0)
+        op, lifted = mjls.block_rows(plant, n_levels, p), build_F(plant, n_levels, p).lifted
+        assert len(op) == lifted.shape[0] == (1 << n) * n * n
+        for x in rng.uniform(0.0, 1.0, size=(3, len(op))):
+            want = lifted @ x
+            assert (np.abs(op @ x - want) <= 1e-14 * want).all()
+
+
 def test_closed_form_examples():
     certain = UncertainPlant(n=1, a_star=(2.0,), eps=(0.0,))
     rho, ok = sufficient_mss(certain, 4, 0.0)
