@@ -3,7 +3,9 @@
 Subcommands: bounds, sufficient, simulate, sweep, timeshare.  Exit codes:
 0 success, 2 invalid input, 3 internal invariant breach (quantizer
 saturation).  A flat key=value config file can stand in for flags via
---config; flags given after it override its entries.  JSON output maps
+--config; flags given after it override its entries.  Each command returns
+its answer (JSON or CSV rows) and main writes it to --out or stdout; the
+simulate verdict goes to stdout with --out, else to stderr.  JSON output maps
 non-finite numbers to null and carries an explicit feasible flag instead.
 """
 
@@ -104,14 +106,10 @@ def _scalar_plant_from(args, what: str) -> tuple[float, float]:
     return args.a_star[0], args.eps[0]
 
 
-def _strategy_from(args) -> ParamStrategy:
-    return ParamStrategy(kind=args.strategy, seed=args.seed, signs=args.signs)
-
-
-def _out_stream(args):
-    if args.out:
-        return open(args.out, "w")
-    return contextlib.nullcontext(sys.stdout)
+def _experiment_from(args, **extra) -> Experiment:
+    strategy = ParamStrategy(kind=args.strategy, seed=args.seed, signs=args.signs)
+    return Experiment(trials=args.trials, steps=args.steps, base_seed=args.seed,
+                      strategy=strategy, **extra)
 
 
 def _add_plant_flags(sp) -> None:
@@ -121,12 +119,30 @@ def _add_plant_flags(sp) -> None:
     sp.add_argument("--y0-bound", type=float, default=1.0, help="initial output bound Y0")
 
 
-def cmd_bounds(args) -> int:
+def _add_loss_flag(sp, help=None) -> None:
+    sp.add_argument("--p", type=float, default=0.0, help=help)
+
+
+def _add_trial_flags(sp, signs_help=None) -> None:
+    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--steps", type=int, default=400)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--strategy", choices=ParamStrategy.KINDS, default="iid_uniform")
+    sp.add_argument("--signs", type=_signs, default=None, help=signs_help)
+
+
+def _add_answer(sp, cmd) -> None:
+    """--out, the last flag of every command, and the command whose answer main writes there."""
+    sp.add_argument("--out", default=None)
+    sp.set_defaults(func=cmd)
+
+
+def cmd_bounds(args) -> dict:
     plant = _plant_from(args)
     lam = abs(plant.a_star[-1])
     nb = necessary_bounds(lam, plant.eps[-1], args.p)
     yb = you_bounds(lam, args.p)
-    payload = {
+    return {
         "r_nec0": nb.r_nec0,
         "r_nec1": nb.r_nec1,
         "r_nec": nb.r_nec,
@@ -137,47 +153,24 @@ def cmd_bounds(args) -> int:
         "r_martins": martins_bound(lam, plant.eps[0]) if plant.n == 1 else None,
         "feasible": nb.feasible,
     }
-    with _out_stream(args) as out:
-        _emit_json(payload, out)
-    return 0
 
 
-def cmd_sufficient(args) -> int:
+def cmd_sufficient(args) -> dict:
     plant = _plant_from(args)
     if args.min_n:
         found = min_sufficient_N(plant, args.p, n_max=args.n_max)
-        payload = {
-            "n": plant.n,
-            "p": args.p,
-            "min_N": found.level,
-            "rho": found.rho,
-            "sufficient": found.level is not None,
-        }
-    else:
-        if args.N is None or args.N < 2:
-            raise ValueError("--N must be an integer >= 2 (or use --min-n)")
-        result = sufficient_mss(plant, args.N, args.p)
-        payload = {
-            "n": plant.n,
-            "N": args.N,
-            "p": args.p,
-            "rho": result.rho,
-            "sufficient": result.sufficient,
-        }
-    with _out_stream(args) as out:
-        _emit_json(payload, out)
-    return 0
+        return {"n": plant.n, "p": args.p, "min_N": found.level, "rho": found.rho,
+                "sufficient": found.level is not None}
+    if args.N is None or args.N < 2:
+        raise ValueError("--N must be an integer >= 2 (or use --min-n)")
+    result = sufficient_mss(plant, args.N, args.p)
+    return {"n": plant.n, "N": args.N, "p": args.p, "rho": result.rho,
+            "sufficient": result.sufficient}
 
 
-def cmd_simulate(args) -> int:
-    strategy = _strategy_from(args)
-    exp = Experiment(
-        trials=args.trials,
-        steps=args.steps,
-        base_seed=args.seed,
-        strategy=strategy,
-        tol_slope=args.tol_slope,
-    )
+def cmd_simulate(args) -> tuple[list[dict], dict]:
+    """The decay rows and, apart from them, the verdict."""
+    exp = _experiment_from(args, tol_slope=args.tol_slope)
     channel = ChannelConfig(args.p)
     if args.m is not None:
         a, e = _scalar_plant_from(args, "time-sharing simulation")
@@ -188,60 +181,30 @@ def cmd_simulate(args) -> int:
     else:
         plant = _plant_from(args)
         report = run_experiment(plant, QuantizerSpec(args.N), channel, exp)
-    verdict = {
-        "verdict": report.verdict,
-        "slope": report.slope,
-        "diverged_trials": report.diverged_trials,
-        "converged_trials": report.converged_trials,
-    }
-    if args.out:
-        with open(args.out, "w") as out:
-            report.to_csv(out)
-        _emit_json(verdict, sys.stdout)
-    else:
-        report.to_csv(sys.stdout)
-        _emit_json(verdict, sys.stderr)
-    return 0
+    keys = ("verdict", "slope", "diverged_trials", "converged_trials")
+    return report.rows(), {key: getattr(report, key) for key in keys}
 
 
-def _duration_table(args, grid) -> int:
+def _duration_table(args, grid) -> list[dict]:
     """Time-share table over durations: `sweep --var m` and `timeshare --sweep-m`."""
     a, e = _scalar_plant_from(args, "a duration sweep")
     durations = [int(v) for v in grid]
     if durations != grid:
         raise ValueError("cycle durations must be integers; give an integer lo:hi:step grid")
-    rows = sweep_timeshare(a, e, durations, channel_p=args.p)
-    with _out_stream(args) as out:
-        write_rows_csv(rows, out)
-    return 0
+    return sweep_timeshare(a, e, durations, channel_p=args.p)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> list[dict]:
     if args.var == "m":
+        if args.empirical:
+            raise ValueError("--empirical needs --var lambda, p or N")
         return _duration_table(args, args.range)
     plant = _plant_from(args)
-    empirical = None
-    if args.empirical:
-        empirical = Experiment(
-            trials=args.trials,
-            steps=args.steps,
-            base_seed=args.seed,
-            strategy=_strategy_from(args),
-        )
-    rows = sweep(
-        plant,
-        args.var,
-        args.range,
-        channel_p=args.p,
-        n_levels=args.N,
-        empirical=empirical,
-    )
-    with _out_stream(args) as out:
-        write_rows_csv(rows, out)
-    return 0
+    empirical = _experiment_from(args) if args.empirical else None
+    return sweep(plant, args.var, args.range, channel_p=args.p, n_levels=args.N, empirical=empirical)
 
 
-def cmd_timeshare(args) -> int:
+def cmd_timeshare(args) -> dict | list[dict]:
     if args.sweep_m:
         return _duration_table(args, args.sweep_m)
     a, e = _scalar_plant_from(args, "time-sharing analysis")
@@ -252,9 +215,7 @@ def cmd_timeshare(args) -> int:
     row = sweep_timeshare(a, e, [args.m], channel_p=args.p)[0]
     payload = {key: None if value == "" else value for key, value in row.items()}
     payload["kappa_bar"] = None if args.N is None else kappa_bar(cfg)
-    with _out_stream(args) as out:
-        _emit_json(payload, out)
-    return 0
+    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,58 +227,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="necessary rate/loss bounds")
     _add_plant_flags(sp)
-    sp.add_argument("--p", type=float, default=0.0, help="packet loss probability")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_bounds)
+    _add_loss_flag(sp, help="packet loss probability")
+    _add_answer(sp, cmd_bounds)
 
     sp = sub.add_parser("sufficient", help="spectral-radius sufficiency test")
     _add_plant_flags(sp)
-    sp.add_argument("--p", type=float, default=0.0)
+    _add_loss_flag(sp)
     sp.add_argument("--N", type=int, default=None, help="quantizer levels (integer >= 2)")
     sp.add_argument("--min-n", action="store_true", help="search the smallest sufficient N")
     sp.add_argument("--n-max", type=int, default=4096, help="search cap for --min-n")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_sufficient)
+    _add_answer(sp, cmd_sufficient)
 
     sp = sub.add_parser("simulate", help="Monte Carlo closed-loop trials")
     _add_plant_flags(sp)
-    sp.add_argument("--p", type=float, default=0.0)
+    _add_loss_flag(sp)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--m", type=int, default=None, help="time-share cycle duration (scalar plants)")
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--steps", type=int, default=400)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--strategy", choices=ParamStrategy.KINDS, default="iid_uniform")
-    sp.add_argument("--signs", type=_signs, default=None, help="vertex signs, e.g. +,-")
+    _add_trial_flags(sp, signs_help="vertex signs, e.g. +,-")
     sp.add_argument("--tol-slope", type=float, default=1e-3)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_simulate)
+    _add_answer(sp, cmd_simulate)
 
     sp = sub.add_parser("sweep", help="grid sweep over lambda, p, N, or m")
     _add_plant_flags(sp)
-    sp.add_argument("--p", type=float, default=0.0)
+    _add_loss_flag(sp)
     sp.add_argument("--N", type=float, default=None)
     sp.add_argument("--var", choices=("lambda", "p", "N", "m"), required=True)
     sp.add_argument("--range", type=_range, required=True, help="lo:hi:step")
     sp.add_argument("--empirical", action="store_true", help="add a Monte Carlo verdict column")
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--steps", type=int, default=400)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--strategy", choices=ParamStrategy.KINDS, default="iid_uniform")
-    sp.add_argument("--signs", type=_signs, default=None)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_sweep)
+    _add_trial_flags(sp)
+    _add_answer(sp, cmd_sweep)
 
     sp = sub.add_parser("timeshare", help="time-sharing protocol limits")
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--a-star", type=_floats, required=True)
     sp.add_argument("--eps", type=_floats, required=True)
-    sp.add_argument("--p", type=float, default=0.0)
+    _add_loss_flag(sp)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--N", type=float, default=None, help="per-slot level for kappa_bar")
     sp.add_argument("--sweep-m", type=_range, default=None, help="lo:hi:step over durations")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_timeshare)
+    _add_answer(sp, cmd_timeshare)
 
     return parser
 
@@ -359,7 +307,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_expand_config(list(argv)))
-        return args.func(args)
+        answer, verdict = args.func(args), None
+        if isinstance(answer, tuple):  # simulate: the decay rows and the verdict
+            answer, verdict = answer
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            (_emit_json if isinstance(answer, dict) else write_rows_csv)(answer, out)
+        if verdict is not None:  # never on the stream that carries the rows
+            _emit_json(verdict, sys.stdout if args.out else sys.stderr)
+        return 0
     except SystemExit as exc:  # argparse reports its own usage errors
         return int(exc.code) if exc.code else 0
     except SaturationError as exc:

@@ -78,7 +78,7 @@ def block_rows(plant: UncertainPlant, n_levels: float, p: float) -> BlockRows:
     """
     n = plant.n
     if n > N_MAX_ORDER:
-        raise ValueError(f"dense construction capped at order {N_MAX_ORDER}, got {n}")
+        raise ValueError(f"the spectral sufficiency test is capped at order {N_MAX_ORDER}, got {n}")
     if not (0.0 <= p < 1.0):
         raise ValueError(f"loss probability must be in [0, 1), got {p}")
     table = np.empty((n, 2))

@@ -98,11 +98,13 @@ class DecayReport:
     diverged_trials: int
     converged_trials: int
 
-    def to_csv(self, stream) -> None:
+    def rows(self) -> list[dict]:
         # Python floats: under numpy 2, repr(np.float64(x)) prints np.float64(...)
-        rows = zip(self.mean_sq_y.tolist(), self.mean_sq_sigma.tolist())
-        write_rows_csv([{"k": k, "mean_sq_y": y, "mean_sq_sigma": s}
-                        for k, (y, s) in enumerate(rows)], stream)
+        pairs = zip(self.mean_sq_y.tolist(), self.mean_sq_sigma.tolist())
+        return [{"k": k, "mean_sq_y": y, "mean_sq_sigma": s} for k, (y, s) in enumerate(pairs)]
+
+    def to_csv(self, stream) -> None:
+        write_rows_csv(self.rows(), stream)
 
 
 def _trial_setup(target, channel: ChannelConfig, exp: Experiment, trial: int):
@@ -139,8 +141,9 @@ def run_experiment(
 ) -> DecayReport:
     """Average many seeded trials and classify the decay of E[sigma^2].
 
-    Only the channel's loss probability is read: each trial's channel seed,
-    like its strategy seed and initial output, derives from exp.base_seed.
+    Only the channel's loss probability is read, and a time-share target
+    must carry the same one: each trial's channel seed, like its strategy
+    seed and initial output, derives from exp.base_seed.
 
     A diverged trial counts only up to its last recorded step; any other
     trial counts over the whole horizon, its early-converged tail as zero.
@@ -150,6 +153,8 @@ def run_experiment(
     """
     if isinstance(target, UncertainPlant) and quantizer is None:
         raise ValueError("closed-loop experiments need a quantizer spec")
+    if isinstance(target, TimeShareConfig) and target.p != channel.p:
+        raise ValueError(f"time-share loss probability {target.p} differs from the channel's {channel.p}")
     if target.y0_bound > DIVERGED_SIGMA:  # the first recorded sigma is Y0: keep its square finite
         raise ValueError(f"Y0 = {target.y0_bound} exceeds the divergence guard {DIVERGED_SIGMA}")
     if isinstance(target, TimeShareConfig) and exp.trials < BATCH_MIN_TRIALS:

@@ -518,8 +518,8 @@ def run_closed_loop(
     center at 0, so the quantizer covers y0 in [-Y0/2, Y0/2].  Terminates
     early once sigma passes the convergence or divergence guard (end_status).
     """
-    if abs(y0) > plant.y0_bound:
-        raise ValueError(f"|y0| = {abs(y0)} exceeds the declared bound {plant.y0_bound}")
+    if not abs(y0) <= plant.y0_bound / 2.0:
+        raise ValueError(f"|y0| = {abs(y0)} exceeds half the declared bound {plant.y0_bound}")
     n = plant.n
     state = CodecState(plant=plant, levels=quantizer.levels, sigma=plant.y0_bound)
     history = [0.0] * (n - 1) + [y0]

@@ -714,3 +714,23 @@ def test_cli_deterministic_output(capsys):
     code1, out1, err1 = run_cli(capsys, *args)
     code2, out2, err2 = run_cli(capsys, *args)
     assert (code1, out1, err1) == (code2, out2, err2)
+
+
+def test_sweep_duration_has_no_empirical_column(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "--n", "1", "--a-star", "3.3", "--eps", "0.025",
+        "--var", "m", "--range", "1:2:1", "--empirical",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --empirical needs --var lambda, p or N")
+
+
+def test_order_cap_names_the_spectral_test(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "sufficient", "--n", "7", "--a-star", "0,0,0,0,0,0,2", "--eps", "0,0,0,0,0,0,0.1",
+        "--p", "0.1", "--N", "4",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: the spectral sufficiency test is capped at order 6, got 7\n"

@@ -554,3 +554,15 @@ def test_start_check_refuses_nan_and_names_the_worst_start():
     with pytest.raises(ValueError, match=r"\|y0\| = 0.75 exceeds half"):
         run_closed_loop_batch(plant, QuantizerSpec(4), [ChannelConfig(0.0)] * 3,
                               [ParamStrategy()] * 3, 5, [0.1, -0.75, 0.6])
+
+
+@pytest.mark.parametrize("y0", [0.8, -0.8, float("nan")])
+def test_oracle_refuses_the_starts_the_loop_refuses(y0):
+    # inside the declared bound Y0 = 1 but outside [-Y0/2, Y0/2], the range the
+    # quantizer covers at the start: both loops refuse it before the first step
+    setup = (UncertainPlant(1, (2.0,), (0.0,)), QuantizerSpec(4), ChannelConfig(0.0),
+             ParamStrategy(), 5, y0)
+    with pytest.raises(ValueError, match="exceeds half the declared bound 1.0"):
+        run_closed_loop(*setup)
+    with pytest.raises(ValueError, match="exceeds half the declared bound 1.0"):
+        oracles.run_closed_loop(*setup)

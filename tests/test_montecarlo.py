@@ -320,3 +320,12 @@ def test_wide_experiments_run_in_bounded_batches(monkeypatch):
     exp = Experiment(trials=13, steps=80, base_seed=9, strategy=ParamStrategy("iid_uniform"))
     _assert_same_report(run_experiment(*setup, exp), oracles.run_experiment(*setup, exp))
     assert [len(args[2]) for args in calls] == [5, 5, 3]
+
+
+def test_timeshare_experiment_reads_one_loss_probability():
+    # the batch draws its losses from the channel, so a target that names another
+    # loss probability would be simulated at the channel's
+    cfg = TimeShareConfig(a_star=2.0, eps=0.05, m=2, levels=3, p=0.6)
+    with pytest.raises(ValueError, match="0.6 differs from the channel's 0.0"):
+        run_experiment(cfg, None, ChannelConfig(0.0), Experiment(20, 50))
+    assert run_experiment(cfg, None, ChannelConfig(0.6), Experiment(20, 50)).verdict == UNSTABLE
