@@ -128,6 +128,23 @@ def test_readme_searches_keep_their_answers_without_power_iteration(capsys, monk
     }
 
 
+LEVEL_SWEEP = (
+    "sweep", "--n", "3", "--a-star", "0.3,-0.2,1.8", "--eps", "0.05,0.02,0.05", "--p", "0.05",
+    "--var", "N", "--range", "2:64:1",
+)
+
+
+def test_level_sweep_keeps_its_bytes(capsys):
+    # sha256 of a 63-point sweep over N at order 3, recorded when every row
+    # still ran its own searches
+    code, out, _ = run_cli(capsys, *LEVEL_SWEEP)
+    assert code == 0
+    assert len(out.splitlines()) == 64
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e88f3294729ba3964e41d4cb95df6596156f4b94a4689a55114072b1c56fb542"
+    )
+
+
 def test_simulate_emits_csv_and_verdict(capsys, tmp_path):
     out_file = tmp_path / "decay.csv"
     code, out, _ = run_cli(
