@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Subcommands: bounds, sufficient, simulate, sweep, timeshare.  Exit codes:
-0 success, 2 invalid input, 3 internal invariant breach (quantizer
-saturation).  A flat key=value config file can stand in for flags via
---config; flags given after it override its entries.  Each command returns
-its answer (JSON or CSV rows) and main writes it to --out or stdout; the
-simulate verdict goes to stdout with --out, else to stderr.  JSON output maps
-non-finite numbers to null and carries an explicit feasible flag instead.
+Subcommands: bounds, sufficient, simulate, sweep, timeshare.  timeshare
+answers one cycle duration; sweep --var m is the table over durations.
+Exit codes: 0 success, 2 invalid input, 3 internal invariant breach
+(quantizer saturation).  A flat key=value config file can stand in for
+flags via --config; flags given after it override its entries.  Each
+command returns its answer (JSON or CSV rows) and main writes it to --out
+or stdout; the simulate verdict goes to stdout with --out, else to stderr.
+JSON output maps non-finite numbers to null and carries an explicit
+feasible flag instead.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def _signs(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad sign pattern {text!r}") from exc
 
 
-# Longest grid a --range or --sweep-m may expand to.
+# Longest grid a --range may expand to.
 MAX_GRID_POINTS = 10_000
 
 
@@ -119,16 +121,16 @@ def _add_plant_flags(sp) -> None:
     sp.add_argument("--y0-bound", type=float, default=1.0, help="initial output bound Y0")
 
 
-def _add_loss_flag(sp, help=None) -> None:
-    sp.add_argument("--p", type=float, default=0.0, help=help)
+def _add_loss_flag(sp) -> None:
+    sp.add_argument("--p", type=float, default=0.0, help="packet loss probability")
 
 
-def _add_trial_flags(sp, signs_help=None) -> None:
+def _add_trial_flags(sp) -> None:
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--steps", type=int, default=400)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--strategy", choices=ParamStrategy.KINDS, default="iid_uniform")
-    sp.add_argument("--signs", type=_signs, default=None, help=signs_help)
+    sp.add_argument("--signs", type=_signs, default=None, help="vertex signs, e.g. +,-")
 
 
 def _add_answer(sp, cmd) -> None:
@@ -158,6 +160,8 @@ def cmd_bounds(args) -> dict:
 def cmd_sufficient(args) -> dict:
     plant = _plant_from(args)
     if args.min_n:
+        if args.N is not None:
+            raise ValueError("--min-n searches N; give --N or --min-n, not both")
         found = min_sufficient_N(plant, args.p, n_max=args.n_max)
         return {"n": plant.n, "p": args.p, "min_N": found.level, "rho": found.rho,
                 "sufficient": found.level is not None}
@@ -185,31 +189,24 @@ def cmd_simulate(args) -> tuple[list[dict], dict]:
     return report.rows(), {key: getattr(report, key) for key in keys}
 
 
-def _duration_table(args, grid) -> list[dict]:
-    """Time-share table over durations: `sweep --var m` and `timeshare --sweep-m`."""
-    a, e = _scalar_plant_from(args, "a duration sweep")
-    durations = [int(v) for v in grid]
-    if durations != grid:
-        raise ValueError("cycle durations must be integers; give an integer lo:hi:step grid")
-    return sweep_timeshare(a, e, durations, channel_p=args.p)
-
-
 def cmd_sweep(args) -> list[dict]:
+    if args.N is not None and args.var in ("N", "m"):  # levels come from the grid or a search
+        raise ValueError("--N needs --var lambda or p")
     if args.var == "m":
         if args.empirical:
             raise ValueError("--empirical needs --var lambda, p or N")
-        return _duration_table(args, args.range)
+        a, e = _scalar_plant_from(args, "a duration sweep")
+        durations = [int(v) for v in args.range]
+        if durations != args.range:
+            raise ValueError("cycle durations must be integers; give an integer lo:hi:step grid")
+        return sweep_timeshare(a, e, durations, channel_p=args.p)
     plant = _plant_from(args)
     empirical = _experiment_from(args) if args.empirical else None
     return sweep(plant, args.var, args.range, channel_p=args.p, n_levels=args.N, empirical=empirical)
 
 
-def cmd_timeshare(args) -> dict | list[dict]:
-    if args.sweep_m:
-        return _duration_table(args, args.sweep_m)
+def cmd_timeshare(args) -> dict:
     a, e = _scalar_plant_from(args, "time-sharing analysis")
-    if args.m is None:
-        raise ValueError("need --m (or --sweep-m lo:hi:step)")
     levels = 1.0 if args.N is None else args.N
     cfg = TimeShareConfig(a_star=a, eps=e, m=args.m, levels=levels, p=args.p)  # validates first
     row = sweep_timeshare(a, e, [args.m], channel_p=args.p)[0]
@@ -227,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="necessary rate/loss bounds")
     _add_plant_flags(sp)
-    _add_loss_flag(sp, help="packet loss probability")
+    _add_loss_flag(sp)
     _add_answer(sp, cmd_bounds)
 
     sp = sub.add_parser("sufficient", help="spectral-radius sufficiency test")
@@ -243,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_loss_flag(sp)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--m", type=int, default=None, help="time-share cycle duration (scalar plants)")
-    _add_trial_flags(sp, signs_help="vertex signs, e.g. +,-")
+    _add_trial_flags(sp)
     sp.add_argument("--tol-slope", type=float, default=1e-3)
     _add_answer(sp, cmd_simulate)
 
@@ -257,14 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trial_flags(sp)
     _add_answer(sp, cmd_sweep)
 
-    sp = sub.add_parser("timeshare", help="time-sharing protocol limits")
+    sp = sub.add_parser("timeshare", help="time-sharing limits at one cycle duration")
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--a-star", type=_floats, required=True)
     sp.add_argument("--eps", type=_floats, required=True)
     _add_loss_flag(sp)
-    sp.add_argument("--m", type=int, default=None)
+    sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--N", type=float, default=None, help="per-slot level for kappa_bar")
-    sp.add_argument("--sweep-m", type=_range, default=None, help="lo:hi:step over durations")
     _add_answer(sp, cmd_timeshare)
 
     return parser

@@ -103,9 +103,6 @@ class DecayReport:
         pairs = zip(self.mean_sq_y.tolist(), self.mean_sq_sigma.tolist())
         return [{"k": k, "mean_sq_y": y, "mean_sq_sigma": s} for k, (y, s) in enumerate(pairs)]
 
-    def to_csv(self, stream) -> None:
-        write_rows_csv(self.rows(), stream)
-
 
 def _trial_setup(target, channel: ChannelConfig, exp: Experiment, trial: int):
     """Channel, strategy instance and initial output of one seeded trial."""
@@ -259,11 +256,14 @@ def sweep(
             cur_p = v
         else:
             cur_n = v
-        nb = necessary_bounds(abs(cur_plant.a_star[-1]), cur_plant.eps[-1], cur_p)
+        again = var != "N" or not rows  # over N, plant and p stay: so do the columns they set
+        if again:
+            nb = necessary_bounds(abs(cur_plant.a_star[-1]), cur_plant.eps[-1], cur_p)
         rho = ""
         if cur_n is not None and cur_n >= 2.0:
             rho = sufficient_mss(cur_plant, cur_n, cur_p).rho
-        min_level = min_sufficient_level_real(cur_plant, cur_p)
+        if again:
+            min_level = min_sufficient_level_real(cur_plant, cur_p)
         verdict = ""
         if empirical is not None:
             report = run_experiment(

@@ -145,6 +145,17 @@ def test_level_sweep_keeps_its_bytes(capsys):
     )
 
 
+def test_level_sweep_searches_once(capsys, monkeypatch):
+    # over N the plant and p stay fixed, so their bounds and minimal level are computed once
+    calls = []
+    for name in ("necessary_bounds", "min_sufficient_level_real"):
+        real = getattr(montecarlo, name)
+        monkeypatch.setattr(montecarlo, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    assert run_cli(capsys, *LEVEL_SWEEP)[0] == 0
+    assert calls == ["necessary_bounds", "min_sufficient_level_real"]
+
+
 def test_simulate_emits_csv_and_verdict(capsys, tmp_path):
     out_file = tmp_path / "decay.csv"
     code, out, _ = run_cli(
@@ -300,18 +311,15 @@ def test_timeshare_long_duration_answers_without_a_level(capsys):
     assert payload["min_total_level"] is None
 
 
-def test_timeshare_sweep_m_matches_sweep_var_m(capsys, tmp_path):
-    plant = ("--a-star", "3.3", "--eps", "0.025", "--p", "0.05")
-    by_sweep, by_timeshare = tmp_path / "sweep.csv", tmp_path / "timeshare.csv"
-    assert run_cli(
-        capsys, "sweep", "--n", "1", *plant, "--var", "m", "--range", "1:4:1",
-        "--out", str(by_sweep),
-    )[0] == 0
-    assert run_cli(
-        capsys, "timeshare", *plant, "--sweep-m", "1:4:1", "--out", str(by_timeshare)
-    )[0] == 0
-    assert by_sweep.read_bytes() == by_timeshare.read_bytes()
-    assert len(by_sweep.read_text().splitlines()) == 5
+@pytest.mark.parametrize("flags, message", [
+    # the table over durations is sweep --var m
+    (("--m", "2", "--sweep-m", "1:2:1"), "unrecognized arguments: --sweep-m 1:2:1"),
+    ((), "the following arguments are required: --m"),
+])
+def test_timeshare_answers_one_duration(capsys, flags, message):
+    code, out, err = run_cli(capsys, "timeshare", "--a-star", "3.3", "--eps", "0.025", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:") and message in err
 
 
 # A loop whose log mean-square sigma grows by 2.66 a step.
@@ -325,6 +333,9 @@ TOO_MANY_CELLS = ("simulate", "--n", "1", "--a-star", "1.2", "--eps", "0.01", "-
                   "--steps", "20", "--trials", "2")
 LAMBDA_SWEEP = ("sweep", "--n", "1", "--a-star", "3", "--eps", "0.1", "--var", "lambda",
                 "--range", "2:3:1")
+MIN_N = ("sufficient", "--n", "1", "--a-star", "2", "--eps", "0.1", "--min-n")
+DURATION_SWEEP = ("sweep", "--n", "1", "--a-star", "3.3", "--eps", "0.025", "--var", "m",
+                  "--range", "1:2:1")
 # invalid level counts, and the flags their messages must name
 LEVEL_ERRORS = {
     # 4^30 = 2^60 cells, and 2^54 just past 2^53: more than a double in [-1/2, 1/2] tells apart
@@ -333,6 +344,12 @@ LEVEL_ERRORS = {
     (*LAMBDA_SWEEP, "--N", "inf"): ("--N",),
     (*LAMBDA_SWEEP, "--N", "inf", "--empirical", "--trials", "2", "--steps", "10"): ("--N",),
     (*LAMBDA_SWEEP, "--N", "1e300", "--empirical", "--trials", "2", "--steps", "10"): ("--N",),
+    # a level the command would not read: it searches the levels, or sweeps them
+    (*MIN_N, "--N", "8"): ("--N", "--min-n"),
+    (*MIN_N, "--N", "1"): ("--N", "--min-n"),
+    (*DURATION_SWEEP, "--N", "1e300", "--y0-bound", "5"): ("--N", "--var"),
+    ("sweep", "--n", "1", "--a-star", "3", "--eps", "0.1", "--var", "N", "--range", "2:3:1",
+     "--N", "8"): ("--N", "--var"),
 }
 
 
@@ -347,7 +364,7 @@ LEVEL_ERRORS = {
         ("timeshare", "--a-star", "inf", "--eps", "0.1", "--m", "2"),
         ("timeshare", "--a-star", "3", "--eps", "0.1", "--m", "2", "--N", "nan"),
         ("timeshare", "--a-star", "3", "--eps", "0.1", "--m", "0"),
-        ("timeshare", "--a-star", "inf", "--eps", "0.1", "--sweep-m", "1:2:1"),
+        ("sweep", "--n", "1", "--a-star", "inf", "--eps", "0.1", "--var", "m", "--range", "1:2:1"),
         ("sweep", "--n", "1", "--a-star", "3", "--eps", "0.1", "--var", "m", "--range", "0:1:1"),
         # finite inputs whose closed forms or lifted matrix leave float range
         ("bounds", "--n", "1", "--a-star", "1e200", "--eps", "0"),
@@ -374,7 +391,6 @@ LEVEL_ERRORS = {
             "sweep", "--n", "1", "--a-star", "3.3", "--eps", "0.025", "--var", "m",
             "--range", "1:3:0.5",
         ),
-        ("timeshare", "--a-star", "3.3", "--eps", "0.025", "--sweep-m", "1:2:0.25"),
         # a start range past the divergence guard, whose squares would overflow
         (
             "simulate", "--n", "1", "--a-star", "1e10", "--eps", "0", "--y0-bound", "1e300",
@@ -487,23 +503,19 @@ def test_monte_carlo_work_cap(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "option, grid",
+    "var, grid",
     [
-        ("--range", "1.5:inf:1"),
-        ("--range", "2:3:1e-9"),
-        ("--range", "nan:2:1"),
-        ("--range", "1.5:2:nan"),
-        ("--range", "1e20:1.0000000000000002e20:1"),  # a step that cannot move lo up to hi
-        ("--sweep-m", "1:1e9:1"),
+        *(pytest.param("lambda", grid, id=f"--range-{grid}") for grid in (
+            "1.5:inf:1", "2:3:1e-9", "nan:2:1", "1.5:2:nan",
+            "1e20:1.0000000000000002e20:1",  # a step that cannot move lo up to hi
+        )),
+        pytest.param("m", "1:1e9:1", id="--var-m-1:1e9:1"),
     ],
 )
-def test_unbounded_or_non_finite_grids_exit_2(capsys, option, grid):
-    if option == "--range":
-        argv = ("sweep", "--n", "1", "--a-star", "3", "--eps", "0.1", "--var", "lambda")
-    else:
-        argv = ("timeshare", "--a-star", "3.3", "--eps", "0.025")
+def test_unbounded_or_non_finite_grids_exit_2(capsys, var, grid):
+    argv = ("sweep", "--n", "1", "--a-star", "3", "--eps", "0.1", "--var", var)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, *argv, option, grid)
+    code, out, err = run_cli(capsys, *argv, "--range", grid)
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
@@ -661,7 +673,8 @@ def test_fuzzed_numbers_exit_0_or_2(argvs):
         ("simulate", "--n", "1", "--a-star", "2.2,7", "--eps", "0.05,9", "--N", "3", "--m", "2",
          "--trials", "3", "--steps", "50"),
         ("timeshare", "--a-star", "3.3,99", "--eps", "0.025", "--m", "2"),
-        ("timeshare", "--a-star", "3.3", "--eps", "0.025,0.5", "--sweep-m", "1:2:1"),
+        ("sweep", "--n", "1", "--a-star", "3.3", "--eps", "0.025,0.5", "--var", "m",
+         "--range", "1:2:1"),
         ("timeshare", "--a-star", ",", "--eps", "0.025", "--m", "2"),
         ("sweep", "--n", "1", "--a-star", "3.3,5", "--eps", "0.025", "--var", "m",
          "--range", "1:2:1"),

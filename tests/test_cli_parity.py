@@ -23,28 +23,26 @@ PLANT = [
 HELP = (("-h", "--help"), "_HelpAction", None, argparse.SUPPRESS, False, None,
         "show this help message and exit")
 OUT = (("--out",), "_StoreAction", None, None, False, None, None)
+LOSS = (("--p",), "_StoreAction", "float", 0.0, False, None, "packet loss probability")
 KINDS = ("nominal", "fixed_vertex", "iid_uniform", "greedy_adversarial")
-
-
-def _trials(signs_help):
-    return [
-        (("--trials",), "_StoreAction", "int", 100, False, None, None),
-        (("--steps",), "_StoreAction", "int", 400, False, None, None),
-        (("--seed",), "_StoreAction", "int", 0, False, None, None),
-        (("--strategy",), "_StoreAction", None, "iid_uniform", False, KINDS, None),
-        (("--signs",), "_StoreAction", "_signs", None, False, None, signs_help),
-    ]
+TRIALS = [
+    (("--trials",), "_StoreAction", "int", 100, False, None, None),
+    (("--steps",), "_StoreAction", "int", 400, False, None, None),
+    (("--seed",), "_StoreAction", "int", 0, False, None, None),
+    (("--strategy",), "_StoreAction", None, "iid_uniform", False, KINDS, None),
+    (("--signs",), "_StoreAction", "_signs", None, False, None, "vertex signs, e.g. +,-"),
+]
 
 
 OPTIONS = {
     "bounds": [
         HELP, *PLANT,
-        (("--p",), "_StoreAction", "float", 0.0, False, None, "packet loss probability"),
+        LOSS,
         OUT,
     ],
     "sufficient": [
         HELP, *PLANT,
-        (("--p",), "_StoreAction", "float", 0.0, False, None, None),
+        LOSS,
         (("--N",), "_StoreAction", "int", None, False, None, "quantizer levels (integer >= 2)"),
         (("--min-n",), "_StoreTrueAction", None, False, False, None,
          "search the smallest sufficient N"),
@@ -53,23 +51,23 @@ OPTIONS = {
     ],
     "simulate": [
         HELP, *PLANT,
-        (("--p",), "_StoreAction", "float", 0.0, False, None, None),
+        LOSS,
         (("--N",), "_StoreAction", "int", None, True, None, None),
         (("--m",), "_StoreAction", "int", None, False, None,
          "time-share cycle duration (scalar plants)"),
-        *_trials("vertex signs, e.g. +,-"),
+        *TRIALS,
         (("--tol-slope",), "_StoreAction", "float", 1e-3, False, None, None),
         OUT,
     ],
     "sweep": [
         HELP, *PLANT,
-        (("--p",), "_StoreAction", "float", 0.0, False, None, None),
+        LOSS,
         (("--N",), "_StoreAction", "float", None, False, None, None),
         (("--var",), "_StoreAction", None, None, True, ("lambda", "p", "N", "m"), None),
         (("--range",), "_StoreAction", "_range", None, True, None, "lo:hi:step"),
         (("--empirical",), "_StoreTrueAction", None, False, False, None,
          "add a Monte Carlo verdict column"),
-        *_trials(None),
+        *TRIALS,
         OUT,
     ],
     "timeshare": [
@@ -77,10 +75,9 @@ OPTIONS = {
         (("--n",), "_StoreAction", "int", 1, False, None, None),
         (("--a-star",), "_StoreAction", "_floats", None, True, None, None),
         (("--eps",), "_StoreAction", "_floats", None, True, None, None),
-        (("--p",), "_StoreAction", "float", 0.0, False, None, None),
-        (("--m",), "_StoreAction", "int", None, False, None, None),
+        LOSS,
+        (("--m",), "_StoreAction", "int", None, True, None, None),
         (("--N",), "_StoreAction", "float", None, False, None, "per-slot level for kappa_bar"),
-        (("--sweep-m",), "_StoreAction", "_range", None, False, None, "lo:hi:step over durations"),
         OUT,
     ],
 }
@@ -192,8 +189,8 @@ def _run(capsys, tmp_path, argv, out):
     pytest.param(("sweep", "--n", "2", "--a-star", "1,2", "--eps", "0.05,0.05", "--p", "0.05",
                   "--var", "lambda", "--range", "1.5:2.5:0.5", "--N", "8"), False,
                  LAMBDA_CSV, "", None, id="csv-stdout"),
-    pytest.param(("timeshare", "--a-star", "3.3", "--eps", "0.025", "--sweep-m", "1:3:1"), True,
-                 "", "", DURATION_CSV, id="duration-csv-out"),
+    pytest.param(("sweep", "--n", "1", "--a-star", "3.3", "--eps", "0.025", "--var", "m",
+                  "--range", "1:3:1"), True, "", "", DURATION_CSV, id="duration-csv-out"),
     pytest.param(("sweep", "--n", "1", "--a-star", "2", "--eps", "0.1", "--p", "0.1",
                   "--var", "p", "--range", "0:0.2:0.1", "--N", "8", "--empirical",
                   "--trials", "3", "--steps", "10", "--seed", "5"), True,

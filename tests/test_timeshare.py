@@ -12,7 +12,7 @@ from ratelim.channel import ChannelConfig, uniform01
 from ratelim.cli import main
 from ratelim.codec_loop import COMPLETED, CONVERGED, DIVERGED, SaturationError, SimTrace
 from ratelim.limits import necessary_bounds
-from ratelim.montecarlo import Experiment
+from ratelim.montecarlo import Experiment, write_rows_csv
 from ratelim.plant import ParamStrategy, iid_params
 from ratelim.timeshare import (
     TimeShareConfig,
@@ -461,6 +461,6 @@ def test_simulate_csv_is_identical_in_both_layouts(monkeypatch, capsys, tmp_path
     assert batches == [min(trials, montecarlo.BATCH_MAX_TRIALS)] + [1] * (trials > 4096)
     traces = [_replayed(*run) for run in runs]
     want = io.StringIO()
-    reduce_traces(traces, Experiment(trials=trials, steps=100)).to_csv(want)
+    write_rows_csv(reduce_traces(traces, Experiment(trials=trials, steps=100)).rows(), want)
     assert out.read_bytes() == want.getvalue().encode()
     assert len(out.read_bytes().splitlines()) == 101
