@@ -8,13 +8,17 @@ flags via --config; flags given after it override its entries.  Each
 command returns its answer (JSON or CSV rows) and main writes it to --out
 or stdout; the simulate verdict goes to stdout with --out, else to stderr.
 JSON output maps non-finite numbers to null and carries an explicit
-feasible flag instead.
+feasible flag instead.  The parser is built once per process and names
+each subcommand's cmd_* function, which main looks up on every call, so
+main may be called many times in one process and each answer depends
+only on its argv.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -134,9 +138,11 @@ def _add_trial_flags(sp) -> None:
 
 
 def _add_answer(sp, cmd) -> None:
-    """--out, the last flag of every command, and the command whose answer main writes there."""
+    """--out, the last flag of every command, and the command whose answer main writes there.
+
+    The parser holds the command's name, not the function, so a rebound cmd_* takes effect."""
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd)
+    sp.set_defaults(func=cmd.__name__)
 
 
 def cmd_bounds(args) -> dict:
@@ -215,6 +221,7 @@ def cmd_timeshare(args) -> dict:
     return payload
 
 
+@functools.cache  # built on first use, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratelim",
@@ -303,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_expand_config(list(argv)))
-        answer, verdict = args.func(args), None
+        answer, verdict = globals()[args.func](args), None
         if isinstance(answer, tuple):  # simulate: the decay rows and the verdict
             answer, verdict = answer
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:

@@ -304,7 +304,7 @@ def sweep_timeshare(
         r_bar, feasible = lossless_bound(a_star, eps, m)
         found = min_feasible_average_level(a_star, eps, channel_p, m)
         total, avg = found if found is not None else ("", "")
-        kbar = "" if found is None else kappa_bar(replace(cfg, levels=avg))
+        kbar = "" if found is None else kappa_bar(cfg, avg)
         rows.append(
             {
                 "m": m,

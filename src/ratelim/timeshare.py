@@ -62,13 +62,15 @@ def kappa(a_star: float, eps: float, m: int, m_level: float) -> float:
     return (a**m + max(m_level / 2.0, 1.0) * dp + max(m_level / 2.0 - 1.0, 0.0) * dm) / m_level
 
 
-def kappa_bar(cfg: TimeShareConfig) -> float:
-    """Exact E[kappa^2] over the binomial count of received packets per cycle."""
+def kappa_bar(cfg: TimeShareConfig, levels: float | None = None) -> float:
+    """Exact E[kappa^2] over the binomial count of received packets per cycle,
+    at cfg's per-slot level or at levels (>= 1) in its place."""
+    n_slot = cfg.levels if levels is None else levels
     total = 0.0
     q = 1.0 - cfg.p
     for s in range(cfg.m + 1):
         weight = math.comb(cfg.m, s) * q**s * cfg.p ** (cfg.m - s)
-        total += weight * kappa(cfg.a_star, cfg.eps, cfg.m, cfg.levels**s) ** 2
+        total += weight * kappa(cfg.a_star, cfg.eps, cfg.m, n_slot**s) ** 2
     return total
 
 
@@ -98,11 +100,12 @@ def min_feasible_average_level(
     (|a*|-eps)^m / M + (delta+ + delta-)/2) and every M = total^(s/m)
     grows with the total, so E[kappa^2] is nonincreasing in the total and
     a monotone search finds the minimum.  None if none passes up to cap.
+    The inputs are validated once; each probe is one kappa_bar call.
     """
+    cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m, levels=1.0, p=p)
 
     def passes(total: int) -> bool:
-        cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m, levels=total ** (1.0 / m), p=p)
-        return kappa_bar(cfg) < 1.0
+        return kappa_bar(cfg, total ** (1.0 / m)) < 1.0
 
     total = first_passing(passes, 2, cap, split_integers)
     return None if total is None else (total, total ** (1.0 / m))

@@ -230,3 +230,55 @@ def test_out_directory_exits_2_with_nothing_on_stdout(capsys, tmp_path, argv):
     assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
     assert list(tmp_path.iterdir()) == []
 
+
+def test_a_rebound_command_is_reached_through_the_cached_parser(capsys, monkeypatch):
+    assert cli.main(list(BAD_PLANT)) == 2  # builds the parser, which later calls reuse
+    capsys.readouterr()
+    assert cli.build_parser() is cli.build_parser()
+
+    def rebound(args):
+        raise RuntimeError("rebound cmd_bounds")
+
+    monkeypatch.setattr(cli, "cmd_bounds", rebound)
+    with pytest.raises(RuntimeError, match="rebound cmd_bounds"):
+        cli.main(["bounds", "--n", "1", "--a-star", "2", "--eps", "0.1"])
+
+
+PLANT_FLAGS = ("--n", "1", "--a-star", "2", "--eps", "0.1")
+REPEATED = [
+    (("--help",), False),
+    *(((name, "--help"), False) for name in OPTIONS),
+    ((), False),
+    (("nosuch",), False),
+    (("bounds", "--n", "1", "--a-star", "2"), False),  # --eps missing
+    (SIMULATE[:-1] + ("bogus",), False),  # a --strategy outside its choices
+    (("sufficient", *PLANT_FLAGS, "--N", "4.5"), False),
+    (("bounds", *PLANT_FLAGS, "--config"), False),
+    (("bounds", *PLANT_FLAGS, "--config", "no-such-file.cfg"), False),
+    (("bounds", *PLANT_FLAGS, "--p", "0.1"), False),
+    (("timeshare", "--a-star", "3.3", "--eps", "0.025", "--p", "0.05", "--m", "2", "--N", "4"),
+     True),
+    (("sweep", "--n", "1", "--a-star", "3.3", "--eps", "0.025", "--var", "m", "--range", "1:3:1"),
+     True),
+    (("sufficient", "--n", "2", "--a-star", "1,2.5", "--eps", "0.05,0.05", "--p", "0.05",
+      "--min-n"), False),
+]
+
+
+def test_repeated_calls_in_one_process_keep_their_bytes(capsys, tmp_path, monkeypatch):
+    """The first pass builds the parser and the second reuses it; each argv's exit code,
+    stdout, stderr and --out bytes are the same in both."""
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the terminal width
+    monkeypatch.chdir(tmp_path)  # the missing config path is relative
+    cli.build_parser.cache_clear()
+    passes = []
+    for n in range(2):
+        results = []
+        for i, (argv, out) in enumerate(REPEATED):
+            where = tmp_path / f"pass{n}-{i}"
+            where.mkdir()
+            results.append(_run(capsys, where, argv, out))
+        passes.append(results)
+    assert passes[0] == passes[1]
+    codes = [code for code, *_ in passes[0]]
+    assert codes == [0] * (1 + len(OPTIONS)) + [2] * 7 + [0] * 4
