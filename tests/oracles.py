@@ -1,7 +1,9 @@
 """Reference implementations that only the tests use.
 
 These are the upward scans and the bisection that answered the
-minimum-level questions before the shared monotone search, the product
+minimum-level questions before the shared monotone search, the LU solve
+that decided the searches' probes before the power-iteration bracket
+did (with the two searches as they stood on it), the product
 form of the lifted matrix, the geometric-mean power iteration that
 estimated the spectral radius before the Collatz-Wielandt bracket bounded
 it, the stacked per-trial reduction of a Monte Carlo experiment, and the
@@ -44,8 +46,11 @@ from ratelim.codec_loop import (
     control,
     end_status,
 )
+from ratelim._search import first_passing, split_integers
 from ratelim.interval import Interval, measure, midpoint
 from ratelim.mjls import (
+    LEVEL_CAP,
+    LEVEL_TOL,
     N_MAX_ORDER,
     MinLevelResult,
     PowerIterationError,
@@ -116,6 +121,60 @@ def min_sufficient_level_real(
         else:
             lo = mid
     return hi
+
+
+# The level searches' probe decision before it ran on the power-iteration
+# bracket, copied verbatim: one LU solve of (I - F) x = 1 on the dense lifted
+# matrix.  lu_min_sufficient_N and lu_min_sufficient_level_real are the two
+# searches as they stood with it, so parity tests run the same monotone
+# search with the old decision.
+def decide_sufficient(plant: UncertainPlant, n_levels: float, p: float) -> bool:
+    """Whether the lifted matrix F has spectral radius below one.
+
+    For nonnegative F, rho < 1 exactly when I - F is a nonsingular
+    M-matrix, and then x* = (I - F)^-1 1 = sum_k F^k 1 >= 1.  One solve of
+    (I - F) x = 1 decides.  Yes: x > 0 and Fx <= (1 - delta) x give rho < 1
+    (Collatz-Wielandt); delta = (dim + 2) 2^-53 covers the rounding of both
+    products, none subnormal.  No: the residual 1 - (I - F) x, widened by a
+    bound on its rounding, has R = max |r_i| < 1 and min x_i < 1 - R, but
+    rho < 1 would give |x - x*| <= R x*, so x >= 1 - R.  Otherwise (rho
+    within rounding of one) sufficient_mss answers.
+    """
+    lifted = build_F(plant, n_levels, p).lifted
+    dim = lifted.shape[0]
+    try:
+        x = np.linalg.solve(np.eye(dim) - lifted, np.ones(dim))
+    except np.linalg.LinAlgError:  # a zero pivot: an eigenvalue of F is within rounding of one
+        return sufficient_mss(plant, n_levels, p).sufficient
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = lifted @ x
+        below = fx <= (1.0 - (dim + 2) * 2.0**-53) * x
+        if np.isfinite(x).all() and x.min() > 0.0 and below.all():
+            return True
+        rounding = (dim + 4) * 2.0**-52 * (1.0 + np.abs(x) + lifted @ np.abs(x))
+        r = float((np.abs(1.0 - x + fx) + rounding).max())  # nan or inf unless x is finite
+        if r < 1.0 and x.min() < 1.0 - r:
+            return False
+    return sufficient_mss(plant, n_levels, p).sufficient
+
+
+def lu_min_sufficient_N(plant: UncertainPlant, p: float, n_max: int = 4096) -> MinLevelResult:
+    """min_sufficient_N with decide_sufficient deciding each probe."""
+    level = first_passing(
+        lambda n_levels: decide_sufficient(plant, n_levels, p), 2, n_max, split_integers
+    )
+    return MinLevelResult(level, sufficient_mss(plant, level or 2, p).rho)
+
+
+def lu_min_sufficient_level_real(plant: UncertainPlant, p: float) -> float:
+    """min_sufficient_level_real with decide_sufficient deciding each probe."""
+    level = first_passing(
+        lambda n_levels: decide_sufficient(plant, n_levels, p),
+        2.0,
+        LEVEL_CAP,
+        lambda lo, hi: None if hi - lo <= LEVEL_TOL * max(1.0, lo) else 0.5 * (lo + hi),
+    )
+    return math.inf if level is None else level
 
 
 def min_feasible_average_level(

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
+from ratelim import mjls
 from ratelim._search import first_passing, split_integers
-from ratelim.mjls import min_sufficient_N, min_sufficient_level_real
+from ratelim.mjls import LEVEL_TOL, min_sufficient_N, min_sufficient_level_real
 from ratelim.plant import UncertainPlant
 from ratelim.timeshare import min_feasible_average_level
 
@@ -74,3 +75,57 @@ def test_min_sufficient_level_real_matches_old_bisection():
     rng = np.random.default_rng(53)
     for plant, p in _random_plants(rng, 20):
         assert min_sufficient_level_real(plant, p) == oracles.min_sufficient_level_real(plant, p)
+
+
+def _lu_parity_plants():
+    # seeded plants of orders 1..6: the last |a*| in [1.2 + eps, 3], the
+    # others within +-1, eps <= 0.1, p <= 0.15 with a quarter lossless, and
+    # one coefficient in four below the last zero with its box; then a pure
+    # delay with losses, whose lifted matrix is reducible and periodic
+    rng = np.random.default_rng(54)
+    for n, count in ((1, 8), (2, 8), (3, 8), (4, 6), (5, 2), (6, 1)):
+        for _ in range(count):
+            eps = rng.uniform(0.0, 0.1, n)
+            a = rng.uniform(-1.0, 1.0, n)
+            zero = rng.uniform(size=n) < 0.25
+            zero[-1] = False
+            a[zero] = eps[zero] = 0.0
+            a[-1] = rng.choice((-1.0, 1.0)) * rng.uniform(1.2 + eps[-1], 3.0)
+            p = 0.0 if rng.uniform() < 0.25 else float(rng.uniform(0.0, 0.15))
+            yield UncertainPlant(n=n, a_star=tuple(a), eps=tuple(eps)), p
+    yield UncertainPlant(n=3, a_star=(0.0, 0.0, 2.0), eps=(0.0, 0.0, 0.1)), 0.1
+
+
+def _probed(module, search, *args):
+    """A search's answer and each level it probed, with that probe's answer."""
+    probes = {}
+
+    def logged(passes, *rest):
+        def record(level):
+            probes[level] = passes(level)
+            return probes[level]
+
+        return first_passing(record, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "first_passing", logged)
+        return search(*args), probes
+
+
+def test_searches_match_the_lu_decision():
+    # both searches, with the runtime's probe decision and with the dense LU
+    # solve that decided them before; every probe on which the two disagree is
+    # checked against the eigenvalues of the lifted matrix
+    differing = []
+    for k, (plant, p) in enumerate(_lu_parity_plants()):
+        assert min_sufficient_N(plant, p) == oracles.lu_min_sufficient_N(plant, p)
+        got, probes = _probed(mjls, min_sufficient_level_real, plant, p)
+        want, lu_probes = _probed(oracles, oracles.lu_min_sufficient_level_real, plant, p)
+        assert got == want or abs(got - want) <= LEVEL_TOL * max(1.0, min(got, want))
+        for level in sorted(probes.keys() & lu_probes.keys()):
+            if probes[level] != lu_probes[level]:
+                lifted = oracles.lifted_matrix(plant, level, p)
+                radius = float(np.abs(np.linalg.eigvals(lifted)).max())
+                assert probes[level] == (radius < 1.0)
+                differing.append((k, level))
+    assert differing == []
