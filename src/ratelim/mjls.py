@@ -24,12 +24,22 @@ import numpy as np
 from ._search import first_passing, split_integers
 from .plant import UncertainPlant
 
-# The level searches' dense LU: F is (2^n * n^2) square, so n = 6 is already 2304 x 2304.
+# Bounds the worst case of a solve, MAX_MATVECS products on block rows: 6 s at n = 6
+# (60 us a product on a 2-core Xeon), 30 s at n = 7 and 140 s at n = 8.  A search
+# probe spends at most PROBE_MATVECS of them and a twentieth as many in long
+# double, each 20 times slower at n = 6: 1.3 s.
 N_MAX_ORDER = 6
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration did not close its bracket on the spectral radius within its budget."""
+    """Power iteration did not close its bracket [lo, hi] on the spectral radius within its budget."""
+
+    def __init__(self, lo: float, hi: float):
+        super().__init__(
+            f"power iteration did not close its bracket [{lo!r}, {hi!r}] on the spectral radius "
+            f"in {MAX_MATVECS} products: other eigenvalues come too close to it in modulus"
+        )
+        self.lo, self.hi = lo, hi
 
 
 def theta(a_star_i: float, eps_i: float, n_levels: float, gamma: int) -> float:
@@ -110,30 +120,87 @@ def build_F(plant: UncertainPlant, n_levels: float, p: float) -> MjlsModel:
     return MjlsModel(grid.reshape(2 * half * nn, 2 * half * nn))
 
 
-# Budget of matrix-vector products per solve, and the relative bracket width
-# (and, before it, the growth-factor agreement) at which a solve ends.
+# Budget of matrix-vector products per solve and per level-search probe (a probe
+# near rho = 1 on a slowly mixing operator spends any budget undecided), and the
+# relative bracket width (and, before it, the growth agreement) that ends a solve.
 MAX_MATVECS = 100_000
+PROBE_MATVECS = 10_000
 BRACKET_TOL = 1e-11
 
 
-def spectral_radius(mat: np.ndarray | BlockRows, period: int = 1) -> float:
-    """Upper bound on the spectral radius of a nonnegative matrix, dense or BlockRows.
+class Bracket(NamedTuple):
+    """Bounds lo <= rho <= hi from power_bracket's last quotients, its stop rule and last iterate."""
+    lo: float
+    hi: float
+    stop: str  # "closed", "stalled" or "budget"; a probe's "below" (rho < 1) or "above" (rho >= 1)
+    x: np.ndarray
 
-    For nonnegative A and positive x, min (Ax)_i/x_i <= rho(A) <= max
-    (Ax)_i/x_i (Collatz-Wielandt), so the upper end is certified up to the
-    rounding of the products; the 0/0 quotients of components that stay
-    zero (the loss rows when p = 0) are skipped.  Steps of A^q, q = lcm(2,
-    period), map the eigenvalues on the spectral circle to rho^q when
-    every cycle length of A is a multiple of period.  A solve ends when
-    the bracket is BRACKET_TOL wide, or when the upper end has not fallen
-    for three settled steps (the largest quotient can rest for a step on a
-    row that copies another): the lower end stalls below rho when some
-    rows reach only classes of smaller radius (pure delays with p > 0).
-    After that second exit the answer is still an upper bound, but its
-    distance from rho is not bounded.  The iterate is scaled by a power of
-    two that keeps every entry at most 2^64 against it, so no product
-    overflows and the scale divides out exactly.
+
+def power_bracket(a, period=1, start=None, probe=False, budget=MAX_MATVECS) -> Bracket:
+    """Power iteration on a finite nonnegative matrix (a probe: BlockRows), from start or ones.
+
+    min (Ax)_i/x_i <= rho(A) <= max (Ax)_i/x_i (Collatz-Wielandt), skipping
+    the 0/0 of components that stay zero (their rows of A^k are zero: they
+    reach no cycle).  Steps of A^q, q = lcm(2, period), map the eigenvalues
+    on the spectral circle to rho^q when period divides every cycle length.
+    The iterate is scaled by a power of two s that keeps every entry at most
+    2^64 against it, so no product overflows and s^q divides out exactly.
+    A solve ends "closed" once a settled step's bracket (growth agreeing to
+    BRACKET_TOL) is BRACKET_TOL wide, or "stalled" once its upper end has not
+    fallen for three settled steps (rows reaching only classes of smaller
+    radius, as in pure delays with p > 0, hold the lower end below rho).  A
+    probe ends "below" once hi < (1 - delta) s^q, "above" once lo >= (1 +
+    delta) s^q: q products of m-term rows on nonnegative data and a quotient
+    round by at most delta = (q m + 2) u, u the unit of a's dtype, none
+    subnormal.  Stalled in doubles (u = 2^-53) it runs on in np.longdouble
+    (u = 2^-64 on x86) for budget // 20 products; stalled there, or out of
+    budget, it is undecided.
     """
+    entries = a.rows if isinstance(a, BlockRows) else a
+    q, dtype = math.lcm(2, period), entries.dtype
+    shift = min(0, 64 - math.frexp(float(entries.max(initial=0.0)))[1])
+    scale = math.ldexp(1.0, shift)
+    delta = (q * entries.shape[-1] + 2) * np.finfo(dtype).eps / 2
+    # a probe's thresholds, exact unless scaled out of the normal range ((q m + 2) is even)
+    below, above = np.ldexp(1 - delta, q * shift), np.ldexp(1 + delta, q * shift)
+    if np.ldexp(below, -q * shift) != 1 - delta:
+        below, above = 0.0, math.inf
+
+    def bracket(lo, hi, stop):
+        return Bracket(float(lo) ** (1.0 / q) / scale, float(hi) ** (1.0 / q) / scale, stop, x)
+
+    y = np.ones(len(a), dtype) if start is None else start
+    growth, upper, stalls = 1.0, math.inf, 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(budget // q):
+            x = y = y / growth
+            for _ in range(q):
+                y = a @ (scale * y) if shift else a @ y
+            prev, growth = growth, float(y.max(initial=0.0))
+            if growth == 0.0:
+                return bracket(0.0, 0.0, "below" if probe else "closed")
+            settled = abs(growth - prev) <= BRACKET_TOL * growth
+            if probe or settled:
+                ratio = y / x
+                lo, hi = np.fmin.reduce(ratio), np.fmax.reduce(ratio)
+                if probe and (hi < below or lo >= above):
+                    return bracket(lo, hi, "below" if hi < below else "above")
+            if settled:
+                stalls = stalls + 1 if hi >= upper else 0
+                upper = min(upper, hi)
+                if upper < math.inf and (stalls == 3 or (not probe and hi - lo <= BRACKET_TOL * hi)):
+                    if probe and dtype == np.float64:  # stalled in doubles: run on in long double
+                        wide = BlockRows(entries.astype(np.longdouble))
+                        wide = power_bracket(wide, period, x.astype(np.longdouble), True, budget // 20)
+                        return wide._replace(x=wide.x.astype(float))
+                    return bracket(lo, upper, "stalled" if stalls == 3 else "closed")
+        ratio = y / x
+        lo, hi = np.fmin.reduce(ratio), min(upper, np.fmax.reduce(ratio))
+    return bracket(lo, hi, "budget")
+
+
+def spectral_radius(mat, period: int = 1) -> float:
+    """Upper end of power_bracket's solve on a nonnegative matrix, dense or BlockRows."""
     if isinstance(mat, BlockRows):
         a, entries = mat, mat.rows
     else:
@@ -144,28 +211,10 @@ def spectral_radius(mat: np.ndarray | BlockRows, period: int = 1) -> float:
         raise ValueError("matrix entries must be finite")
     if (entries < 0.0).any():
         raise ValueError("matrix must be elementwise nonnegative")
-    q = math.lcm(2, period)
-    scale = math.ldexp(1.0, min(0, 64 - math.frexp(float(entries.max(initial=0.0)))[1]))
-    y, growth, upper, stalls = np.ones(len(a)), 1.0, math.inf, 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(MAX_MATVECS // q):
-            x = y = y / growth
-            for _ in range(q):
-                y = a @ (scale * y)
-            prev, growth = growth, float(y.max(initial=0.0))
-            if growth == 0.0:
-                return 0.0
-            if abs(growth - prev) <= BRACKET_TOL * growth:
-                lo, hi = float(np.fmin.reduce(y / x)), float(np.fmax.reduce(y / x))
-                stalls = stalls + 1 if hi >= upper else 0
-                upper = min(upper, hi)
-                if upper < math.inf and (hi - lo <= BRACKET_TOL * hi or stalls == 3):
-                    return upper ** (1.0 / q) / scale
-        lo, hi = (float(r(y / x)) ** (1.0 / q) / scale for r in (np.fmin.reduce, np.fmax.reduce))
-    raise PowerIterationError(
-        f"power iteration did not close its bracket [{lo!r}, {hi!r}] on the spectral radius "
-        f"in {MAX_MATVECS} products: other eigenvalues come too close to it in modulus"
-    )
+    bracket = power_bracket(a, period)
+    if bracket.stop == "budget":
+        raise PowerIterationError(bracket.lo, bracket.hi)
+    return bracket.hi
 
 
 class SufficiencyResult(NamedTuple):
@@ -173,46 +222,22 @@ class SufficiencyResult(NamedTuple):
     sufficient: bool
 
 
+def lag_period(plant: UncertainPlant) -> int:
+    """The gcd d of the lags whose box is nonzero: every cycle of the lifted
+    matrix has a length divisible by d, so d eigenvalues share its spectral circle."""
+    return math.gcd(*(i + 1 for i in range(plant.n) if plant.a_star[i] != 0.0 or plant.eps[i] != 0.0))
+
+
 def sufficient_mss(plant: UncertainPlant, n_levels: float, p: float) -> SufficiencyResult:
-    """Spectral-radius test; an upper bound strictly below one certifies MSS.
-
-    If every coefficient a_i with a nonzero box sits at a lag divisible by
-    d, every cycle of the lifted matrix has a length divisible by d, and d
-    eigenvalues rho * exp(2 pi i k / d) share the spectral circle.
-    """
-    lags = (i + 1 for i in range(plant.n) if plant.a_star[i] != 0.0 or plant.eps[i] != 0.0)
-    rho = spectral_radius(block_rows(plant, n_levels, p), math.gcd(*lags))
-    return SufficiencyResult(rho, rho < 1.0)
-
-
-def decide_sufficient(plant: UncertainPlant, n_levels: float, p: float) -> bool:
-    """Whether the lifted matrix F has spectral radius below one.
-
-    For nonnegative F, rho < 1 exactly when I - F is a nonsingular
-    M-matrix, and then x* = (I - F)^-1 1 = sum_k F^k 1 >= 1.  One solve of
-    (I - F) x = 1 decides.  Yes: x > 0 and Fx <= (1 - delta) x give rho < 1
-    (Collatz-Wielandt); delta = (dim + 2) 2^-53 covers the rounding of both
-    products, none subnormal.  No: the residual 1 - (I - F) x, widened by a
-    bound on its rounding, has R = max |r_i| < 1 and min x_i < 1 - R, but
-    rho < 1 would give |x - x*| <= R x*, so x >= 1 - R.  Otherwise (rho
-    within rounding of one) sufficient_mss answers.
-    """
-    lifted = build_F(plant, n_levels, p).lifted
-    dim = lifted.shape[0]
+    """Spectral-radius test; an upper bound strictly below one certifies MSS, even
+    from a solve that spent its budget (which raises PowerIterationError otherwise)."""
     try:
-        x = np.linalg.solve(np.eye(dim) - lifted, np.ones(dim))
-    except np.linalg.LinAlgError:  # a zero pivot: an eigenvalue of F is within rounding of one
-        return sufficient_mss(plant, n_levels, p).sufficient
-    with np.errstate(over="ignore", invalid="ignore"):
-        fx = lifted @ x
-        below = fx <= (1.0 - (dim + 2) * 2.0**-53) * x
-        if np.isfinite(x).all() and x.min() > 0.0 and below.all():
-            return True
-        rounding = (dim + 4) * 2.0**-52 * (1.0 + np.abs(x) + lifted @ np.abs(x))
-        r = float((np.abs(1.0 - x + fx) + rounding).max())  # nan or inf unless x is finite
-        if r < 1.0 and x.min() < 1.0 - r:
-            return False
-    return sufficient_mss(plant, n_levels, p).sufficient
+        rho = spectral_radius(block_rows(plant, n_levels, p), lag_period(plant))
+    except PowerIterationError as exc:
+        if not exc.hi < 1.0:
+            raise
+        rho = exc.hi
+    return SufficiencyResult(rho, rho < 1.0)
 
 
 class MinLevelResult(NamedTuple):
@@ -225,19 +250,31 @@ LEVEL_CAP = 2.0**40
 LEVEL_TOL = 1e-9
 
 
+def _first_certified(plant: UncertainPlant, p: float, start, cap, split):
+    """first_passing over levels by power_bracket probes, each from the last one's
+    iterate; an undecided probe fails, so every level found is certified."""
+    period, x = lag_period(plant), None
+
+    def passes(n_levels):
+        nonlocal x
+        bracket = power_bracket(block_rows(plant, n_levels, p), period, x, True, PROBE_MATVECS)
+        x = bracket.x
+        return bracket.stop == "below"
+
+    return first_passing(passes, start, cap, split)
+
+
 def min_sufficient_N(plant: UncertainPlant, p: float, n_max: int = 4096) -> MinLevelResult:
     """Smallest integer level in [2, n_max] passing the test, and its radius.
 
     Every theta is nonincreasing in N, hence so is every entry of the
     nonnegative lifted matrix and (Perron-Frobenius) its spectral radius:
     once the test passes it passes for all larger N, so a monotone search
-    of decide_sufficient finds the minimum.  Only the reported radius
-    comes from power iteration: at the level found, or on failure at
-    level 2, the largest radius of the search.
+    of certified probes finds the minimum.  The reported radius is
+    sufficient_mss's: at the level found, or on failure at level 2, the
+    largest radius of the search.
     """
-    level = first_passing(
-        lambda n_levels: decide_sufficient(plant, n_levels, p), 2, n_max, split_integers
-    )
+    level = _first_certified(plant, p, 2, n_max, split_integers)
     return MinLevelResult(level, sufficient_mss(plant, level or 2, p).rho)
 
 
@@ -245,14 +282,12 @@ def min_sufficient_level_real(plant: UncertainPlant, p: float) -> float:
     """Infimum real level N >= 2 with spectral radius below one.
 
     The radius is nonincreasing in N (see min_sufficient_N); the search
-    bisects decide_sufficient to a relative width of LEVEL_TOL.  Returns
+    bisects certified probes to a relative width of LEVEL_TOL.  Returns
     2.0 if the test passes there and math.inf if it still fails at
     LEVEL_CAP.
     """
-    level = first_passing(
-        lambda n_levels: decide_sufficient(plant, n_levels, p),
-        2.0,
-        LEVEL_CAP,
-        lambda lo, hi: None if hi - lo <= LEVEL_TOL * max(1.0, lo) else 0.5 * (lo + hi),
-    )
+    def split(lo, hi):
+        return None if hi - lo <= LEVEL_TOL * max(1.0, lo) else 0.5 * (lo + hi)
+
+    level = _first_certified(plant, p, 2.0, LEVEL_CAP, split)
     return math.inf if level is None else level

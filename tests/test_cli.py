@@ -108,8 +108,8 @@ README_MIN_N = (
 
 
 def test_readme_searches_keep_their_answers_without_power_iteration(capsys, monkeypatch):
-    # the searches decide each level by a linear solve; only a reported rho
-    # comes from power iteration.  Both outputs were recorded when every
+    # the searches decide each level by a power-iteration probe; only a
+    # reported rho comes from a solve.  Both outputs were recorded when every
     # probe still ran power iteration.
     solves = []
     solve = mjls.spectral_radius
@@ -126,6 +126,23 @@ def test_readme_searches_keep_their_answers_without_power_iteration(capsys, monk
     assert json.loads(out) == {
         "n": 2, "p": 0.05, "min_N": 6, "rho": 0.9454131145810963, "sufficient": True,
     }
+
+
+NEAR_EQUAL_MODULUS = (
+    "sufficient", "--n", "2", "--a-star=-0.0,1.3021310772101409",
+    "--eps=0.003507637168617328,0.09975728448767646", "--p", "0.18608033829235668", "--N", "22",
+)
+
+
+def test_a_spent_solve_answers_by_an_upper_end_below_one(capsys):
+    # two lifted eigenvalues, 0.620597 and -0.620569, keep the solve from
+    # closing its bracket within its budget; the least upper end it reached
+    # is far below one, so it certifies the answer and is the reported rho
+    code, out, _ = run_cli(capsys, *NEAR_EQUAL_MODULUS)
+    assert code == 0
+    answer = json.loads(out)
+    assert answer["sufficient"] is True
+    assert 0.62059711 <= answer["rho"] <= 0.62059726
 
 
 LEVEL_SWEEP = (

@@ -12,7 +12,6 @@ from ratelim.limits import necessary_bounds
 from ratelim.mjls import (
     PowerIterationError,
     build_F,
-    decide_sufficient,
     min_sufficient_N,
     min_sufficient_level_real,
     spectral_radius,
@@ -211,8 +210,8 @@ def _solve_or_unclosed(solve):
 
 
 def test_compact_solve_matches_dense_solve():
-    # sufficient_mss against the dense solve of build_F's matrix at the same
-    # period: 60 seeded plants of orders 1..5 with 3 of order 6 among them
+    # the solve on block rows against the dense solve of build_F's matrix at
+    # the same period: 60 seeded plants of orders 1..5 with 3 of order 6 among them
     # (about a quarter lossless, some coefficients zero, half the levels
     # real), the pure delays (periodic), and a plant whose two largest
     # eigenvalues, 0.620597 and -0.620569, keep both solves from closing
@@ -235,16 +234,15 @@ def test_compact_solve_matches_dense_solve():
     cases.append((near, 22, 0.18608033829235668))
     unclosed = []
     for k, (plant, n_levels, p) in enumerate(cases):
-        lags = (i + 1 for i in range(plant.n) if plant.a_star[i] != 0.0 or plant.eps[i] != 0.0)
-        lifted = build_F(plant, n_levels, p).lifted
-        dense = _solve_or_unclosed(lambda: spectral_radius(lifted, math.gcd(*lags)))
-        got = _solve_or_unclosed(lambda: sufficient_mss(plant, n_levels, p))
+        period, lifted = mjls.lag_period(plant), build_F(plant, n_levels, p).lifted
+        dense = _solve_or_unclosed(lambda: spectral_radius(lifted, period))
+        got = _solve_or_unclosed(lambda: spectral_radius(mjls.block_rows(plant, n_levels, p), period))
         assert (got is None) == (dense is None)
         if got is None:
             unclosed.append(k)
             continue
-        assert abs(got.rho - dense) <= 1e-13 * dense
-        assert got.sufficient == (dense < 1.0)
+        assert abs(got - dense) <= 1e-13 * dense
+        assert sufficient_mss(plant, n_levels, p) == (got, got < 1.0)
     assert unclosed == [len(cases) - 1]
 
 
@@ -330,13 +328,11 @@ def test_min_sufficient_level_real_brackets_integer_search():
     assert n_int == math.ceil(level - 1e-9)
 
 
-def _certified(plant, n_levels, p):
-    """decide_sufficient's answer, or None where it fell back to power iteration."""
-    fallbacks = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mjls, "sufficient_mss", lambda *args: fallbacks.append(args) or sufficient_mss(*args))
-        answer = decide_sufficient(plant, n_levels, p)
-    return None if fallbacks else answer
+def _certified(plant, n_levels, p, start=None):
+    """The level searches' probe: True below one, False at or above it, None undecided."""
+    op = mjls.block_rows(plant, n_levels, p)
+    stop = mjls.power_bracket(op, mjls.lag_period(plant), start, True, mjls.PROBE_MATVECS).stop
+    return {"below": True, "above": False}.get(stop)
 
 
 def _eigen_radius(plant, n_levels, p):
@@ -381,18 +377,19 @@ def test_decision_is_certified_and_agrees_with_power_iteration():
         _check_certificate(answer, radius)
         answers[answer] += 1
         near_edge += abs(radius - 1.0) < 1e-9
-        try:
-            rho = sufficient_mss(plant, n_levels, p).rho
-        except PowerIterationError:
+        solve = mjls.power_bracket(mjls.block_rows(plant, n_levels, p), mjls.lag_period(plant))
+        if solve.stop == "budget":
             unclosed.append(k)
-            continue
-        if decide_sufficient(plant, n_levels, p) != (rho < 1.0):
-            assert abs(rho - 1.0) < 1e-10
+        if answer is not None and answer != (solve.hi < 1.0):
+            assert abs(solve.hi - 1.0) < 1e-10
             disagree.append(k)
-    # no plant here needs the fallback, and the decision disagrees with
-    # power iteration on none; plant 6 is decided although power iteration
-    # cannot close its bracket (two eigenvalues of modulus 0.737)
-    assert answers == {True: 54, False: 146, None: 0}
+    # the probe disagrees on no plant with power iteration, whose upper end
+    # answers for plant 6 although it cannot close its bracket (two
+    # eigenvalues of modulus 0.737); plant 98, a pure delay with losses
+    # (radius 1.33), is undecided: its rows that reach only a class of smaller
+    # radius hold the lower end at 0.94, so it stalls, and a search counts it
+    # as a failure
+    assert answers == {True: 54, False: 145, None: 1}
     assert disagree == []
     assert unclosed == [6]
     assert near_edge >= 5
@@ -400,15 +397,14 @@ def test_decision_is_certified_and_agrees_with_power_iteration():
 
 
 @pytest.mark.parametrize("n_levels, want", [(3.96, False), (4.1, True)])
-def test_decision_checks_the_solution_it_is_handed(monkeypatch, n_levels, want):
+def test_decision_checks_the_solution_it_is_handed(n_levels, want):
     # at order one with a certain coefficient the lifted matrix is rank one,
     # [p, 1 - p]^T [4, 4 / N^2], with the positive Perron vector [p, 1 - p]
     # of eigenvalue 0.8 + 3.2 / N^2 at p = 0.2: 1.004 at N = 3.96 and 0.990 at
-    # N = 4.1.  Handed that vector for x, the decision must test Fx <= (1 -
-    # delta) x and not trust a positive x.
+    # N = 4.1.  Handed that vector as its start, the probe must test F^2 x
+    # against x and not trust a positive x.
     plant, p = UncertainPlant(n=1, a_star=(2.0,), eps=(0.0,)), 0.2
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([p, 1.0 - p]))
-    assert decide_sufficient(plant, n_levels, p) is want
+    assert _certified(plant, n_levels, p, np.array([p, 1.0 - p])) is want
 
 
 @st.composite
@@ -433,3 +429,30 @@ def _decision_cases(draw):
 def test_certified_answers_bound_the_eigenvalues(case):
     plant, n_levels, p = case
     _check_certificate(_certified(plant, n_levels, p), _eigen_radius(plant, n_levels, p))
+
+
+def test_searches_need_no_dense_matrix(monkeypatch):
+    # both searches decide every probe on the block rows, at every order
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search built or solved the dense lifted matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(mjls, "build_F", refuse)
+    for n in range(1, 7):
+        plant = UncertainPlant(n=n, a_star=(0.1, -0.2, 0.1, 0.3, -0.1)[: n - 1] + (1.8,), eps=(0.02,) * n)
+        found = min_sufficient_N(plant, 0.05)
+        assert found.level is not None and found.rho < 1.0
+        assert math.ceil(min_sufficient_level_real(plant, 0.05) - 1e-9) == found.level
+
+
+def test_probe_within_double_rounding_decides_in_long_double():
+    # a rank-one lifted matrix whose radius, its trace, is 1 - 2.26e-16 in
+    # exact arithmetic: no bracket in doubles excludes one, so the probe
+    # stalls and runs on in long double, which certifies it where long double
+    # is wider than double
+    plant = UncertainPlant(n=1, a_star=(-2.746178199265322,), eps=(0.06080365444104069,))
+    op = mjls.block_rows(plant, 42.17416462302208, 0.12519696678575276)
+    wider = np.finfo(np.longdouble).eps < np.finfo(float).eps
+    bracket = mjls.power_bracket(op, 1, None, True, mjls.PROBE_MATVECS)
+    assert bracket.stop == ("below" if wider else "stalled")
+    assert bracket.x.dtype == np.float64
