@@ -231,6 +231,9 @@ TIMESHARE_SIMULATE = (
     pytest.param(
         (*README_SIMULATE, "--trials", "200", "--strategy", "greedy_adversarial"),
         "05c5f31517590b7297b765ab00628d98d70a312e8589110b5f17a707de443361", id="readme-batched"),
+    pytest.param(
+        (*README_SIMULATE, "--trials", "200", "--strategy", "iid_uniform"),
+        "da1a97bb3e005f96dc9e114a9d315c93ac8c12410e067b0ebe47dd5cacf0cc7a", id="readme-batched-iid"),
     *(pytest.param(
         (*README_SIMULATE, "--trials", "4", "--signs", "+,-", "--strategy", kind), digest,
         id=f"scalar-{kind}") for kind, digest in [
@@ -250,8 +253,9 @@ TIMESHARE_SIMULATE = (
                  id="timeshare-fixed_vertex"),
 ])
 def test_seeded_decay_csvs_keep_their_bytes(capsys, tmp_path, argv, digest):
-    # sha256 of each decay CSV: the README run (batched), the same run at 4 trials (the
-    # scalar loop) for every strategy, and 4-trial time-share runs for every strategy
+    # sha256 of each decay CSV: the README run (batched) with the greedy and the iid
+    # strategy, the same run at 4 trials (the scalar loop) for every strategy, and 4-trial
+    # time-share runs for every strategy
     out_file = tmp_path / "decay.csv"
     code, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
     assert code == 0

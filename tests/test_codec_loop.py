@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import CodecState, product_measure_cases
-from ratelim.channel import ChannelConfig, draw, uniform01
+from ratelim.channel import ChannelConfig, draw, received, uniform01
 from ratelim.codec_loop import (
     COMPLETED,
     CONVERGED,
@@ -26,7 +26,7 @@ from ratelim.codec_loop import (
 )
 from ratelim.interval import SLOTS, Interval, measure
 from ratelim.montecarlo import BATCH_MIN_TRIALS, Experiment, run_experiment
-from ratelim.plant import ParamStrategy, UncertainPlant, step_unchecked
+from ratelim.plant import ParamStrategy, UncertainPlant, iid_params, step_unchecked
 from ratelim.timeshare import TimeShareConfig, run_timeshare_loop
 
 
@@ -468,6 +468,44 @@ def test_batch_rows_replay_under_the_codec_state_oracle(n, kind, p):
         assert end == CONVERGED or max(length for length, _ in ends) < 300
         if p:
             assert len({length for length, _ in ends}) > 1
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.5])
+def test_block_draws_give_the_per_step_bits(p):
+    # received and iid_params on uint64 counter arrays, in blocks of 7 over 30 steps (the
+    # last block short) and over time-share sub-steps m*j + i, give each step's bits
+    plant = UncertainPlant(3, (0.3, -1.0, 2.5), (0.1, 0.0, 0.05))
+    seeds = [0, 1, 123, 2**63, 2**63 + 5, 2**64 - 1]
+    keys = np.array(seeds, dtype=np.uint64)
+
+    def per_step(seed, k):
+        return bool(received(p, seed, k)), tuple(map(float.hex, iid_params(plant, seed, k)))
+
+    def blocks(key, counters):
+        """Each counter's (flag, coefficient bits); a key array adds an axis of slots last."""
+        shape = np.broadcast_shapes(counters.shape, np.shape(key))
+        flags = np.broadcast_to(received(p, key, counters), shape)
+        coeffs = np.stack([np.broadcast_to(c, shape) for c in iid_params(plant, key, counters)], -1)
+        return flags, coeffs
+
+    def entries(flags, coeffs):
+        return [(bool(f), tuple(map(float.hex, c.tolist()))) for f, c in zip(flags, coeffs)]
+
+    steps, block, m = 30, 7, 3
+    for first in range(0, steps, block):
+        counters = np.arange(first, min(first + block, steps), dtype=np.uint64)
+        for t, seed in enumerate(seeds):
+            want = [per_step(seed, k) for k in range(first, min(first + block, steps))]
+            assert entries(*blocks(seed, counters)) == want
+            flags, coeffs = blocks(keys, counters[:, None])
+            assert entries(flags[:, t], coeffs[:, t]) == want
+    for j in range(0, steps // m, 4):  # cycles j..j+3 of an m-slot time share
+        counters = np.arange(m * j, m * (j + 4), dtype=np.uint64)
+        for seed in seeds:
+            want = [per_step(seed, m * jj + i) for jj in range(j, j + 4) for i in range(m)]
+            assert entries(*blocks(seed, counters)) == want
+    with pytest.raises(OverflowError):  # an int64 counter cannot take the golden-ratio step
+        received(0.5, 1, np.arange(3))
 
 
 def test_both_retire_rules_agree_at_the_guards():
