@@ -28,7 +28,9 @@ def derive_seed(base: int, index: int) -> int:
 
 
 def uniform01(seed: int, k: int) -> float:
-    """Uniform double in [0, 1) keyed by (seed, k); seed may be a uint64 array."""
+    """Uniform double in [0, 1) keyed by (seed, k).  seed (one slot per trial) and k (a
+    block of step counters) may be uint64 arrays; they broadcast, each entry with the int
+    call's bits.  An int64 k makes the golden-ratio step raise OverflowError."""
     bits = splitmix64((seed & _MASK) ^ splitmix64((k + 1) * _GOLDEN & _MASK))
     return (bits >> 11) * (1.0 / (1 << 53))
 
@@ -44,8 +46,9 @@ class ChannelConfig:
 
 
 def received(p: float, seed, k: int):
-    """Whether time k's packet gets through: False with probability p.  seed may be a
-    uint64 array, one slot per trial; p = 0 delivers every packet without a draw."""
+    """Whether time k's packet gets through: False with probability p.  seed and k may be
+    uint64 arrays, of trial slots and of step counters, to draw a block of steps at once
+    with each step's bits (uniform01); p = 0 delivers every packet, True without a draw."""
     return p == 0.0 or uniform01(seed, k) >= p
 
 

@@ -27,13 +27,16 @@ import numpy as np
 
 from .channel import _MASK, ChannelConfig, received
 from .interval import FLOATS, SLOTS, Interval, Ops, measure, midpoint, scale_product
-from .plant import ParamStrategy, UncertainPlant, realize_params, step_unchecked
+from .plant import ParamStrategy, UncertainPlant, iid_params, realize_params, step_unchecked
 
 # Lower guard on sigma: keeps logs finite and avoids denormal underflow.
 SIGMA_MIN = 1e-300
 CONVERGED_SIGMA = 1e-150
 DIVERGED_SIGMA = 1e150
 SATURATION_TOL = 1e-9
+# Steps whose flags and iid coefficients a loop draws at once: enough to spread a draw's
+# fixed cost, few enough to bound the tables (64 x 6 doubles a trial at order 6).
+BLOCK_STEPS = 64
 
 COMPLETED = "completed"
 CONVERGED = "converged"
@@ -146,10 +149,22 @@ class SimTrace:
 
 
 class Trial:
-    """The slot of a one-trial run: its channel and strategy seeds, and its SimTrace."""
+    """The slot of a one-trial run: its channel and strategy seeds, the tables of the
+    current block (draw), and its SimTrace."""
 
     def __init__(self, channel: ChannelConfig, strategy: ParamStrategy):
         self.seeds, self.param_seeds, self.trace = channel.seed, strategy.seed, SimTrace()
+        self.got = self.coeffs = None
+
+    def draw(self, p: float, plant: UncertainPlant | None, first: int, count: int) -> None:
+        """Draw the block of steps first to first + count - 1: got[j] is step first + j's
+        reception flag (received) and coeffs[j] its iid_uniform coefficients (iid_params)
+        for a plant, None without one."""
+        counters = np.arange(first, first + count, dtype=np.uint64)
+        got = received(p, self.seeds, counters)  # True, with no draw, at p = 0
+        self.got = [True] * count if got is True else got.tolist()
+        self.coeffs = [None] * count if plant is None else list(
+            zip(*(c.tolist() for c in iid_params(plant, self.param_seeds, counters))))
 
     def retire(self, k: int, y: float, sigma_k: float, *state):
         """Record step k's y and sigma_k; end the trial and return None if the next
@@ -165,7 +180,8 @@ class Trial:
 
 class Lockstep:
     """Slots of a lockstep batch: the live trials with their channel and strategy
-    seeds, and each trial's y and sigma rows, length and status."""
+    seeds and the tables of the current block (draw), and each trial's y and sigma
+    rows, length and status."""
 
     def __init__(self, channels: Sequence[ChannelConfig], strategies: Sequence[ParamStrategy],
                  steps: int):
@@ -175,11 +191,22 @@ class Lockstep:
         self.param_seeds = np.array([s.seed & _MASK for s in strategies], dtype=np.uint64)
         self.y, self.sigma = np.zeros((trials, steps)), np.zeros((trials, steps))
         self.length, self.status = [steps] * trials, [COMPLETED] * trials
+        self.got = self.coeffs = None
+
+    def draw(self, p: float, plant: UncertainPlant | None, first: int, count: int) -> None:
+        """Trial.draw for the live trials: got[j] and coeffs[j] hold one slot per live
+        trial on their last axis (got[j] is True for all at p = 0, coeffs[j] None)."""
+        counters = np.arange(first, first + count, dtype=np.uint64)[:, None]
+        got = received(p, self.seeds, counters)
+        self.got = [True] * count if got is True else got
+        self.coeffs = [None] * count if plant is None else np.stack(
+            iid_params(plant, self.param_seeds, counters), axis=1)
 
     def retire(self, k: int, y: np.ndarray, sigma_k: np.ndarray, *state):
         """Record step k's y and sigma_k for the live trials; end those whose next sigma,
         state[0], passed a guard (length k + 1, end_status); return state (arrays, or
-        lists or Intervals of them) for the others, or None once none is left."""
+        lists or Intervals of them) for the others, or None once none is left.  The
+        block's tables leave with their trials too."""
         self.y[self.live, k], self.sigma[self.live, k] = y, sigma_k
         sigma = state[0]
         done = (sigma < CONVERGED_SIGMA) | ~(sigma <= DIVERGED_SIGMA)  # end_status's rule
@@ -188,13 +215,17 @@ class Lockstep:
         for t, end in zip(self.live[done], sigma[done]):
             self.length[t], self.status[t] = k + 1, end_status(end)
 
-        def cut(row):
-            if isinstance(row, np.ndarray):
-                return row[~done]
-            return (Interval._make if isinstance(row, Interval) else list)(map(cut, row))
+        keep = ~done
 
-        self.live, self.seeds, self.param_seeds, *state = map(
-            cut, (self.live, self.seeds, self.param_seeds, *state))
+        def cut(row):
+            if isinstance(row, np.ndarray):  # the trial slots are the last axis
+                return row[..., keep]
+            if isinstance(row, (list, Interval)):
+                return (Interval._make if isinstance(row, Interval) else list)(map(cut, row))
+            return row  # True or None: the same for every trial
+
+        self.live, self.seeds, self.param_seeds, self.got, self.coeffs, *state = map(
+            cut, (self.live, self.seeds, self.param_seeds, self.got, self.coeffs, *state))
         return tuple(state) if self.live.size else None
 
     def rows(self) -> list[tuple[np.ndarray, np.ndarray, str]]:
@@ -204,30 +235,35 @@ class Lockstep:
 
 def _run(plant: UncertainPlant, levels: int, p: float, strategy: ParamStrategy, steps: int,
          slots: Trial | Lockstep, ops: Ops, sigma, center, y0) -> None:
-    """The closed loop on a Trial with FLOATS or a Lockstep with SLOTS: slots holds the
-    seeds, records each step and ends the trials whose sigma passed a guard."""
+    """The closed loop on a Trial with FLOATS or a Lockstep with SLOTS: slots draws
+    each block's flags and coefficients, records each step and ends the trials whose
+    sigma passed a guard."""
     n = plant.n
     boxes = [plant.box(i) for i in range(n)]
     kind = strategy.kind  # nominal and fixed_vertex realize one vector for every step
     fixed = realize_params(plant, strategy, 0) if kind in ("nominal", "fixed_vertex") else None
+    iid = plant if kind == "iid_uniform" else None
     # the last n estimation intervals, oldest-first; before time 0 the output is 0 (center)
     cells = [Interval(center, center)] * n
     history = [center] * (n - 1) + [y0]
-    for k in range(steps):
-        y = history[-1]
-        symbol = quantize(levels, (y - center) / sigma, ops)
-        cell = decode_cell(levels, sigma, center, symbol, received(p, slots.seeds, k), ops)
-        cells.pop(0)
-        cells.append(cell)
-        u = control(plant, cells)
-        sigma_next, center = advance_scaling(predict(boxes, cells, ops), u, ops)
-        params = fixed or realize_params(plant, strategy, k, history, u, slots.param_seeds, ops)
-        history.append(step_unchecked(history, u, params))
-        history.pop(0)
-        state = slots.retire(k, y, sigma, sigma_next, center, history, cells)
-        if state is None:
-            return
-        sigma, center, history, cells = state
+    for first in range(0, steps, BLOCK_STEPS):
+        block = range(first, min(first + BLOCK_STEPS, steps))
+        slots.draw(p, iid, first, len(block))
+        for j, k in enumerate(block):
+            y = history[-1]
+            symbol = quantize(levels, (y - center) / sigma, ops)
+            cell = decode_cell(levels, sigma, center, symbol, slots.got[j], ops)
+            cells.pop(0)
+            cells.append(cell)
+            u = control(plant, cells)
+            sigma_next, center = advance_scaling(predict(boxes, cells, ops), u, ops)
+            params = fixed or realize_params(plant, strategy, k, history, u, slots.coeffs[j], ops)
+            history.append(step_unchecked(history, u, params))
+            history.pop(0)
+            state = slots.retire(k, y, sigma, sigma_next, center, history, cells)
+            if state is None:
+                return
+            sigma, center, history, cells = state
 
 
 def run_closed_loop(

@@ -9,15 +9,17 @@ alongside.  Each trial has its own injective seed.
 Time-share experiments always step their trials in lockstep numpy arrays
 (run_timeshare_loop_batch).  For closed-loop experiments the trial count
 picks the layout: from BATCH_MIN_TRIALS = 12 trials on they run batched
-(run_closed_loop_batch), narrower ones one scalar trial at a time.  12 is
-where the batch overtook the scalar loop in the median over orders 1-3 and
-the four strategies (400 steps, 2-core Xeon: 1.7x slower at 6 trials,
-0.93x at 12, 0.7x at 16).  The time-share loop has one layout because no
-measured workload runs a narrow time-share experiment, so a second loop
-would be code to keep in step for nothing.  Both closed-loop layouts run
-one loop body (codec_loop), on floats or on trial slots, and the per-step
-sums add trials in trial order (never np.sum, whose pairwise order
-differs), so a seeded decay CSV is bit-identical either way.
+(run_closed_loop_batch), narrower ones one scalar trial at a time.  By 12
+the batch has overtaken the scalar loop in the median over orders 1-3 and
+the four strategies (400 steps, 2-core Xeon: 1.35x the scalar time at 6
+trials, 1.05x at 8, 0.84x at 10, 0.68x at 12, 0.53x at 16).  Drawing the
+random streams in step blocks sped both layouts up alike, so the crossover
+stayed between 8 and 10 trials.  The time-share loop has one layout
+because no measured workload runs a narrow time-share experiment, so a
+second loop would be code to keep in step for nothing.  Both closed-loop
+layouts run one loop body (codec_loop), on floats or on trial slots, and
+the per-step sums add trials in trial order (never np.sum, whose pairwise
+order differs), so a seeded decay CSV is bit-identical either way.
 """
 
 from __future__ import annotations

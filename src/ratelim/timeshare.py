@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from ._search import first_passing, split_integers
-from .channel import ChannelConfig, received
-from .codec_loop import Lockstep, SimTrace, advance_scaling, check_start, quantize
+from .channel import ChannelConfig
+from .codec_loop import BLOCK_STEPS, Lockstep, SimTrace, advance_scaling, check_start, quantize
 from .interval import SLOTS, Interval, midpoint, scale_product
 from .plant import ParamStrategy, UncertainPlant, realize_params
 
@@ -55,22 +55,26 @@ def deltas(a_star: float, eps: float, m: int) -> tuple[float, float]:
 
 def kappa(a_star: float, eps: float, m: int, m_level: float) -> float:
     """Worst-case per-cycle growth factor at realized total resolution M."""
+    return _kappa(abs(a_star) ** m, *deltas(a_star, eps, m), m_level)
+
+
+def _kappa(a_pow: float, dp: float, dm: float, m_level: float) -> float:
+    """kappa from |a*|^m and the spread (deltas), which kappa_bar takes once for its terms."""
     if m_level < 1.0:
         raise ValueError(f"realized level must be >= 1, got {m_level}")
-    dp, dm = deltas(a_star, eps, m)
-    a = abs(a_star)
-    return (a**m + max(m_level / 2.0, 1.0) * dp + max(m_level / 2.0 - 1.0, 0.0) * dm) / m_level
+    return (a_pow + max(m_level / 2.0, 1.0) * dp + max(m_level / 2.0 - 1.0, 0.0) * dm) / m_level
 
 
 def kappa_bar(cfg: TimeShareConfig, levels: float | None = None) -> float:
     """Exact E[kappa^2] over the binomial count of received packets per cycle,
     at cfg's per-slot level or at levels (>= 1) in its place."""
     n_slot = cfg.levels if levels is None else levels
+    a_pow, (dp, dm) = abs(cfg.a_star) ** cfg.m, deltas(cfg.a_star, cfg.eps, cfg.m)
     total = 0.0
     q = 1.0 - cfg.p
     for s in range(cfg.m + 1):
         weight = math.comb(cfg.m, s) * q**s * cfg.p ** (cfg.m - s)
-        total += weight * kappa(cfg.a_star, cfg.eps, cfg.m, n_slot**s) ** 2
+        total += weight * _kappa(a_pow, dp, dm, n_slot**s) ** 2
     return total
 
 
@@ -162,26 +166,31 @@ def run_timeshare_loop_batch(
     hull = power_hull(cfg.a_star, cfg.eps, m)
     kind = strategies[0].kind
     fixed = realize_params(plant, strategies[0], 0) if kind in ("nominal", "fixed_vertex") else None
+    iid = plant if kind == "iid_uniform" else None
     slots = Lockstep(channels, strategies, cycles)
     sigma, center = np.full(trials, cfg.y0_bound), np.zeros(trials)
+    per_block = max(BLOCK_STEPS // m, 1)  # cycles; slot i of cycle j is sub-step m*j + i
     with np.errstate(all="ignore"):
-        for j in range(cycles):
-            res = levels[sum(received(p, slots.seeds, m * j + i) for i in range(m))]
-            idx = quantize(res, (y - center) / sigma, SLOTS)
-            w = sigma / res
-            lo = center - sigma / 2.0 + idx * w
-            cell = Interval(lo, np.where(idx == res - 1.0, center + sigma / 2.0, lo + w))
-            u_end = -a_nom_pow * midpoint(cell)
-            sigma_next, center = advance_scaling(scale_product(hull, cell, SLOTS), u_end, SLOTS)
-            state = slots.retire(j, y, sigma, sigma_next, center, y, u_end)
-            if state is None:
-                break
-            sigma, center, y, u_end = state
-            for i in range(m):  # the plant through the cycle, input only on the last slot
-                u_step = u_end if i == m - 1 else 0.0
-                (a,) = fixed or realize_params(
-                    plant, strategies[0], m * j + i, [y], u_step, slots.param_seeds, SLOTS)
-                y = a * y + u_step
+        for first in range(0, cycles, per_block):
+            block = range(first, min(first + per_block, cycles))
+            slots.draw(p, iid, m * first, m * len(block))
+            for jj, j in enumerate(block):
+                res = levels[sum(slots.got[m * jj : m * jj + m])]
+                idx = quantize(res, (y - center) / sigma, SLOTS)
+                w = sigma / res
+                lo = center - sigma / 2.0 + idx * w
+                cell = Interval(lo, np.where(idx == res - 1.0, center + sigma / 2.0, lo + w))
+                u_end = -a_nom_pow * midpoint(cell)
+                sigma_next, center = advance_scaling(scale_product(hull, cell, SLOTS), u_end, SLOTS)
+                state = slots.retire(j, y, sigma, sigma_next, center, y, u_end)
+                if state is None:
+                    return slots.rows()
+                sigma, center, y, u_end = state
+                for i in range(m):  # the plant through the cycle, input only on the last slot
+                    u_step = u_end if i == m - 1 else 0.0
+                    (a,) = fixed or realize_params(plant, strategies[0], m * j + i, [y], u_step,
+                                                   slots.coeffs[m * jj + i], SLOTS)
+                    y = a * y + u_step
     return slots.rows()
 
 

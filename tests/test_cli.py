@@ -233,7 +233,8 @@ TIMESHARE_SIMULATE = (
         "05c5f31517590b7297b765ab00628d98d70a312e8589110b5f17a707de443361", id="readme-batched"),
     pytest.param(
         (*README_SIMULATE, "--trials", "200", "--strategy", "iid_uniform"),
-        "da1a97bb3e005f96dc9e114a9d315c93ac8c12410e067b0ebe47dd5cacf0cc7a", id="readme-batched-iid"),
+        "da1a97bb3e005f96dc9e114a9d315c93ac8c12410e067b0ebe47dd5cacf0cc7a",
+        id="readme-batched-iid"),
     *(pytest.param(
         (*README_SIMULATE, "--trials", "4", "--signs", "+,-", "--strategy", kind), digest,
         id=f"scalar-{kind}") for kind, digest in [

@@ -506,6 +506,24 @@ def test_block_draws_give_the_per_step_bits(p):
             assert entries(*blocks(seed, counters)) == want
     with pytest.raises(OverflowError):  # an int64 counter cannot take the golden-ratio step
         received(0.5, 1, np.arange(3))
+    # the slots' tables hold the same bits: a Trial's as floats, a Lockstep's by slot
+    channels = [ChannelConfig(p, seed) for seed in seeds]
+    strategies = [ParamStrategy("iid_uniform", seed) for seed in seeds]
+    slots = Lockstep(channels, strategies, steps)
+    for first in range(0, steps, block):
+        count = min(block, steps - first)
+        slots.draw(p, plant, first, count)
+        for t, (channel, strategy) in enumerate(zip(channels, strategies)):
+            want = [per_step(strategy.seed, k) for k in range(first, first + count)]
+            trial = Trial(channel, strategy)
+            trial.draw(p, plant, first, count)
+            assert [(bool(f), tuple(map(float.hex, c))) for f, c in zip(trial.got, trial.coeffs)
+                    ] == want
+            got = np.broadcast_to(np.reshape(slots.got, (count, -1)), (count, len(seeds)))
+            assert entries(got[:, t], slots.coeffs[:, :, t]) == want
+        assert p or slots.got == [True] * count  # p = 0 delivers every packet, undrawn
+        slots.draw(p, None, first, count)  # no coefficients without an iid_uniform plant
+        assert slots.coeffs == [None] * count
 
 
 def test_both_retire_rules_agree_at_the_guards():

@@ -5,9 +5,9 @@ import pytest
 
 import oracles
 from oracles import eta_second_moment
-from ratelim import montecarlo
+from ratelim import codec_loop, montecarlo
 from ratelim.channel import ChannelConfig
-from ratelim.codec_loop import QuantizerSpec
+from ratelim.codec_loop import BLOCK_STEPS, QuantizerSpec
 from ratelim.limits import necessary_bounds
 from ratelim.montecarlo import (
     BATCH_MIN_TRIALS,
@@ -290,8 +290,11 @@ def test_batched_early_exits_match_scalar_oracle(monkeypatch, plant, levels, p, 
     exp = Experiment(trials=30, steps=steps, base_seed=3, strategy=ParamStrategy("nominal"))
     want = oracles.run_experiment(*setup, exp)
     assert exits(want)
-    _assert_same_report(run_experiment(*setup, exp), want)
-    assert len(calls) == 1
+    for block in (BLOCK_STEPS, 5):
+        monkeypatch.setattr(codec_loop, "BLOCK_STEPS", block)
+        _assert_same_report(run_experiment(*setup, exp), want)
+    assert len(calls) == 2
+    _assert_exits_split_blocks(setup, exp)
 
 
 @pytest.mark.parametrize(
@@ -302,13 +305,27 @@ def test_batched_early_exits_match_scalar_oracle(monkeypatch, plant, levels, p, 
     ],
     ids=["some_converge", "some_diverge"],
 )
-def test_batched_iid_early_exits_match_scalar_oracle(plant, levels, p, steps):
-    # trials leave the batch mid-run; their strategy seeds must leave with them
+def test_batched_iid_early_exits_match_scalar_oracle(monkeypatch, plant, levels, p, steps):
+    # trials leave the batch mid-run; their strategy seeds and their rows of the block's
+    # flag and coefficient tables must leave with them
     setup = (plant, QuantizerSpec(levels), ChannelConfig(p=p, seed=1))
     exp = Experiment(trials=30, steps=steps, base_seed=3, strategy=ParamStrategy("iid_uniform"))
     want = oracles.run_experiment(*setup, exp)
     assert 0 < want.converged_trials + want.diverged_trials < 30
-    _assert_same_report(run_experiment(*setup, exp), want)
+    for block in (BLOCK_STEPS, 5):
+        monkeypatch.setattr(codec_loop, "BLOCK_STEPS", block)
+        _assert_same_report(run_experiment(*setup, exp), want)
+    _assert_exits_split_blocks(setup, exp)
+
+
+def _assert_exits_split_blocks(setup, exp):
+    """Trials that leave the batch at different steps leave, in 5-step blocks, both on a
+    block's last step (the next block is drawn without them) and mid-block (the block's
+    tables are cut)."""
+    traces = [oracles._run_trial(*setup, exp, t) for t in range(exp.trials)]
+    lengths = {len(trace) for trace in traces if len(trace) < exp.steps}
+    if len(lengths) > 1:
+        assert {n % 5 == 0 for n in lengths} == {True, False}
 
 
 def test_wide_experiments_run_in_bounded_batches(monkeypatch):

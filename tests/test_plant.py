@@ -141,7 +141,8 @@ def test_array_call_gives_each_slot_the_scalar_bits(kind, n):
     keys = np.array(seeds, dtype=np.uint64)
     with np.errstate(all="ignore"):
         for k in (0, 1, 399):
-            batched = realize_params(p, ParamStrategy(kind, signs=signs), k, history, u, keys, SLOTS)
+            row = iid_params(p, keys, k)  # the iid row as a batch draws it
+            batched = realize_params(p, ParamStrategy(kind, signs=signs), k, history, u, row, SLOTS)
             want = [realize_params(p, ParamStrategy(kind, seed=seed, signs=signs), k,
                                    [float(h[t]) for h in history], float(u[t]))
                     for t, seed in enumerate(seeds)]

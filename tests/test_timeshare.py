@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import eta_second_moment, reduce_traces, replay_timeshare, timeshare_trial
-from ratelim import montecarlo
+from ratelim import montecarlo, timeshare
 from ratelim.channel import ChannelConfig, uniform01
 from ratelim.cli import main
-from ratelim.codec_loop import COMPLETED, CONVERGED, DIVERGED, SaturationError, SimTrace
+from ratelim.codec_loop import (
+    BLOCK_STEPS,
+    COMPLETED,
+    CONVERGED,
+    DIVERGED,
+    SaturationError,
+    SimTrace,
+)
 from ratelim.limits import necessary_bounds
 from ratelim.montecarlo import Experiment, write_rows_csv
 from ratelim.plant import ParamStrategy, iid_params
@@ -85,6 +94,20 @@ def test_kappa_bar_matches_eta_second_moment_at_unit_duration():
         assert kappa_bar(cfg) == pytest.approx(
             eta_second_moment(a, eps, p, n), abs=1e-12
         )
+
+
+def test_kappa_bar_is_the_binomial_sum_of_kappa_squared():
+    # kappa_bar takes the spread once for all its terms; each term stays kappa's value
+    grid = itertools.product((-2.5, 1.3, 3.3), (0.0, 0.025, 0.2), range(1, 6),
+                             (0.0, 0.1, 0.5, 0.9), (1.0, 1.5, 4.0, 13**0.5, 1e6))
+    for a_star, eps, m, p, level in grid:
+        want = 0.0
+        for s in range(m + 1):
+            weight = math.comb(m, s) * (1.0 - p) ** s * p ** (m - s)
+            want += weight * kappa(a_star, eps, m, level**s) ** 2
+        cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m, levels=level, p=p)
+        assert kappa_bar(cfg) == want
+        assert kappa_bar(replace(cfg, levels=2.0), level) == want
 
 
 def test_kappa_bar_lossless_degenerates_to_full_resolution():
@@ -281,13 +304,14 @@ def _replayed(cfg, channel, strategy, row, cycles, start) -> SimTrace:
     return trace
 
 
-def _batch_matches_oracle(cfg, channels, strategies, y0, cycles) -> list[str]:
-    """Run the batch and replay each trial's row by timeshare_trial; the statuses."""
+def _batch_matches_oracle(cfg, channels, strategies, y0, cycles) -> list[tuple[int, str]]:
+    """Run the batch and replay each trial's row by timeshare_trial; the rows' (length,
+    status)."""
     rows = run_timeshare_loop_batch(cfg, channels, strategies, cycles, y0)
     assert len(rows) == len(y0)
     for row, channel, strategy, start in zip(rows, channels, strategies, y0):
         _replayed(cfg, channel, strategy, row, cycles, start)
-    return [status for _, _, status in rows]
+    return [(len(y), status) for y, _, status in rows]
 
 
 def _trials(kind: str, p: float, trials: int, sign: int = 1):
@@ -323,13 +347,18 @@ def test_batched_loop_matches_scalar_loop(m, kind, p):
     ids=["all_converge", "some_converge", "some_diverge", "overflow"],
 )
 @pytest.mark.parametrize("kind", ["nominal", "iid_uniform", "greedy_adversarial"])
-def test_batched_early_exits_match_scalar_loop(a_star, eps, m, levels, p, cycles, y0_bound, ends,
-                                               kind):
+def test_batched_early_exits_match_scalar_loop(monkeypatch, a_star, eps, m, levels, p, cycles,
+                                               y0_bound, ends, kind):
     cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m, levels=levels, p=p, y0_bound=y0_bound)
     channels, strategies, y0 = _trials(kind, p, 40)
-    statuses = _batch_matches_oracle(cfg, channels, strategies, [y0_bound * y for y in y0], cycles)
+    for block in (BLOCK_STEPS, 5):  # a 5-step block holds 2 cycles at m = 2
+        monkeypatch.setattr(timeshare, "BLOCK_STEPS", block)
+        rows = _batch_matches_oracle(cfg, channels, strategies, [y0_bound * y for y in y0], cycles)
     if kind == "nominal":
-        assert set(statuses) == ends
+        assert {status for _, status in rows} == ends
+    lengths = {length for length, _ in rows if length < cycles}
+    if len(lengths) > 1:  # some leave on a block's last cycle, some mid-block
+        assert {length % (5 // m) == 0 for length in lengths} == {True, False}
 
 
 @st.composite
@@ -394,7 +423,8 @@ def test_batched_breach_names_the_first_trial_of_the_earliest_cycle():
         run_timeshare_loop_batch(cfg, channels, strategies, 400, y0)
     assert str(batched.value) == messages[12]
     y0[3] = y0[6] = y0[9] = y0[12] = 0.1
-    assert set(_batch_matches_oracle(cfg, channels, strategies, y0, 400)) == {CONVERGED}
+    assert {status for _, status in _batch_matches_oracle(cfg, channels, strategies, y0, 400)} == {
+        CONVERGED}
 
 
 def test_simulators_refuse_totals_past_2_pow_53():
