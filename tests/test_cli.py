@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ratelim import mjls, montecarlo
 from ratelim.cli import main
+from ratelim.plant import ParamStrategy
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +228,12 @@ TIMESHARE_SIMULATE = (
 )
 
 
+def _lossless(argv):
+    """argv with its --p value replaced by 0."""
+    at = argv.index("--p") + 1
+    return (*argv[:at], "0", *argv[at + 1:])
+
+
 @pytest.mark.parametrize("argv, digest", [
     pytest.param(
         (*README_SIMULATE, "--trials", "200", "--strategy", "greedy_adversarial"),
@@ -252,11 +259,30 @@ TIMESHARE_SIMULATE = (
     pytest.param((*TIMESHARE_SIMULATE, "--strategy", "fixed_vertex", "--signs=+"),
                  "2a018fa1d1c6007f86a3256338175a9e315cb0fcff1a877b988422b28abfac1e",
                  id="timeshare-fixed_vertex"),
+    *(pytest.param((*_lossless(argv), "--strategy", kind), digest, id=f"{layout}-p0-{kind}")
+      for layout, argv, digests in [
+        ("scalar", (*README_SIMULATE, "--trials", "4", "--signs", "+,-"), [
+            "af5fd3a6e7250ad27ec1df780bd0d3b5213dd7b327b3211b406f3c0c3c771db2",
+            "d438834680ea6aeedd0463bead80240dfe27b74ce0b1fc6562219a9b0cb51727",
+            "99870d43264aa2d6128bf9b4b17de8676367a04d1ddff59a674c71501b07ea06",
+            "d2e2faf7ad0fe1610fb73a55ac586d640f9f5005a3b445cd888c11f6b07a3e0c"]),
+        ("batched", (*README_SIMULATE, "--trials", "200", "--signs", "+,-"), [
+            "8c54396d36a6b0b93bcf61c9c3cf8adb807149eee35b5c69d0fb64a67aeb38e4",
+            "8964b11df23863e71cbea11ea6212a0cbf3898c8f08e08b5392fb7e7eaa7369f",
+            "de634f33f3defca4166e9c4f5fcef14cdb43057c1de2b69092950aebeeeb7a7d",
+            "9611a1f9faff4a3ec5a8fb38ee7dd9ab9a13274d9f6c29d49790113b30c52a22"]),
+        ("timeshare", (*TIMESHARE_SIMULATE, "--signs=+"), [
+            "5e8caf9019ae99d5563e7fb7da8a46c3b757db01ab3b7a26c80f17d2b82db155",
+            "fdcf5074582dd76aec9b7e8451596a3e654d7adbc76406c34a0834aad4f7beee",
+            "8e3e772df387b07be592ccd9f6ae3f80826e69c50d7a382971649774deb5bf36",
+            "7c4d4e5af4182e5de54a3dc89565f27257b4aa4ecdd1ab4e792541a89eb7af10"]),
+      ] for kind, digest in zip(ParamStrategy.KINDS, digests)),
 ])
 def test_seeded_decay_csvs_keep_their_bytes(capsys, tmp_path, argv, digest):
     # sha256 of each decay CSV: the README run (batched) with the greedy and the iid
-    # strategy, the same run at 4 trials (the scalar loop) for every strategy, and 4-trial
-    # time-share runs for every strategy
+    # strategy, the same run at 4 trials (the scalar loop) for every strategy, 4-trial
+    # time-share runs for every strategy, and all three at loss probability 0 for every
+    # strategy
     out_file = tmp_path / "decay.csv"
     code, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
     assert code == 0
