@@ -1,6 +1,6 @@
 """Rate and loss limits for quantized control over lossy channels."""
 
-from .channel import ChannelConfig, draw
+from .channel import ChannelConfig
 from .codec_loop import (
     QuantizerSpec,
     SaturationError,
@@ -9,17 +9,16 @@ from .codec_loop import (
 )
 from .interval import Interval
 from .limits import NecessaryBounds, necessary_bounds, you_bounds
-from .mjls import MjlsModel, build_F, min_sufficient_N, spectral_radius, sufficient_mss
+from .mjls import min_sufficient_N, spectral_radius, sufficient_mss
 from .montecarlo import DecayReport, Experiment, run_experiment, sweep
 from .plant import ParamStrategy, UncertainPlant
-from .timeshare import TimeShareConfig, kappa_bar, lossless_bound, run_timeshare_loop
+from .timeshare import TimeShareConfig, kappa_bar, lossless_bound
 
 __all__ = [
     "ChannelConfig",
     "DecayReport",
     "Experiment",
     "Interval",
-    "MjlsModel",
     "NecessaryBounds",
     "ParamStrategy",
     "QuantizerSpec",
@@ -27,15 +26,12 @@ __all__ = [
     "SimTrace",
     "TimeShareConfig",
     "UncertainPlant",
-    "build_F",
-    "draw",
     "kappa_bar",
     "lossless_bound",
     "min_sufficient_N",
     "necessary_bounds",
     "run_closed_loop",
     "run_experiment",
-    "run_timeshare_loop",
     "spectral_radius",
     "sufficient_mss",
     "sweep",

@@ -46,10 +46,10 @@ class ChannelConfig:
 
 
 def received(p: float, seed, k: int):
-    """Whether time k's packet gets through: False with probability p.  seed and k may be
-    uint64 arrays, of trial slots and of step counters, to draw a block of steps at once
-    with each step's bits (uniform01); p = 0 delivers every packet, True without a draw."""
-    return p == 0.0 or uniform01(seed, k) >= p
+    """Whether time k's packet gets through: uniform01(seed, k) >= p, False with probability
+    p and True at p = 0.  seed and k may be uint64 arrays, of trial slots and of step
+    counters, to draw a block of steps at once with each step's bits."""
+    return uniform01(seed, k) >= p
 
 
 def draw(ch: ChannelConfig, k: int) -> int:

@@ -113,7 +113,7 @@ def _scalar_plant_from(args, what: str) -> tuple[float, float]:
 
 
 def _experiment_from(args, **extra) -> Experiment:
-    strategy = ParamStrategy(kind=args.strategy, seed=args.seed, signs=args.signs)
+    strategy = ParamStrategy(kind=args.strategy, signs=args.signs)  # seeded per trial
     return Experiment(trials=args.trials, steps=args.steps, base_seed=args.seed,
                       strategy=strategy, **extra)
 

@@ -158,11 +158,10 @@ class Trial:
 
     def draw(self, p: float, plant: UncertainPlant | None, first: int, count: int) -> None:
         """Draw the block of steps first to first + count - 1: got[j] is step first + j's
-        reception flag (received) and coeffs[j] its iid_uniform coefficients (iid_params)
-        for a plant, None without one."""
+        reception flag (received, at every p) and coeffs[j] its iid_uniform coefficients
+        (iid_params) for a plant, None without one."""
         counters = np.arange(first, first + count, dtype=np.uint64)
-        got = received(p, self.seeds, counters)  # True, with no draw, at p = 0
-        self.got = [True] * count if got is True else got.tolist()
+        self.got = received(p, self.seeds, counters).tolist()
         self.coeffs = [None] * count if plant is None else list(
             zip(*(c.tolist() for c in iid_params(plant, self.param_seeds, counters))))
 
@@ -195,10 +194,9 @@ class Lockstep:
 
     def draw(self, p: float, plant: UncertainPlant | None, first: int, count: int) -> None:
         """Trial.draw for the live trials: got[j] and coeffs[j] hold one slot per live
-        trial on their last axis (got[j] is True for all at p = 0, coeffs[j] None)."""
+        trial on their last axis (coeffs[j] is None without a plant)."""
         counters = np.arange(first, first + count, dtype=np.uint64)[:, None]
-        got = received(p, self.seeds, counters)
-        self.got = [True] * count if got is True else got
+        self.got = received(p, self.seeds, counters)
         self.coeffs = [None] * count if plant is None else np.stack(
             iid_params(plant, self.param_seeds, counters), axis=1)
 
@@ -206,7 +204,7 @@ class Lockstep:
         """Record step k's y and sigma_k for the live trials; end those whose next sigma,
         state[0], passed a guard (length k + 1, end_status); return state (arrays, or
         lists or Intervals of them) for the others, or None once none is left.  The
-        block's tables leave with their trials too."""
+        block's flags, and its coefficients when drawn, leave with their trials too."""
         self.y[self.live, k], self.sigma[self.live, k] = y, sigma_k
         sigma = state[0]
         done = (sigma < CONVERGED_SIGMA) | ~(sigma <= DIVERGED_SIGMA)  # end_status's rule
@@ -222,7 +220,7 @@ class Lockstep:
                 return row[..., keep]
             if isinstance(row, (list, Interval)):
                 return (Interval._make if isinstance(row, Interval) else list)(map(cut, row))
-            return row  # True or None: the same for every trial
+            return row  # a coeffs entry without a plant: None for every trial
 
         self.live, self.seeds, self.param_seeds, self.got, self.coeffs, *state = map(
             cut, (self.live, self.seeds, self.param_seeds, self.got, self.coeffs, *state))
@@ -241,7 +239,7 @@ def _run(plant: UncertainPlant, levels: int, p: float, strategy: ParamStrategy, 
     n = plant.n
     boxes = [plant.box(i) for i in range(n)]
     kind = strategy.kind  # nominal and fixed_vertex realize one vector for every step
-    fixed = realize_params(plant, strategy, 0) if kind in ("nominal", "fixed_vertex") else None
+    fixed = realize_params(plant, strategy) if kind in ("nominal", "fixed_vertex") else None
     iid = plant if kind == "iid_uniform" else None
     # the last n estimation intervals, oldest-first; before time 0 the output is 0 (center)
     cells = [Interval(center, center)] * n
@@ -257,7 +255,7 @@ def _run(plant: UncertainPlant, levels: int, p: float, strategy: ParamStrategy, 
             cells.append(cell)
             u = control(plant, cells)
             sigma_next, center = advance_scaling(predict(boxes, cells, ops), u, ops)
-            params = fixed or realize_params(plant, strategy, k, history, u, slots.coeffs[j], ops)
+            params = fixed or realize_params(plant, strategy, history, u, slots.coeffs[j], ops)
             history.append(step_unchecked(history, u, params))
             history.pop(0)
             state = slots.retire(k, y, sigma, sigma_next, center, history, cells)

@@ -62,11 +62,12 @@ BATCH_MIN_TRIALS, BATCH_MAX_TRIALS = 12, 4096
 # (order: plant order or time-share cycle; a step costs about in proportion).
 # 10^6 trial steps at order 6 took 15-31 s and 420 MB as one scalar trial on a
 # 2-core Xeon; batched, 0.6-1.8 s as 2500 x 400, 18 s as 500000 x 2, 31 s as 12 x 83333.
-# A batch narrower than BATCH_MIN_TRIALS costs about as much as one that wide (one
-# time-share trial of 10^6 cycles at m = 2 took 143 s, 16 s on the old scalar loop),
-# so a time-share experiment counts at least BATCH_MIN_TRIALS trials: 1 x 83333 cycles
-# at m = 2 took 12 s, 12 x 83333 14 s.
 MAX_WORK = 6_000_000
+# A time-share batch narrower than TIMESHARE_MIN_TRIALS costs about as much as one that
+# wide (at m = 2, 1 x 83333 cycles took 12 s and 12 x 83333 14 s; 1 x 10^6 took 143 s), so
+# it counts that many trials against MAX_WORK.  It is not BATCH_MIN_TRIALS, the closed-loop
+# layout crossover, so that a crossover measurement cannot move it.
+TIMESHARE_MIN_TRIALS = 12
 
 
 @dataclass(frozen=True)
@@ -156,9 +157,9 @@ def run_experiment(
         raise ValueError(f"time-share loss probability {target.p} differs from the channel's {channel.p}")
     if target.y0_bound > DIVERGED_SIGMA:  # the first recorded sigma is Y0: keep its square finite
         raise ValueError(f"Y0 = {target.y0_bound} exceeds the divergence guard {DIVERGED_SIGMA}")
-    if isinstance(target, TimeShareConfig) and exp.trials < BATCH_MIN_TRIALS:
-        _check_work(BATCH_MIN_TRIALS * exp.steps, target.m,
-                    f" (a time-share run counts at least {BATCH_MIN_TRIALS} trials)")
+    if isinstance(target, TimeShareConfig) and exp.trials < TIMESHARE_MIN_TRIALS:
+        _check_work(TIMESHARE_MIN_TRIALS * exp.steps, target.m,
+                    f" (a time-share run counts at least {TIMESHARE_MIN_TRIALS} trials)")
     else:
         order = target.m if isinstance(target, TimeShareConfig) else target.n
         _check_work(exp.trials * exp.steps, order)

@@ -103,9 +103,9 @@ class ParamStrategy:
 def iid_params(plant: UncertainPlant, seed, k: int) -> tuple:
     """iid_uniform coefficients of step k; coefficient i reads uniform01(~seed, k*n + i).
 
-    ~seed keeps the stream apart from a channel with an equal seed and gives the
-    same bits for an int and a uint64 seed array, whose slots then match the scalar;
-    a uint64 array of step counters k draws a block of steps, each with its own bits.
+    The loops' one source of them: a uint64 array of step counters k draws a block of
+    steps, each with its own bits.  ~seed keeps the stream apart from a channel with an
+    equal seed and gives the same bits for an int and a uint64 seed array.
     """
     key, n = ~seed, plant.n
     return tuple([a + e * (2.0 * uniform01(key, k * n + i) - 1.0)
@@ -115,20 +115,18 @@ def iid_params(plant: UncertainPlant, seed, k: int) -> tuple:
 def realize_params(
     plant: UncertainPlant,
     strategy: ParamStrategy,
-    k: int,
     history: Sequence | None = None,
     u=None,
     row=None,
     ops: Ops = FLOATS,
 ) -> tuple:
-    """Coefficient vector of step k according to the strategy, for one trial or a batch.
+    """Coefficient vector of one step according to the strategy, for one trial or a batch.
 
     history and u, the plant step's inputs, are scalars or arrays with one slot
-    per trial; ops is FLOATS or SLOTS to match.  iid_uniform returns row, step
-    k's coefficients as the loops draw them a block at a time, or without it
-    iid_params(plant, strategy.seed, k).  greedy_adversarial sweeps the
-    coordinates once from the nominal vector (so it never does worse than
-    nominal), setting each to a + e if that gives a |next output| at least
+    per trial; ops is FLOATS or SLOTS to match.  iid_uniform returns row, the
+    coefficients the loop drew for the step (iid_params).  greedy_adversarial
+    sweeps the coordinates once from the nominal vector (so it never does worse
+    than nominal), setting each to a + e if that gives a |next output| at least
     that of a - e (inf against inf too), else to a - e (a NaN).
     """
     kind = strategy.kind
@@ -139,7 +137,7 @@ def realize_params(
             raise ValueError(f"sign pattern must have length {plant.n}")
         return tuple(a + s * e for a, s, e in zip(plant.a_star, strategy.signs, plant.eps))
     if kind == "iid_uniform":
-        return iid_params(plant, strategy.seed, k) if row is None else row
+        return row
     # greedy_adversarial
     if history is None or u is None or len(history) != plant.n:
         raise ValueError(f"greedy_adversarial strategy needs the last {plant.n} outputs")

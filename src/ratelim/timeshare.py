@@ -53,13 +53,9 @@ def deltas(a_star: float, eps: float, m: int) -> tuple[float, float]:
     return (a + eps) ** m - a**m, a**m - (a - eps) ** m
 
 
-def kappa(a_star: float, eps: float, m: int, m_level: float) -> float:
-    """Worst-case per-cycle growth factor at realized total resolution M."""
-    return _kappa(abs(a_star) ** m, *deltas(a_star, eps, m), m_level)
-
-
 def _kappa(a_pow: float, dp: float, dm: float, m_level: float) -> float:
-    """kappa from |a*|^m and the spread (deltas), which kappa_bar takes once for its terms."""
+    """Worst-case per-cycle growth factor at realized total resolution M, from |a*|^m and
+    the spread (deltas), which kappa_bar takes once for its terms."""
     if m_level < 1.0:
         raise ValueError(f"realized level must be >= 1, got {m_level}")
     return (a_pow + max(m_level / 2.0, 1.0) * dp + max(m_level / 2.0 - 1.0, 0.0) * dm) / m_level
@@ -165,7 +161,7 @@ def run_timeshare_loop_batch(
     a_nom_pow = cfg.a_star**m
     hull = power_hull(cfg.a_star, cfg.eps, m)
     kind = strategies[0].kind
-    fixed = realize_params(plant, strategies[0], 0) if kind in ("nominal", "fixed_vertex") else None
+    fixed = realize_params(plant, strategies[0]) if kind in ("nominal", "fixed_vertex") else None
     iid = plant if kind == "iid_uniform" else None
     slots = Lockstep(channels, strategies, cycles)
     sigma, center = np.full(trials, cfg.y0_bound), np.zeros(trials)
@@ -188,7 +184,7 @@ def run_timeshare_loop_batch(
                 sigma, center, y, u_end = state
                 for i in range(m):  # the plant through the cycle, input only on the last slot
                     u_step = u_end if i == m - 1 else 0.0
-                    (a,) = fixed or realize_params(plant, strategies[0], m * j + i, [y], u_step,
+                    (a,) = fixed or realize_params(plant, strategies[0], [y], u_step,
                                                    slots.coeffs[m * jj + i], SLOTS)
                     y = a * y + u_step
     return slots.rows()

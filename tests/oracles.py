@@ -3,7 +3,8 @@
 These are the upward scans and the bisection that answered the
 minimum-level questions before the shared monotone search, the LU solve
 that decided the searches' probes before the power-iteration bracket
-did (with the two searches as they stood on it), the product
+did (with the two searches as they stood on it), the one-term
+time-share growth factor `kappa` that `kappa_bar` sums, the product
 form of the lifted matrix, the geometric-mean power iteration that
 estimated the spectral radius before the Collatz-Wielandt bracket bounded
 it, the stacked per-trial reduction of a Monte Carlo experiment, and the
@@ -69,7 +70,7 @@ from ratelim.montecarlo import (
     _trial_setup,
 )
 from ratelim.plant import ParamStrategy, UncertainPlant, iid_params, step_unchecked
-from ratelim.timeshare import TimeShareConfig, kappa_bar, power_hull
+from ratelim.timeshare import TimeShareConfig, _kappa, deltas, kappa_bar, power_hull
 
 
 def min_sufficient_N(plant: UncertainPlant, p: float, n_max: int = 4096) -> MinLevelResult:
@@ -193,6 +194,11 @@ def min_feasible_average_level(
         if kappa_bar(cfg) < 1.0:
             return total, avg
     return None
+
+
+def kappa(a_star: float, eps: float, m: int, m_level: float) -> float:
+    """Worst-case per-cycle growth factor at realized total resolution M."""
+    return _kappa(abs(a_star) ** m, *deltas(a_star, eps, m), m_level)
 
 
 def lifted_matrix(plant: UncertainPlant, n_levels: float, p: float) -> np.ndarray:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import eta_second_moment, max_cell_expansion, product_measure_cases
+from oracles import eta_second_moment, kappa, max_cell_expansion, product_measure_cases
 from ratelim.channel import ChannelConfig
 from ratelim.codec_loop import QuantizerSpec
 from ratelim.interval import Interval
@@ -23,7 +23,6 @@ from ratelim.montecarlo import STABLE, Experiment, run_experiment
 from ratelim.plant import ParamStrategy, UncertainPlant
 from ratelim.timeshare import (
     TimeShareConfig,
-    kappa,
     kappa_bar,
     lossless_bound,
     min_feasible_average_level,

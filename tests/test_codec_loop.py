@@ -519,9 +519,8 @@ def test_block_draws_give_the_per_step_bits(p):
             trial.draw(p, plant, first, count)
             assert [(bool(f), tuple(map(float.hex, c))) for f, c in zip(trial.got, trial.coeffs)
                     ] == want
-            got = np.broadcast_to(np.reshape(slots.got, (count, -1)), (count, len(seeds)))
-            assert entries(got[:, t], slots.coeffs[:, :, t]) == want
-        assert p or slots.got == [True] * count  # p = 0 delivers every packet, undrawn
+            assert entries(slots.got[:, t], slots.coeffs[:, :, t]) == want
+        assert p or slots.got.all()  # p = 0 delivers every packet, from drawn bits
         slots.draw(p, None, first, count)  # no coefficients without an iid_uniform plant
         assert slots.coeffs == [None] * count
 

@@ -82,25 +82,27 @@ def test_step_affine_in_u():
 
 def test_realize_nominal_and_vertex():
     p = make_plant()
-    assert realize_params(p, ParamStrategy("nominal"), 0) == (1.0, 2.5)
-    got = realize_params(p, ParamStrategy("fixed_vertex", signs=(1, 1)), 0)
+    assert realize_params(p, ParamStrategy("nominal")) == (1.0, 2.5)
+    got = realize_params(p, ParamStrategy("fixed_vertex", signs=(1, 1)))
     assert got == pytest.approx((1.05, 2.55))
-    got = realize_params(p, ParamStrategy("fixed_vertex", signs=(-1, 1)), 0)
+    got = realize_params(p, ParamStrategy("fixed_vertex", signs=(-1, 1)))
     assert got == pytest.approx((0.95, 2.55))
 
 
 def test_iid_uniform_reproducible_and_in_box():
     # draws are a pure function of (seed, step, coefficient): a second
-    # instance replays them, and each depends on all three
+    # call replays them, and each depends on all three
     p = make_plant()
     steps = range(50)
-    seq1 = [realize_params(p, ParamStrategy("iid_uniform", seed=123), k) for k in steps]
-    seq2 = [realize_params(p, ParamStrategy("iid_uniform", seed=123), k) for k in steps]
+    seq1 = [iid_params(p, 123, k) for k in steps]
+    seq2 = [iid_params(p, 123, k) for k in steps]
     assert seq1 == seq2  # bit-identical
+    # realize_params hands iid_uniform the row the loop drew
+    assert all(realize_params(p, ParamStrategy("iid_uniform"), row=row) is row for row in seq1)
     for draw in seq1:
         for v, a, e in zip(draw, p.a_star, p.eps):
             assert a - e <= v <= a + e
-    other_seed = [realize_params(p, ParamStrategy("iid_uniform", seed=124), k) for k in steps]
+    other_seed = [iid_params(p, 124, k) for k in steps]
     assert all(a != b for d1, d2 in zip(seq1, other_seed) for a, b in zip(d1, d2))
     assert len({d for draw in seq1 for d in draw}) == 2 * len(seq1)  # per step and coefficient
     # coefficients read disjoint counters, so equal radii still draw apart
@@ -142,9 +144,9 @@ def test_array_call_gives_each_slot_the_scalar_bits(kind, n):
     with np.errstate(all="ignore"):
         for k in (0, 1, 399):
             row = iid_params(p, keys, k)  # the iid row as a batch draws it
-            batched = realize_params(p, ParamStrategy(kind, signs=signs), k, history, u, row, SLOTS)
-            want = [realize_params(p, ParamStrategy(kind, seed=seed, signs=signs), k,
-                                   [float(h[t]) for h in history], float(u[t]))
+            batched = realize_params(p, ParamStrategy(kind, signs=signs), history, u, row, SLOTS)
+            want = [realize_params(p, ParamStrategy(kind, signs=signs),
+                                   [float(h[t]) for h in history], float(u[t]), iid_params(p, seed, k))
                     for t, seed in enumerate(seeds)]
             assert _slot_bits(batched, trials) == [tuple(map(float.hex, w)) for w in want]
     if kind != "greedy_adversarial":
@@ -175,9 +177,9 @@ def test_greedy_matches_the_callback_oracle_bitwise(n, data):
     strat = ParamStrategy("greedy_adversarial")
     with np.errstate(all="ignore"):
         want = oracles.realize_params(p, strat, 0, lambda q: step_unchecked(history, u, q))
-        got = realize_params(p, strat, 0, history, u)
+        got = realize_params(p, strat, history, u)
         assert tuple(map(float.hex, got)) == tuple(map(float.hex, want))
-        batched = realize_params(p, strat, 0, [np.array([h, 0.0]) for h in history],
+        batched = realize_params(p, strat, [np.array([h, 0.0]) for h in history],
                                  np.array([u, 0.0]), ops=SLOTS)
         assert _slot_bits(batched, 2)[0] == tuple(map(float.hex, want))
 
@@ -204,7 +206,7 @@ def test_greedy_adversarial_dominates_nominal():
         def out(params):
             return params[0] * h[1] + params[1] * h[0] + u
 
-        greedy = realize_params(p, strat, 0, h, u)
+        greedy = realize_params(p, strat, h, u)
         assert abs(out(greedy)) >= abs(out(p.a_star)) - 1e-12
         for v, a, e in zip(greedy, p.a_star, p.eps):
             assert v in (a - e, a + e) or e == 0.0
@@ -215,7 +217,7 @@ def test_greedy_requires_context():
     greedy = ParamStrategy("greedy_adversarial")
     for history, u in [(None, None), ([0.1, 0.2], None), ([0.1], 0.0)]:
         with pytest.raises(ValueError):
-            realize_params(make_plant(), greedy, 0, history, u)
+            realize_params(make_plant(), greedy, history, u)
 
 
 def test_companion_matrix_layout():

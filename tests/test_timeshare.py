@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eta_second_moment, reduce_traces, replay_timeshare, timeshare_trial
+from oracles import eta_second_moment, kappa, reduce_traces, replay_timeshare, timeshare_trial
 from ratelim import montecarlo, timeshare
 from ratelim.channel import ChannelConfig, uniform01
 from ratelim.cli import main
@@ -26,7 +26,6 @@ from ratelim.plant import ParamStrategy, iid_params
 from ratelim.timeshare import (
     TimeShareConfig,
     deltas,
-    kappa,
     kappa_bar,
     lossless_bound,
     min_feasible_average_level,
