@@ -315,6 +315,47 @@ def test_sweep_duration_routes_to_timeshare(capsys):
     assert len(lines) == 5
 
 
+DURATION_FLAGS = ("sweep", "--n", "1", "--var", "m")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    pytest.param((*DURATION_FLAGS, "--a-star", "3.3", "--eps", "0.025", "--p", "0",
+                  "--range", "1:4:1"),
+                 "1187ffd646d9d015bac37fc3d873825a612bc4c72f44dcaadae471bdebca8859",
+                 id="readme-duration-sweep"),
+    pytest.param((*DURATION_FLAGS, "--a-star", "3.3", "--eps", "0.025", "--p", "0.05",
+                  "--range", "1:4:1"),
+                 "3686adcfd63b5bf70e8e7e427044327555dbd4717c7bc43363a465ccbc9e9310",
+                 id="lossy-duration-sweep"),
+    pytest.param((*DURATION_FLAGS, "--a-star", "-2.4", "--eps", "0.05", "--p", "0.1",
+                  "--range", "1:5:1"),
+                 "0d8c781612ea75e4d168ca2a344c1675114d5594356dd9d12c01509a35466624",
+                 id="lossy-duration-sweep-negative"),
+    pytest.param(("timeshare", "--a-star", "3.3", "--eps", "0.025", "--p", "0.05", "--m", "3",
+                  "--N", "6"),
+                 "c4d586b89f7f57afe971bcb028e2dc6b023b63ac6048dad4a1cb1b9ff91d4ef9",
+                 id="lossy-level"),
+    pytest.param(("timeshare", "--a-star", "2.4", "--eps", "0.15", "--p", "0.2", "--m", "3",
+                  "--N", "2.5"),
+                 "3a2a7389e829250064affa9ec12d1a91cd1900c17f6c61c1dc07724928a3e1f1",
+                 id="lossy-real-level-infeasible"),
+    pytest.param(("timeshare", "--a-star", "-1.5", "--eps", "0.1", "--p", "0.4", "--m", "1",
+                  "--N", "1"),
+                 "40171ac0f4255f7f180f1f29d8297506bc24ba6162031f8344bfba4ef9168bf4",
+                 id="lossy-unit-level"),
+    pytest.param(("timeshare", "--a-star", "3.3", "--eps", "0.025", "--p", "0.3", "--m", "4",
+                  "--N", "100"),
+                 "9165cd8808f054577f1386b4f64fa26a6e88e749ff7a3e71ed64331a1e4799e5",
+                 id="lossy-level-infeasible-duration"),
+])
+def test_timeshare_answers_keep_their_bytes(capsys, argv, digest):
+    # sha256 of stdout: the README duration sweep, duration sweeps at p > 0, and lossy
+    # single-duration payloads with kappa_bar at a per-slot --N
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sweep_bad_range(capsys):
     code, _, _ = run_cli(
         capsys,
