@@ -184,13 +184,10 @@ def cmd_simulate(args) -> tuple[list[dict], dict]:
     channel = ChannelConfig(args.p)
     if args.m is not None:
         a, e = _scalar_plant_from(args, "time-sharing simulation")
-        target = TimeShareConfig(
-            a_star=a, eps=e, m=args.m, levels=args.N, p=args.p, y0_bound=args.y0_bound
-        )
-        report = run_experiment(target, None, channel, exp)
+        target = TimeShareConfig(a_star=a, eps=e, m=args.m, y0_bound=args.y0_bound)
     else:
-        plant = _plant_from(args)
-        report = run_experiment(plant, QuantizerSpec(args.N), channel, exp)
+        target = _plant_from(args)
+    report = run_experiment(target, QuantizerSpec(args.N), channel, exp)
     keys = ("verdict", "slope", "diverged_trials", "converged_trials")
     return report.rows(), {key: getattr(report, key) for key in keys}
 
@@ -213,11 +210,11 @@ def cmd_sweep(args) -> list[dict]:
 
 def cmd_timeshare(args) -> dict:
     a, e = _scalar_plant_from(args, "time-sharing analysis")
-    levels = 1.0 if args.N is None else args.N
-    cfg = TimeShareConfig(a_star=a, eps=e, m=args.m, levels=levels, p=args.p)  # validates first
+    # before the search, so that a bad --N is refused first
+    kbar = None if args.N is None else kappa_bar(TimeShareConfig(a, e, args.m), args.N, args.p)
     row = sweep_timeshare(a, e, [args.m], channel_p=args.p)[0]
     payload = {key: None if value == "" else value for key, value in row.items()}
-    payload["kappa_bar"] = None if args.N is None else kappa_bar(cfg)
+    payload["kappa_bar"] = kbar
     return payload
 
 

@@ -54,6 +54,8 @@ class QuantizerSpec:
     def __post_init__(self):
         if not 1 <= self.levels <= 2**53:  # the batched loop holds symbols in doubles
             raise ValueError(f"quantizer needs 1 to 2^53 levels, got {self.levels}")
+        if self.levels != int(self.levels):
+            raise ValueError(f"quantizer needs an integer level count, got {self.levels}")
 
 
 def quantize(levels, v, ops: Ops = FLOATS):

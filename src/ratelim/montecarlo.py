@@ -124,26 +124,25 @@ def _trial_rows(target, quantizer, channel, exp: Experiment):
             trace = run_closed_loop(target, quantizer, ch, strat, exp.steps, y0)
             yield np.asarray(trace.y), np.asarray(trace.sigma), trace.status
         return
+    run_batch = run_timeshare_loop_batch if timeshare else run_closed_loop_batch
     for first in range(0, exp.trials, BATCH_MAX_TRIALS):
         chunk = range(first, min(first + BATCH_MAX_TRIALS, exp.trials))
         channels, strategies, y0 = zip(*(_trial_setup(target, channel, exp, t) for t in chunk))
-        if timeshare:
-            yield from run_timeshare_loop_batch(target, channels, strategies, exp.steps, y0)
-        else:
-            yield from run_closed_loop_batch(target, quantizer, channels, strategies, exp.steps, y0)
+        yield from run_batch(target, quantizer, channels, strategies, exp.steps, y0)
 
 
 def run_experiment(
     target: UncertainPlant | TimeShareConfig,
-    quantizer: QuantizerSpec | None,
+    quantizer: QuantizerSpec,
     channel: ChannelConfig,
     exp: Experiment,
 ) -> DecayReport:
     """Average many seeded trials and classify the decay of E[sigma^2].
 
-    Only the channel's loss probability is read, and a time-share target
-    must carry the same one: each trial's channel seed, like its strategy
-    seed and initial output, derives from exp.base_seed.
+    The quantizer sets the level of either target: a time-share target sends
+    each measurement as m packets of quantizer.levels levels each.  Only the
+    channel's loss probability is read: each trial's channel seed, like its
+    strategy seed and initial output, derives from exp.base_seed.
 
     A diverged trial counts only up to its last recorded step; any other
     trial counts over the whole horizon, its early-converged tail as zero.
@@ -151,10 +150,6 @@ def run_experiment(
     second half of the horizon; below -tol_slope per step is stable,
     above +tol_slope (or any diverged trial) unstable, else inconclusive.
     """
-    if isinstance(target, UncertainPlant) and quantizer is None:
-        raise ValueError("closed-loop experiments need a quantizer spec")
-    if isinstance(target, TimeShareConfig) and target.p != channel.p:
-        raise ValueError(f"time-share loss probability {target.p} differs from the channel's {channel.p}")
     if target.y0_bound > DIVERGED_SIGMA:  # the first recorded sigma is Y0: keep its square finite
         raise ValueError(f"Y0 = {target.y0_bound} exceeds the divergence guard {DIVERGED_SIGMA}")
     if isinstance(target, TimeShareConfig) and exp.trials < TIMESHARE_MIN_TRIALS:
@@ -301,13 +296,13 @@ def sweep_timeshare(
     """Duration sweep for the time-sharing protocol (fixed column schema)."""
     rows = []
     for m in m_values:
-        # built first so that every input is validated before the closed forms
-        cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m, levels=1.0, p=channel_p)
+        cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m)
+        # the search's first probe checks p, before the closed forms can overflow
+        found = min_feasible_average_level(cfg, channel_p)
         dp, dm = deltas(a_star, eps, m)
         r_bar, feasible = lossless_bound(a_star, eps, m)
-        found = min_feasible_average_level(a_star, eps, channel_p, m)
         total, avg = found if found is not None else ("", "")
-        kbar = "" if found is None else kappa_bar(cfg, avg)
+        kbar = "" if found is None else kappa_bar(cfg, avg, channel_p)
         rows.append(
             {
                 "m": m,

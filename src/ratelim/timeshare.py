@@ -19,25 +19,23 @@ import numpy as np
 
 from ._search import first_passing, split_integers
 from .channel import ChannelConfig
-from .codec_loop import BLOCK_STEPS, Lockstep, SimTrace, advance_scaling, check_start, quantize
+from .codec_loop import (BLOCK_STEPS, Lockstep, QuantizerSpec, SimTrace, advance_scaling,
+                         check_start, quantize)
 from .interval import SLOTS, Interval, midpoint, scale_product
 from .plant import ParamStrategy, UncertainPlant, realize_params
 
 
 @dataclass(frozen=True)
 class TimeShareConfig:
+    """The scalar plant and the cycle duration m: the time-share analogue of UncertainPlant."""
+
     a_star: float
     eps: float
     m: int
-    levels: float  # per-slot levels; integer >= 2 to simulate, real >= 1 to analyze
-    p: float = 0.0
     y0_bound: float = 1.0
 
     def __post_init__(self):
         self.plant()  # checks a*, eps and Y0
-        ChannelConfig(self.p)  # checks p
-        if not (math.isfinite(self.levels) and self.levels >= 1.0):
-            raise ValueError(f"need a finite per-slot level >= 1, got {self.levels}")
         if self.m < 1:
             raise ValueError(f"cycle duration must be >= 1, got {self.m}")
 
@@ -61,16 +59,18 @@ def _kappa(a_pow: float, dp: float, dm: float, m_level: float) -> float:
     return (a_pow + max(m_level / 2.0, 1.0) * dp + max(m_level / 2.0 - 1.0, 0.0) * dm) / m_level
 
 
-def kappa_bar(cfg: TimeShareConfig, levels: float | None = None) -> float:
-    """Exact E[kappa^2] over the binomial count of received packets per cycle,
-    at cfg's per-slot level or at levels (>= 1) in its place."""
-    n_slot = cfg.levels if levels is None else levels
+def kappa_bar(cfg: TimeShareConfig, levels: float, p: float) -> float:
+    """Exact E[kappa^2] over the binomial count of received packets per cycle, at
+    per-slot level `levels` (real >= 1) and loss probability p."""
+    ChannelConfig(p)  # checks p
+    if not (math.isfinite(levels) and levels >= 1.0):
+        raise ValueError(f"need a finite per-slot level >= 1, got {levels}")
     a_pow, (dp, dm) = abs(cfg.a_star) ** cfg.m, deltas(cfg.a_star, cfg.eps, cfg.m)
     total = 0.0
-    q = 1.0 - cfg.p
+    q = 1.0 - p
     for s in range(cfg.m + 1):
-        weight = math.comb(cfg.m, s) * q**s * cfg.p ** (cfg.m - s)
-        total += weight * _kappa(a_pow, dp, dm, n_slot**s) ** 2
+        weight = math.comb(cfg.m, s) * q**s * p ** (cfg.m - s)
+        total += weight * _kappa(a_pow, dp, dm, levels**s) ** 2
     return total
 
 
@@ -92,23 +92,22 @@ def lossless_bound(a_star: float, eps: float, m: int) -> tuple[float, bool]:
 
 
 def min_feasible_average_level(
-    a_star: float, eps: float, p: float, m: int, cap: int = 1_000_000
+    cfg: TimeShareConfig, p: float, cap: int = 1_000_000
 ) -> tuple[int, float] | None:
-    """Smallest integer total level with E[kappa^2] < 1, and its m-th root.
+    """Smallest integer total level with E[kappa^2] < 1 at loss p, and its m-th root.
 
     kappa > 0 falls with the realized resolution M (for M >= 2 it is
     (|a*|-eps)^m / M + (delta+ + delta-)/2) and every M = total^(s/m)
     grows with the total, so E[kappa^2] is nonincreasing in the total and
     a monotone search finds the minimum.  None if none passes up to cap.
-    The inputs are validated once; each probe is one kappa_bar call.
+    Each probe is one kappa_bar call.
     """
-    cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m, levels=1.0, p=p)
 
     def passes(total: int) -> bool:
-        return kappa_bar(cfg, total ** (1.0 / m)) < 1.0
+        return kappa_bar(cfg, total ** (1.0 / cfg.m), p) < 1.0
 
     total = first_passing(passes, 2, cap, split_integers)
-    return None if total is None else (total, total ** (1.0 / m))
+    return None if total is None else (total, total ** (1.0 / cfg.m))
 
 
 def power_hull(a_star: float, eps: float, m: int) -> Interval:
@@ -124,12 +123,12 @@ def power_hull(a_star: float, eps: float, m: int) -> Interval:
     return Interval(lo, hi) if lo <= hi else Interval(hi, lo)
 
 
-def _slot_level(cfg: TimeShareConfig) -> int:
-    """The per-slot level N of a simulation: an integer >= 2 with N^m at most 2^53, the
-    cells a double in [-1/2, 1/2] tells apart (the batch holds indices in doubles)."""
-    n_slot = int(cfg.levels)
-    if n_slot != cfg.levels or n_slot < 2:
-        raise ValueError(f"simulation needs an integer per-slot level >= 2, got {cfg.levels}")
+def _slot_level(cfg: TimeShareConfig, quantizer: QuantizerSpec) -> int:
+    """The per-slot level N of a simulation: the quantizer's, at least 2, with N^m at most
+    2^53, the cells a double in [-1/2, 1/2] tells apart (the batch holds indices in doubles)."""
+    n_slot = int(quantizer.levels)
+    if n_slot < 2:
+        raise ValueError(f"simulation needs an integer per-slot level >= 2, got {n_slot}")
     if cfg.m > 53 or n_slot**cfg.m > 2**53:  # 2^m > 2^53 from m = 54 on
         raise ValueError(f"--N {n_slot} at --m {cfg.m} gives more than 2^53 total levels")
     return n_slot
@@ -137,6 +136,7 @@ def _slot_level(cfg: TimeShareConfig) -> int:
 
 def run_timeshare_loop_batch(
     cfg: TimeShareConfig,
+    quantizer: QuantizerSpec,
     channels: Sequence[ChannelConfig],
     strategies: Sequence[ParamStrategy],
     cycles: int,
@@ -147,13 +147,13 @@ def run_timeshare_loop_batch(
     Trial t runs with channels[t], strategies[t] and y0[t]; all share p, kind
     and signs.  Its row holds y and sigma at each cycle start, and how it
     ended.  A cycle that receives s of its m packets decodes the sample to
-    resolution N^s (exact in a double up to 2^53).  Mid-cycle inputs are
-    zero; the deadbeat-style input lands on the last slot.  A slot's float
-    operations do not depend on the other trials, so a trial's row is the
-    same in any batch.  A range breach raises quantize's error for the first
-    trial among those breaching earliest.
+    resolution N^s, N the quantizer's levels (exact in a double up to 2^53).
+    Mid-cycle inputs are zero; the deadbeat-style input lands on the last
+    slot.  A slot's float operations do not depend on the other trials, so a
+    trial's row is the same in any batch.  A range breach raises quantize's
+    error for the first trial among those breaching earliest.
     """
-    n_slot = _slot_level(cfg)
+    n_slot = _slot_level(cfg, quantizer)
     y = np.asarray(y0, float)
     check_start(y, cfg.y0_bound)
     plant, m, trials, p = cfg.plant(), cfg.m, len(y), channels[0].p
@@ -192,11 +192,13 @@ def run_timeshare_loop_batch(
 
 def run_timeshare_loop(
     cfg: TimeShareConfig,
+    quantizer: QuantizerSpec,
     channel: ChannelConfig,
     strategy: ParamStrategy,
     cycles: int,
     y0: float,
 ) -> SimTrace:
     """One trial of run_timeshare_loop_batch, as a trace."""
-    ((y, sigma, status),) = run_timeshare_loop_batch(cfg, [channel], [strategy], cycles, [y0])
+    ((y, sigma, status),) = run_timeshare_loop_batch(cfg, quantizer, [channel], [strategy],
+                                                     cycles, [y0])
     return SimTrace(y.tolist(), sigma.tolist(), status)

@@ -188,10 +188,10 @@ def min_feasible_average_level(
     """
     if cap < 2:
         raise ValueError(f"need cap >= 2, got {cap}")
+    cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m)
     for total in range(2, cap + 1):
         avg = total ** (1.0 / m)
-        cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m, levels=avg, p=p)
-        if kappa_bar(cfg) < 1.0:
+        if kappa_bar(cfg, avg, p) < 1.0:
             return total, avg
     return None
 
@@ -320,7 +320,7 @@ def _run_trial(target, quantizer, channel, exp, trial: int) -> SimTrace:
     CodecState loop (run_closed_loop below), a time-share trial by timeshare_trial."""
     ch, strat, y0 = _trial_setup(target, channel, exp, trial)
     if isinstance(target, TimeShareConfig):
-        return timeshare_trial(target, ch, strat, exp.steps, y0)[0]
+        return timeshare_trial(target, quantizer, ch, strat, exp.steps, y0)[0]
     return run_closed_loop(target, quantizer, ch, strat, exp.steps, y0)
 
 
@@ -342,8 +342,6 @@ def _trial_arrays(trace: SimTrace, steps: int) -> tuple[np.ndarray, np.ndarray, 
 
 def run_experiment(target, quantizer, channel, exp) -> DecayReport:
     """Monte Carlo experiment run one trial at a time and reduced by reduce_traces."""
-    if isinstance(target, UncertainPlant) and quantizer is None:
-        raise ValueError("closed-loop experiments need a quantizer spec")
     return reduce_traces(
         [_run_trial(target, quantizer, channel, exp, t) for t in range(exp.trials)], exp
     )
@@ -635,17 +633,19 @@ class Cycle:
 
 
 def timeshare_trial(
-    cfg: TimeShareConfig, channel: ChannelConfig, strategy: ParamStrategy, cycles: int, y0: float
+    cfg: TimeShareConfig, quantizer: QuantizerSpec, channel: ChannelConfig,
+    strategy: ParamStrategy, cycles: int, y0: float
 ) -> tuple[SimTrace, list[Cycle]]:
     """Run one time-share trial from y0, cycle by cycle, with scalar floats.
 
-    Each cycle counts the packets received, decodes the cell, sets u_end from
-    its midpoint, steps the plant through the cycle and advances (sigma,
-    center) by advance_scaling.  The trial ends as end_status says.  A range
-    breach raises quantize's SaturationError, with the breaching cycle as
-    its `cycle` attribute.  Returns the trace and every cycle.
+    Each cycle counts the packets received (s), decodes the cell at resolution
+    N^s (N = quantizer.levels), sets u_end from its midpoint, steps the plant
+    through the cycle and advances (sigma, center) by advance_scaling.  The
+    trial ends as end_status says.  A range breach raises quantize's
+    SaturationError, with the breaching cycle as its `cycle` attribute.
+    Returns the trace and every cycle.
     """
-    n_slot, m = int(cfg.levels), cfg.m
+    n_slot, m = int(quantizer.levels), cfg.m
     plant, hull = cfg.plant(), power_hull(cfg.a_star, cfg.eps, m)
     sigma, center, y = cfg.y0_bound, 0.0, y0
     trace, decoded = SimTrace(), []
@@ -676,14 +676,15 @@ def timeshare_trial(
 
 
 def replay_timeshare(
-    cfg: TimeShareConfig, channel: ChannelConfig, strategy: ParamStrategy, trace: SimTrace
+    cfg: TimeShareConfig, quantizer: QuantizerSpec, channel: ChannelConfig,
+    strategy: ParamStrategy, trace: SimTrace
 ) -> list[Cycle]:
     """Re-run a time-share trace's trial by timeshare_trial; its cycles.
 
     Asserts that the trace's y, sigma and status equal the re-run's bit for
     bit (float.hex tells -0.0 from 0.0).
     """
-    want, decoded = timeshare_trial(cfg, channel, strategy, len(trace), trace.y[0])
+    want, decoded = timeshare_trial(cfg, quantizer, channel, strategy, len(trace), trace.y[0])
 
     def fields(t: SimTrace):
         return [float(v).hex() for v in t.y], [float(v).hex() for v in t.sigma], t.status

@@ -206,7 +206,7 @@ def test_acceptance_07_average_level_curve():
         assert bounds[0] < bounds[1] < bounds[2]
         # smallest feasible integer totals and their averages
         want = {1: (4, 4.0), 2: (13, math.sqrt(13.0)), 3: (192, 192.0 ** (1.0 / 3.0))}
-        got = {m: min_feasible_average_level(a, eps, 0.0, m) for m in (1, 2, 3)}
+        got = {m: min_feasible_average_level(TimeShareConfig(a, eps, m), 0.0) for m in (1, 2, 3)}
         for m, (total, avg) in want.items():
             assert got[m][0] == total
             assert abs(got[m][1] - avg) < 1e-9
@@ -312,8 +312,7 @@ def test_acceptance_10_cycle_moment_cross_check():
             m = int(rng.integers(1, 5))
             n_levels = float(rng.integers(2, 7))
             p = float(rng.uniform(0.0, 0.5))
-            cfg = TimeShareConfig(a_star=a, eps=eps, m=m, levels=n_levels, p=p)
-            closed = kappa_bar(cfg)
+            closed = kappa_bar(TimeShareConfig(a_star=a, eps=eps, m=m), n_levels, p)
             draws = rng.binomial(m, 1.0 - p, size=100_000)
             per_count = np.array(
                 [kappa(a, eps, m, n_levels**s) ** 2 for s in range(m + 1)]

@@ -356,6 +356,36 @@ def test_timeshare_answers_keep_their_bytes(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+TIMESHARE_PLANT = ("--a-star", "3.3", "--eps", "0.025")
+SIMULATE_M = ("simulate", "--n", "1", *TIMESHARE_PLANT, "--trials", "3", "--steps", "20")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("timeshare", *TIMESHARE_PLANT, "--m", "2", "--N", "nan"),
+     "need a finite per-slot level >= 1, got nan"),
+    (("timeshare", *TIMESHARE_PLANT, "--m", "2", "--N", "0.5"),
+     "need a finite per-slot level >= 1, got 0.5"),
+    # the level is refused before a search or a closed form overflows at m = 1000
+    (("timeshare", *TIMESHARE_PLANT, "--m", "1000", "--N", "inf"),
+     "need a finite per-slot level >= 1, got inf"),
+    (("timeshare", *TIMESHARE_PLANT, "--m", "0"), "cycle duration must be >= 1, got 0"),
+    (("timeshare", *TIMESHARE_PLANT, "--m", "2", "--p", "1", "--N", "nan"),
+     "loss probability must be in [0, 1), got 1.0"),
+    (("sweep", "--n", "1", *TIMESHARE_PLANT, "--var", "m", "--range", "1:2:1", "--p", "nan"),
+     "loss probability must be in [0, 1), got nan"),
+    (("sweep", "--n", "1", *TIMESHARE_PLANT, "--var", "m", "--range", "1000:1000:1", "--p", "1"),
+     "loss probability must be in [0, 1), got 1.0"),
+    ((*SIMULATE_M, "--m", "2", "--N", "1"), "simulation needs an integer per-slot level >= 2, got 1"),
+    ((*SIMULATE_M, "--m", "0", "--N", "4"), "cycle duration must be >= 1, got 0"),
+    ((*SIMULATE_M, "--m", "2", "--N", "4", "--p", "1"),
+     "loss probability must be in [0, 1), got 1.0"),
+    ((*SIMULATE_M, "--m", "2", "--N", "4", "--y0-bound", "1e200"),
+     "Y0 = 1e+200 exceeds the divergence guard 1e+150"),
+])
+def test_timeshare_refusals_keep_their_messages(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_sweep_bad_range(capsys):
     code, _, _ = run_cli(
         capsys,
@@ -574,7 +604,7 @@ ORDER_30 = ("--n", "30", "--a-star", "0," * 29 + "2", "--eps", "0," * 29 + "0")
         ("simulate", *ORDER_30, "--N", "2", "--trials", "1", "--steps", "200001"),
         ("simulate", "--n", "1", "--a-star", "2", "--eps", "0", "--N", "2", "--m", "30",
          "--trials", "1", "--steps", "200001"),
-        # one time-share trial costs about as much as BATCH_MIN_TRIALS = 12: 12 x 83334 > 10^6
+        # one time-share trial costs about as much as TIMESHARE_MIN_TRIALS = 12: 12 x 83334 > 10^6
         ("simulate", "--n", "1", "--a-star", "2", "--eps", "0", "--N", "2", "--m", "2",
          "--trials", "1", "--steps", "83334"),
         ("sweep", "--n", "1", "--a-star", "2", "--eps", "0.1", "--var", "N", "--range", "2:4:1",

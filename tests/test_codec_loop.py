@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,14 @@ from ratelim.timeshare import TimeShareConfig, run_timeshare_loop
 def test_quantizer_spec():
     with pytest.raises(ValueError):
         QuantizerSpec(0)
+    # a level count is whole: a 2.5-level quantizer would run a loop to the end
+    for levels in (2.5, 4 + 2**-40):
+        with pytest.raises(ValueError, match="quantizer needs an integer level count"):
+            QuantizerSpec(levels)
+    for levels in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"quantizer needs 1 to 2\^53 levels"):
+            QuantizerSpec(levels)
+    assert QuantizerSpec(4.0).levels == 4
 
 
 def test_quantize_examples():
@@ -231,14 +241,15 @@ def test_deep_convergence_hits_floor_status():
 def test_run_rejects_oversized_initial_output():
     # the quantizer covers [-Y0/2, Y0/2] at the start, not [-Y0, Y0]
     plant = UncertainPlant(n=1, a_star=(2.0,), eps=(0.0,), y0_bound=1.0)
-    cfg = TimeShareConfig(a_star=2.0, eps=0.0, m=2, levels=2.0, y0_bound=1.0)
+    cfg = TimeShareConfig(a_star=2.0, eps=0.0, m=2, y0_bound=1.0)
     for y0 in (1.5, 0.8, -0.8, 0.5000001, -0.5000001):
         with pytest.raises(ValueError):
             run_closed_loop(
                 plant, QuantizerSpec(4), ChannelConfig(0.0, 5), ParamStrategy("nominal"), 10, y0
             )
         with pytest.raises(ValueError):
-            run_timeshare_loop(cfg, ChannelConfig(0.0, 5), ParamStrategy("nominal"), 10, y0)
+            run_timeshare_loop(cfg, QuantizerSpec(2), ChannelConfig(0.0, 5),
+                               ParamStrategy("nominal"), 10, y0)
 
 
 def _random_plant(rng):

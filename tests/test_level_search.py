@@ -10,7 +10,7 @@ from ratelim import mjls
 from ratelim._search import first_passing, split_integers
 from ratelim.mjls import LEVEL_TOL, min_sufficient_N, min_sufficient_level_real
 from ratelim.plant import UncertainPlant
-from ratelim.timeshare import min_feasible_average_level
+from ratelim.timeshare import TimeShareConfig, min_feasible_average_level
 
 
 def test_first_passing_finds_every_threshold_within_every_cap():
@@ -51,7 +51,7 @@ def test_min_feasible_average_level_matches_upward_scan():
         p = float(rng.uniform(0.0, 0.2)) if rng.random() < 0.7 else 0.0
         cap = int(math.exp(rng.uniform(math.log(2.0), math.log(5000.0))))
         want = oracles.min_feasible_average_level(a, eps, p, m, cap=cap)
-        assert min_feasible_average_level(a, eps, p, m, cap=cap) == want
+        assert min_feasible_average_level(TimeShareConfig(a, eps, m), p, cap=cap) == want
         outcomes["none" if want is None else "found"] += 1
         outcomes["at_cap"] += want is not None and want[0] == cap
     # the draw reaches both outcomes and the clamped top of the bracket

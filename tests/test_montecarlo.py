@@ -78,18 +78,11 @@ def test_second_moment_boundary_case():
 
 
 def test_timeshare_experiment_dispatch():
-    cfg = TimeShareConfig(a_star=3.3, eps=0.025, m=2, levels=4, p=0.0, y0_bound=1.0)
+    cfg = TimeShareConfig(a_star=3.3, eps=0.025, m=2, y0_bound=1.0)
     exp = Experiment(trials=10, steps=60, base_seed=4, strategy=ParamStrategy("iid_uniform"))
-    rep = run_experiment(cfg, None, ChannelConfig(0.0, 6), exp)
+    rep = run_experiment(cfg, QuantizerSpec(4), ChannelConfig(0.0, 6), exp)
     assert rep.verdict == STABLE
     # per-cycle contraction: kappa(13)^2 comfortably below one
-
-
-def test_closed_loop_requires_quantizer():
-    plant = UncertainPlant(n=1, a_star=(2.0,), eps=(0.0,))
-    exp = Experiment(trials=2, steps=10, base_seed=1)
-    with pytest.raises(ValueError):
-        run_experiment(plant, None, ChannelConfig(0.0, 1), exp)
 
 
 def test_sweep_lambda_rows_and_asymptote():
@@ -193,8 +186,8 @@ def test_write_rows_csv_layout():
         ],
         # time-share protocol, m = 2
         (
-            TimeShareConfig(a_star=3.3, eps=0.025, m=2, levels=4, p=0.05),
-            None,
+            TimeShareConfig(a_star=3.3, eps=0.025, m=2),
+            QuantizerSpec(4),
             ChannelConfig(p=0.05, seed=6),
             Experiment(trials=10, steps=60, base_seed=4),
         ),
@@ -340,9 +333,7 @@ def test_wide_experiments_run_in_bounded_batches(monkeypatch):
 
 
 def test_timeshare_experiment_reads_one_loss_probability():
-    # the batch draws its losses from the channel, so a target that names another
-    # loss probability would be simulated at the channel's
-    cfg = TimeShareConfig(a_star=2.0, eps=0.05, m=2, levels=3, p=0.6)
-    with pytest.raises(ValueError, match="0.6 differs from the channel's 0.0"):
-        run_experiment(cfg, None, ChannelConfig(0.0), Experiment(20, 50))
-    assert run_experiment(cfg, None, ChannelConfig(0.6), Experiment(20, 50)).verdict == UNSTABLE
+    # the batch draws its losses from the channel, the one place the loss probability lives
+    cfg = TimeShareConfig(a_star=2.0, eps=0.05, m=2)
+    report = run_experiment(cfg, QuantizerSpec(3), ChannelConfig(0.6), Experiment(20, 50))
+    assert report.verdict == UNSTABLE

@@ -1,7 +1,7 @@
 import io
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from ratelim.codec_loop import (
     COMPLETED,
     CONVERGED,
     DIVERGED,
+    QuantizerSpec,
     SaturationError,
     SimTrace,
 )
@@ -36,19 +37,30 @@ from ratelim.timeshare import (
 
 
 def test_config_validation():
+    # the config holds the plant and the duration; the level and the loss come from the
+    # quantizer and the channel, or from kappa_bar's caller
+    assert [f.name for f in fields(TimeShareConfig)] == ["a_star", "eps", "m", "y0_bound"]
     with pytest.raises(ValueError):
-        TimeShareConfig(a_star=1.5, eps=0.6, m=1, levels=2)
+        TimeShareConfig(a_star=1.5, eps=0.6, m=1)
     with pytest.raises(ValueError):
-        TimeShareConfig(a_star=3.3, eps=0.025, m=0, levels=2)
-    with pytest.raises(ValueError):
-        TimeShareConfig(a_star=3.3, eps=0.025, m=1, levels=2, p=1.0)
+        TimeShareConfig(a_star=3.3, eps=0.025, m=0)
     nan, inf = float("nan"), float("inf")
     for bad in (
         dict(a_star=nan), dict(a_star=inf), dict(a_star=-inf), dict(eps=nan),
-        dict(levels=nan), dict(levels=inf), dict(y0_bound=nan), dict(y0_bound=inf),
+        dict(y0_bound=nan), dict(y0_bound=inf),
     ):
         with pytest.raises(ValueError, match="finite"):
-            TimeShareConfig(**{"a_star": 3.3, "eps": 0.025, "m": 2, "levels": 2, **bad})
+            TimeShareConfig(**{"a_star": 3.3, "eps": 0.025, "m": 2, **bad})
+
+
+def test_kappa_bar_refuses_a_bad_level_or_loss_probability():
+    cfg = TimeShareConfig(a_star=3.3, eps=0.025, m=2)
+    for levels in (math.nan, math.inf, -math.inf, 0.5):
+        with pytest.raises(ValueError, match=f"need a finite per-slot level >= 1, got {levels}"):
+            kappa_bar(cfg, levels, 0.1)
+    for p in (math.nan, 1.0, -0.1):
+        with pytest.raises(ValueError, match=f"loss probability must be in \\[0, 1\\), got {p}"):
+            kappa_bar(cfg, 4.0, p)
 
 
 def test_deltas_examples():
@@ -89,8 +101,8 @@ def test_kappa_bar_matches_eta_second_moment_at_unit_duration():
         a = rng.uniform(1.0 + eps + 0.01, 4.0)
         n = rng.uniform(2.0, 32.0)
         p = rng.uniform(0.0, 0.9)
-        cfg = TimeShareConfig(a_star=a, eps=eps, m=1, levels=n, p=p)
-        assert kappa_bar(cfg) == pytest.approx(
+        cfg = TimeShareConfig(a_star=a, eps=eps, m=1)
+        assert kappa_bar(cfg, n, p) == pytest.approx(
             eta_second_moment(a, eps, p, n), abs=1e-12
         )
 
@@ -104,26 +116,25 @@ def test_kappa_bar_is_the_binomial_sum_of_kappa_squared():
         for s in range(m + 1):
             weight = math.comb(m, s) * (1.0 - p) ** s * p ** (m - s)
             want += weight * kappa(a_star, eps, m, level**s) ** 2
-        cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m, levels=level, p=p)
-        assert kappa_bar(cfg) == want
-        assert kappa_bar(replace(cfg, levels=2.0), level) == want
+        assert kappa_bar(TimeShareConfig(a_star=a_star, eps=eps, m=m), level, p) == want
 
 
 def test_kappa_bar_lossless_degenerates_to_full_resolution():
-    cfg = TimeShareConfig(a_star=3.3, eps=0.025, m=2, levels=math.sqrt(13.0), p=0.0)
-    assert kappa_bar(cfg) == pytest.approx(kappa(3.3, 0.025, 2, 13.0) ** 2, abs=1e-12)
-    assert kappa_bar(cfg) < 1.0
+    cfg = TimeShareConfig(a_star=3.3, eps=0.025, m=2)
+    kbar = kappa_bar(cfg, math.sqrt(13.0), 0.0)
+    assert kbar == pytest.approx(kappa(3.3, 0.025, 2, 13.0) ** 2, abs=1e-12)
+    assert kbar < 1.0
 
 
 def test_kappa_bar_monte_carlo_cross_check():
     rng = np.random.default_rng(43)
-    cfg = TimeShareConfig(a_star=2.4, eps=0.15, m=3, levels=4, p=0.2)
-    draws = rng.binomial(cfg.m, 1.0 - cfg.p, size=100_000)
+    cfg, levels, p = TimeShareConfig(a_star=2.4, eps=0.15, m=3), 4, 0.2
+    draws = rng.binomial(cfg.m, 1.0 - p, size=100_000)
     samples = np.array(
-        [kappa(cfg.a_star, cfg.eps, cfg.m, float(cfg.levels) ** s) ** 2 for s in draws]
+        [kappa(cfg.a_star, cfg.eps, cfg.m, float(levels) ** s) ** 2 for s in draws]
     )
     se = samples.std(ddof=1) / math.sqrt(len(samples))
-    assert abs(samples.mean() - kappa_bar(cfg)) <= 3 * se
+    assert abs(samples.mean() - kappa_bar(cfg, levels, p)) <= 3 * se
 
 
 def test_lossless_bound_unit_duration_matches_one_step_limit():
@@ -173,15 +184,15 @@ def test_feasibility_flips_at_real_crossing():
 
 
 def test_min_feasible_average_level_examples():
-    a, eps = 3.3, 0.025
-    assert min_feasible_average_level(a, eps, 0.0, 1) == (4, 4.0)
-    total, avg = min_feasible_average_level(a, eps, 0.0, 2)
+    cfg = {m: TimeShareConfig(a_star=3.3, eps=0.025, m=m) for m in (1, 2, 3, 4)}
+    assert min_feasible_average_level(cfg[1], 0.0) == (4, 4.0)
+    total, avg = min_feasible_average_level(cfg[2], 0.0)
     assert total == 13
     assert avg == pytest.approx(math.sqrt(13.0), abs=1e-9)
-    total, avg = min_feasible_average_level(a, eps, 0.0, 3)
+    total, avg = min_feasible_average_level(cfg[3], 0.0)
     assert total == 192
     assert avg == pytest.approx(192.0 ** (1.0 / 3.0), abs=1e-9)
-    assert min_feasible_average_level(a, eps, 0.0, 4, cap=100_000) is None
+    assert min_feasible_average_level(cfg[4], 0.0, cap=100_000) is None
 
 
 def test_power_hull_matches_sampled_products():
@@ -202,9 +213,9 @@ def test_power_hull_matches_sampled_products():
 
 
 def test_simulator_certain_plant_geometric_per_cycle():
-    cfg = TimeShareConfig(a_star=2.0, eps=0.0, m=3, levels=4, p=0.0, y0_bound=1.0)
+    cfg = TimeShareConfig(a_star=2.0, eps=0.0, m=3, y0_bound=1.0)
     trace = run_timeshare_loop(
-        cfg, ChannelConfig(0.0, 7), ParamStrategy("nominal"), 40, 0.2
+        cfg, QuantizerSpec(4), ChannelConfig(0.0, 7), ParamStrategy("nominal"), 40, 0.2
     )
     want = 2.0**3 / 4.0**3
     for k in range(len(trace) - 1):
@@ -212,9 +223,13 @@ def test_simulator_certain_plant_geometric_per_cycle():
 
 
 def test_simulator_rejects_noninteger_or_tiny_levels():
-    cfg = TimeShareConfig(a_star=2.0, eps=0.0, m=2, levels=2.5, p=0.0)
-    with pytest.raises(ValueError):
-        run_timeshare_loop(cfg, ChannelConfig(0.0, 1), ParamStrategy("nominal"), 5, 0.0)
+    # the quantizer refuses a non-integer level; the loop refuses one level per slot
+    with pytest.raises(ValueError, match="quantizer needs an integer level count, got 2.5"):
+        QuantizerSpec(2.5)
+    cfg = TimeShareConfig(a_star=2.0, eps=0.0, m=2)
+    with pytest.raises(ValueError, match="simulation needs an integer per-slot level >= 2, got 1"):
+        run_timeshare_loop(cfg, QuantizerSpec(1), ChannelConfig(0.0, 1), ParamStrategy("nominal"),
+                           5, 0.0)
 
 
 def test_simulator_invariants_under_loss_and_uncertainty():
@@ -226,14 +241,13 @@ def test_simulator_invariants_under_loss_and_uncertainty():
             m = int(rng.integers(1, 4))
             levels = int(rng.integers(2, 5))
             p = rng.uniform(0.0, 0.4)
-            cfg = TimeShareConfig(
-                a_star=a, eps=eps, m=m, levels=levels, p=p, y0_bound=1.0
-            )
+            cfg, quantizer = TimeShareConfig(a_star=a, eps=eps, m=m), QuantizerSpec(levels)
             channel = ChannelConfig(p=p, seed=int(rng.integers(0, 2**31)))
             strat = ParamStrategy(kind, seed=int(rng.integers(0, 2**31)))
-            trace = run_timeshare_loop(cfg, channel, strat, 60, float(rng.uniform(-0.5, 0.5)))
+            trace = run_timeshare_loop(cfg, quantizer, channel, strat, 60,
+                                       float(rng.uniform(-0.5, 0.5)))
             assert trace.status in (COMPLETED, CONVERGED, DIVERGED)
-            cycles = replay_timeshare(cfg, channel, strat, trace)
+            cycles = replay_timeshare(cfg, quantizer, channel, strat, trace)
             dp, dm = deltas(a, eps, m)
             for k, cycle in enumerate(cycles):
                 # sampled output always inside the decoded cell
@@ -256,18 +270,18 @@ def test_simulator_invariants_under_loss_and_uncertainty():
 def test_simulator_overflowed_range_ends_diverged():
     # from the top cell both ends of the cycle's prediction set overflow to +inf,
     # so sigma = inf - inf is NaN: the trial ends diverged, as in the closed loop
-    cfg = TimeShareConfig(a_star=1e300, eps=0.0, m=1, levels=4, y0_bound=1e10)
-    trace = run_timeshare_loop(cfg, ChannelConfig(0.0), ParamStrategy(), 10, 4e9)
+    cfg = TimeShareConfig(a_star=1e300, eps=0.0, m=1, y0_bound=1e10)
+    trace = run_timeshare_loop(cfg, QuantizerSpec(4), ChannelConfig(0.0), ParamStrategy(), 10, 4e9)
     assert (trace.status, trace.sigma) == (DIVERGED, [1e10])
 
 def test_simulator_draws_iid_coefficients_per_sub_step():
     # slot i of cycle j reads counter m*j + i: one fresh coefficient per plant step
-    cfg = TimeShareConfig(a_star=1.6, eps=0.3, m=3, levels=4, p=0.2)
+    cfg, quantizer = TimeShareConfig(a_star=1.6, eps=0.3, m=3), QuantizerSpec(4)
     strat = ParamStrategy("iid_uniform", seed=9)
     channel = ChannelConfig(0.2, 5)
-    trace = run_timeshare_loop(cfg, channel, strat, 40, 0.3)
+    trace = run_timeshare_loop(cfg, quantizer, channel, strat, 40, 0.3)
     assert len(trace) > 10
-    cycles = replay_timeshare(cfg, channel, strat, trace)
+    cycles = replay_timeshare(cfg, quantizer, channel, strat, trace)
     for j in range(len(trace) - 1):
         y = trace.y[j]
         for i in range(cfg.m):
@@ -277,10 +291,10 @@ def test_simulator_draws_iid_coefficients_per_sub_step():
 
 
 def test_simulator_all_lost_cycle_hits_full_box_growth():
-    cfg = TimeShareConfig(a_star=3.3, eps=0.025, m=2, levels=4, p=0.9, y0_bound=1.0)
+    cfg, quantizer = TimeShareConfig(a_star=3.3, eps=0.025, m=2, y0_bound=1.0), QuantizerSpec(4)
     channel, strategy = ChannelConfig(0.9, 11), ParamStrategy("nominal")
-    trace = run_timeshare_loop(cfg, channel, strategy, 30, 0.2)
-    cycles = replay_timeshare(cfg, channel, strategy, trace)
+    trace = run_timeshare_loop(cfg, quantizer, channel, strategy, 30, 0.2)
+    cycles = replay_timeshare(cfg, quantizer, channel, strategy, trace)
     hit = False
     for k in range(len(trace) - 1):
         if cycles[k].received == 0 and abs(cycles[k].center) <= trace.sigma[k] / 2:
@@ -291,7 +305,7 @@ def test_simulator_all_lost_cycle_hits_full_box_growth():
     assert hit
 
 
-def _replayed(cfg, channel, strategy, row, cycles, start) -> SimTrace:
+def _replayed(cfg, quantizer, channel, strategy, row, cycles, start) -> SimTrace:
     """A batch row as a trace, after timeshare_trial has re-derived its every bit from
     the trial's start and checked its length."""
     y, sigma, status = row
@@ -299,17 +313,18 @@ def _replayed(cfg, channel, strategy, row, cycles, start) -> SimTrace:
     assert status != COMPLETED or len(y) == cycles
     assert float(y[0]).hex() == float(start).hex()
     trace = SimTrace(y.tolist(), sigma.tolist(), status)
-    replay_timeshare(cfg, channel, strategy, trace)
+    replay_timeshare(cfg, quantizer, channel, strategy, trace)
     return trace
 
 
-def _batch_matches_oracle(cfg, channels, strategies, y0, cycles) -> list[tuple[int, str]]:
+def _batch_matches_oracle(cfg, quantizer, channels, strategies, y0,
+                          cycles) -> list[tuple[int, str]]:
     """Run the batch and replay each trial's row by timeshare_trial; the rows' (length,
     status)."""
-    rows = run_timeshare_loop_batch(cfg, channels, strategies, cycles, y0)
+    rows = run_timeshare_loop_batch(cfg, quantizer, channels, strategies, cycles, y0)
     assert len(rows) == len(y0)
     for row, channel, strategy, start in zip(rows, channels, strategies, y0):
-        _replayed(cfg, channel, strategy, row, cycles, start)
+        _replayed(cfg, quantizer, channel, strategy, row, cycles, start)
     return [(len(y), status) for y, _, status in rows]
 
 
@@ -327,8 +342,9 @@ def _trials(kind: str, p: float, trials: int, sign: int = 1):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_batched_loop_matches_scalar_loop(m, kind, p):
     # the scalar loop is the oracle's timeshare_trial
-    cfg = TimeShareConfig(a_star=-1.9 if m % 2 else 1.7, eps=0.04, m=m, levels=3, p=p)
-    _batch_matches_oracle(cfg, *_trials(kind, p, 13, sign=-1 if m > 2 else 1), 80)
+    cfg = TimeShareConfig(a_star=-1.9 if m % 2 else 1.7, eps=0.04, m=m)
+    _batch_matches_oracle(cfg, QuantizerSpec(3), *_trials(kind, p, 13, sign=-1 if m > 2 else 1),
+                          80)
 
 
 @pytest.mark.parametrize(
@@ -348,11 +364,12 @@ def test_batched_loop_matches_scalar_loop(m, kind, p):
 @pytest.mark.parametrize("kind", ["nominal", "iid_uniform", "greedy_adversarial"])
 def test_batched_early_exits_match_scalar_loop(monkeypatch, a_star, eps, m, levels, p, cycles,
                                                y0_bound, ends, kind):
-    cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m, levels=levels, p=p, y0_bound=y0_bound)
+    cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m, y0_bound=y0_bound)
     channels, strategies, y0 = _trials(kind, p, 40)
     for block in (BLOCK_STEPS, 5):  # a 5-step block holds 2 cycles at m = 2
         monkeypatch.setattr(timeshare, "BLOCK_STEPS", block)
-        rows = _batch_matches_oracle(cfg, channels, strategies, [y0_bound * y for y in y0], cycles)
+        rows = _batch_matches_oracle(cfg, QuantizerSpec(levels), channels, strategies,
+                                     [y0_bound * y for y in y0], cycles)
     if kind == "nominal":
         assert {status for _, status in rows} == ends
     lengths = {length for length, _ in rows if length < cycles}
@@ -374,7 +391,7 @@ def _timeshare_batches(draw):
     channels = [ChannelConfig(p, seed + 2 * t) for t in range(trials)]
     strategies = [ParamStrategy(kind, seed=seed + 2 * t + 1, signs=(sign,)) for t in range(trials)]
     y0 = [draw(st.floats(-0.5, 0.5)) for _ in range(trials)]
-    return TimeShareConfig(a_star=a, eps=eps, m=m, levels=levels, p=p), channels, strategies, y0
+    return TimeShareConfig(a_star=a, eps=eps, m=m), QuantizerSpec(levels), channels, strategies, y0
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -383,55 +400,55 @@ def test_batched_loop_property(config):
     # either no trial breaches under the scalar oracle and every row of the batch replays
     # bit for bit, or the batch raises the oracle's breach of the first trial among those
     # breaching earliest
-    cfg, channels, strategies, y0 = config
+    cfg, quantizer, channels, strategies, y0 = config
     breaches = {}
     for t, (channel, strategy, start) in enumerate(zip(channels, strategies, y0)):
         try:
-            timeshare_trial(cfg, channel, strategy, 40, start)
+            timeshare_trial(cfg, quantizer, channel, strategy, 40, start)
         except SaturationError as exc:
             breaches[t] = exc.cycle, str(exc)
     if not breaches:
-        _batch_matches_oracle(cfg, channels, strategies, y0, 40)
+        _batch_matches_oracle(cfg, quantizer, channels, strategies, y0, 40)
         return
     with pytest.raises(SaturationError) as batched:
-        run_timeshare_loop_batch(cfg, channels, strategies, 40, y0)
+        run_timeshare_loop_batch(cfg, quantizer, channels, strategies, 40, y0)
     assert str(batched.value) == breaches[min(breaches, key=lambda t: (breaches[t][0], t))][1]
 
 
 def test_batched_breach_names_the_first_trial_of_the_earliest_cycle():
     # dyadic starts whose orbits leave the range at m = 3 under the greedy rule:
     # 0 at cycle 12, +-1/2 at cycle 9, -1/4 at cycle 8.  The others start at random
-    cfg = TimeShareConfig(a_star=1.5, eps=0.05, m=3, levels=4, p=0.0)
+    cfg, quantizer = TimeShareConfig(a_star=1.5, eps=0.05, m=3), QuantizerSpec(4)
     channels, strategies, y0 = _trials("greedy_adversarial", 0.0, 16)
     y0[3], y0[6], y0[9] = 0.0, -0.5, 0.5
     messages, cycles = {}, {}
     for t in (3, 6, 9, 12):
         start = -0.25 if t == 12 else y0[t]
         with pytest.raises(SaturationError) as scalar:
-            timeshare_trial(cfg, channels[t], strategies[t], 400, start)
+            timeshare_trial(cfg, quantizer, channels[t], strategies[t], 400, start)
         messages[t], cycles[t] = str(scalar.value), scalar.value.cycle
     assert len(set(messages.values())) == 4
     assert cycles == {3: 12, 6: 9, 9: 9, 12: 8}
     # trials 6 and 9 breach first, at cycle 9: the batch names trial 6, not trial 3
     with pytest.raises(SaturationError) as batched:
-        run_timeshare_loop_batch(cfg, channels, strategies, 400, y0)
+        run_timeshare_loop_batch(cfg, quantizer, channels, strategies, 400, y0)
     assert str(batched.value) == messages[6]
     # trial 12 breaches at cycle 8, before any lower-numbered trial
     y0[12] = -0.25
     with pytest.raises(SaturationError) as batched:
-        run_timeshare_loop_batch(cfg, channels, strategies, 400, y0)
+        run_timeshare_loop_batch(cfg, quantizer, channels, strategies, 400, y0)
     assert str(batched.value) == messages[12]
     y0[3] = y0[6] = y0[9] = y0[12] = 0.1
-    assert {status for _, status in _batch_matches_oracle(cfg, channels, strategies, y0, 400)} == {
-        CONVERGED}
+    rows = _batch_matches_oracle(cfg, quantizer, channels, strategies, y0, 400)
+    assert {status for _, status in rows} == {CONVERGED}
 
 
 def test_simulators_refuse_totals_past_2_pow_53():
     # 4^26 = 2^52 cells fit a double's indices; 4^27 = 2^54 and 2^54 do not
     for levels, m, ok in ((4, 26, True), (4, 27, False), (2, 54, False), (2, 10**9, False)):
-        cfg = TimeShareConfig(a_star=1.2, eps=0.01, m=m, levels=levels, p=0.1)
+        cfg = TimeShareConfig(a_star=1.2, eps=0.01, m=m)
         def run():
-            return run_timeshare_loop_batch(cfg, [ChannelConfig(0.1, 1)] * 2,
+            return run_timeshare_loop_batch(cfg, QuantizerSpec(levels), [ChannelConfig(0.1, 1)] * 2,
                                             [ParamStrategy()] * 2, 2, [0.1, -0.2])
         if ok:
             run()
@@ -446,12 +463,12 @@ def test_random_start_keeps_containment_at_2_pow_34_total_levels():
     # trial 930 of `simulate --m 2 --a-star 2 --eps 1e-11 --N 131072 --trials 4097 --seed 11
     # --strategy greedy_adversarial`, the only one of the 4097 that leaves the range
     # the scalar oracle leaves the range too; the runtime must raise its message
-    cfg = TimeShareConfig(a_star=2.0, eps=1e-11, m=2, levels=131072)
+    cfg, quantizer = TimeShareConfig(a_star=2.0, eps=1e-11, m=2), QuantizerSpec(131072)
     strategy, y0 = ParamStrategy("greedy_adversarial"), 0.44195487606925443
     with pytest.raises(SaturationError) as want:
-        timeshare_trial(cfg, ChannelConfig(0.0), strategy, 100, y0)
+        timeshare_trial(cfg, quantizer, ChannelConfig(0.0), strategy, 100, y0)
     try:
-        run_timeshare_loop(cfg, ChannelConfig(0.0), strategy, 100, y0)
+        run_timeshare_loop(cfg, quantizer, ChannelConfig(0.0), strategy, 100, y0)
     except SaturationError as exc:
         assert str(exc) == str(want.value)
         raise
@@ -477,10 +494,10 @@ def test_simulate_csv_is_identical_in_both_layouts(monkeypatch, capsys, tmp_path
     batches, runs = [], []
     batch = montecarlo.run_timeshare_loop_batch
 
-    def recorded(cfg, channels, strategies, cycles, y0):
-        rows = batch(cfg, channels, strategies, cycles, y0)
+    def recorded(cfg, quantizer, channels, strategies, cycles, y0):
+        rows = batch(cfg, quantizer, channels, strategies, cycles, y0)
         batches.append(len(channels))
-        runs.extend((cfg, channel, strategy, row, cycles, start)
+        runs.extend((cfg, quantizer, channel, strategy, row, cycles, start)
                     for channel, strategy, row, start in zip(channels, strategies, rows, y0))
         return rows
 

@@ -59,10 +59,10 @@ def _case(lib, family: str, order: int, kind: str):
     strategies = [lib.ParamStrategy(kind, 2000 + t, signs) for t in range(BATCH)]
     y0 = [lib.channel.uniform01(3000 + t, 0) - 0.5 for t in range(BATCH)]
     if family == "timeshare":
-        cfg = lib.TimeShareConfig(a_star=-1.9 if order % 2 else 1.7, eps=0.04, m=order,
-                                  levels=3, p=P)
-        run = lib.timeshare.run_timeshare_loop_batch
-        return lambda: sum(len(y) for y, _, _ in run(cfg, channels, strategies, STEPS, y0))
+        cfg = lib.TimeShareConfig(a_star=-1.9 if order % 2 else 1.7, eps=0.04, m=order)
+        run, quantizer = lib.timeshare.run_timeshare_loop_batch, lib.QuantizerSpec(3)
+        return lambda: sum(len(y) for y, _, _ in run(cfg, quantizer, channels, strategies,
+                                                      STEPS, y0))
     plant = lib.UncertainPlant(order, *PLANTS[order])
     quantizer = lib.QuantizerSpec(LEVELS)
     if family == "batch":
