@@ -3,8 +3,10 @@
 Subcommands: bounds, sufficient, simulate, sweep, timeshare.  timeshare
 answers one cycle duration; sweep --var m is the table over durations.
 Exit codes: 0 success, 2 invalid input, 3 internal invariant breach
-(quantizer saturation).  A flat key=value config file can stand in for
-flags via --config; flags given after it override its entries.  Each
+(quantizer saturation).  One rule, _refuse_unread, exits 2 on a flag that the
+command does not read in its mode, naming it and the flag that set the mode
+(--min-n, --var, --strategy or --empirical).  A flat key=value config file
+can stand in for flags via --config; flags after it override its entries.  Each
 command returns its answer (JSON or CSV rows) and main writes it to --out
 or stdout; the simulate verdict goes to stdout with --out, else to stderr.
 JSON output maps non-finite numbers to null and carries an explicit
@@ -102,7 +104,8 @@ def _plant_from(args) -> UncertainPlant:
     a, e = args.a_star, args.eps
     if args.n != len(a) or args.n != len(e):
         raise ValueError(f"--n {args.n} does not match {len(a)} coefficients / {len(e)} radii")
-    return UncertainPlant(n=args.n, a_star=tuple(a), eps=tuple(e), y0_bound=args.y0_bound)
+    y0 = getattr(args, "y0_bound", 1.0)  # bounds and sufficient start no loop
+    return UncertainPlant(n=args.n, a_star=tuple(a), eps=tuple(e), y0_bound=y0)
 
 
 def _scalar_plant_from(args, what: str) -> tuple[float, float]:
@@ -112,17 +115,28 @@ def _scalar_plant_from(args, what: str) -> tuple[float, float]:
     return args.a_star[0], args.eps[0]
 
 
+def _refuse_unread(args, mode: str, *dests: str) -> None:
+    """Exit 2 on the first of dests whose flag was given (its value is not args.parser's
+    default, so one given at its default passes): the command does not read it in mode."""
+    for dest in dests:
+        if getattr(args, dest) != args.parser.get_default(dest):
+            raise ValueError(f"--{dest.replace('_', '-')} is not read {mode}")
+
+
 def _experiment_from(args, **extra) -> Experiment:
+    if args.strategy != "fixed_vertex":
+        _refuse_unread(args, f"with --strategy {args.strategy}", "signs")
     strategy = ParamStrategy(kind=args.strategy, signs=args.signs)  # seeded per trial
     return Experiment(trials=args.trials, steps=args.steps, base_seed=args.seed,
                       strategy=strategy, **extra)
 
 
-def _add_plant_flags(sp) -> None:
+def _add_plant_flags(sp, loop: bool) -> None:
     sp.add_argument("--n", type=int, required=True, help="plant order")
     sp.add_argument("--a-star", type=_floats, required=True, help="nominal coefficients a1*,...,an*")
     sp.add_argument("--eps", type=_floats, required=True, help="uncertainty radii eps1,...,epsn")
-    sp.add_argument("--y0-bound", type=float, default=1.0, help="initial output bound Y0")
+    if loop:  # only a simulated loop starts from an output
+        sp.add_argument("--y0-bound", type=float, default=1.0, help="initial output bound Y0")
 
 
 def _add_loss_flag(sp) -> None:
@@ -142,7 +156,7 @@ def _add_answer(sp, cmd) -> None:
 
     The parser holds the command's name, not the function, so a rebound cmd_* takes effect."""
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd.__name__)
+    sp.set_defaults(func=cmd.__name__, parser=sp)  # _refuse_unread reads sp's defaults
 
 
 def cmd_bounds(args) -> dict:
@@ -166,14 +180,14 @@ def cmd_bounds(args) -> dict:
 def cmd_sufficient(args) -> dict:
     plant = _plant_from(args)
     if args.min_n:
-        if args.N is not None:
-            raise ValueError("--min-n searches N; give --N or --min-n, not both")
+        _refuse_unread(args, "with --min-n", "N")
         found = min_sufficient_N(plant, args.p, n_max=args.n_max)
         return {"n": plant.n, "p": args.p, "min_N": found.level, "rho": found.rho,
                 "sufficient": found.level is not None}
-    if args.N is None or args.N < 2:
-        raise ValueError("--N must be an integer >= 2 (or use --min-n)")
-    result = sufficient_mss(plant, args.N, args.p)
+    _refuse_unread(args, "without --min-n", "n_max")
+    if args.N is None:
+        raise ValueError("sufficient needs --N or --min-n")
+    result = sufficient_mss(plant, args.N, args.p)  # theta refuses an --N below 2
     return {"n": plant.n, "N": args.N, "p": args.p, "rho": result.rho,
             "sufficient": result.sufficient}
 
@@ -193,16 +207,19 @@ def cmd_simulate(args) -> tuple[list[dict], dict]:
 
 
 def cmd_sweep(args) -> list[dict]:
-    if args.N is not None and args.var in ("N", "m"):  # levels come from the grid or a search
-        raise ValueError("--N needs --var lambda or p")
+    if args.var in ("N", "m"):  # the grid sets the level, or a search finds it
+        _refuse_unread(args, f"with --var {args.var}", "N")
+    if args.var == "m" or not args.empirical:  # no loop runs
+        _refuse_unread(args, "with --var m" if args.var == "m" else "without --empirical",
+                       "empirical", "y0_bound", "trials", "steps", "seed", "strategy", "signs")
     if args.var == "m":
-        if args.empirical:
-            raise ValueError("--empirical needs --var lambda, p or N")
         a, e = _scalar_plant_from(args, "a duration sweep")
         durations = [int(v) for v in args.range]
         if durations != args.range:
             raise ValueError("cycle durations must be integers; give an integer lo:hi:step grid")
         return sweep_timeshare(a, e, durations, channel_p=args.p)
+    if args.empirical and args.var != "N" and args.N is None:
+        raise ValueError(f"--empirical with --var {args.var} needs --N")
     plant = _plant_from(args)
     empirical = _experiment_from(args) if args.empirical else None
     return sweep(plant, args.var, args.range, channel_p=args.p, n_levels=args.N, empirical=empirical)
@@ -227,12 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("bounds", help="necessary rate/loss bounds")
-    _add_plant_flags(sp)
+    _add_plant_flags(sp, loop=False)
     _add_loss_flag(sp)
     _add_answer(sp, cmd_bounds)
 
     sp = sub.add_parser("sufficient", help="spectral-radius sufficiency test")
-    _add_plant_flags(sp)
+    _add_plant_flags(sp, loop=False)
     _add_loss_flag(sp)
     sp.add_argument("--N", type=int, default=None, help="quantizer levels (integer >= 2)")
     sp.add_argument("--min-n", action="store_true", help="search the smallest sufficient N")
@@ -240,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_answer(sp, cmd_sufficient)
 
     sp = sub.add_parser("simulate", help="Monte Carlo closed-loop trials")
-    _add_plant_flags(sp)
+    _add_plant_flags(sp, loop=True)
     _add_loss_flag(sp)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--m", type=int, default=None, help="time-share cycle duration (scalar plants)")
@@ -249,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_answer(sp, cmd_simulate)
 
     sp = sub.add_parser("sweep", help="grid sweep over lambda, p, N, or m")
-    _add_plant_flags(sp)
+    _add_plant_flags(sp, loop=True)
     _add_loss_flag(sp)
     sp.add_argument("--N", type=float, default=None)
     sp.add_argument("--var", choices=("lambda", "p", "N", "m"), required=True)

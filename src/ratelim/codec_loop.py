@@ -53,9 +53,10 @@ class QuantizerSpec:
 
     def __post_init__(self):
         if not 1 <= self.levels <= 2**53:  # the batched loop holds symbols in doubles
-            raise ValueError(f"quantizer needs 1 to 2^53 levels, got {self.levels}")
+            raise ValueError(f"quantizer needs 1 to 2^53 levels, got {self.levels} for --N")
         if self.levels != int(self.levels):
-            raise ValueError(f"quantizer needs an integer level count, got {self.levels}")
+            raise ValueError(f"quantizer needs an integer level count, got {self.levels} for --N")
+        object.__setattr__(self, "levels", int(self.levels))  # a float count runs as its int
 
 
 def quantize(levels, v, ops: Ops = FLOATS):

@@ -49,8 +49,8 @@ def theta(a_star_i: float, eps_i: float, n_levels: float, gamma: int) -> float:
     reception the cell is N times shorter, but a box containing zero can
     keep a floor of eps_i regardless of the rate.
     """
-    if n_levels < 2.0:
-        raise ValueError(f"need N >= 2, got {n_levels}")
+    if not 2.0 <= n_levels < math.inf:  # the one check of a level the spectral test reads
+        raise ValueError(f"--N must be a finite level >= 2, got {n_levels}")
     if gamma == 0:
         return abs(a_star_i) + eps_i
     if eps_i < abs(a_star_i):  # box excludes zero

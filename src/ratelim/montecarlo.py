@@ -228,18 +228,15 @@ def sweep(
     var is one of lambda (sweeps the magnitude of the last coefficient,
     keeping its sign), p, or N.  Columns follow the fixed schema: grid
     value, the necessary bounds, the loss limit, the spectral radius at
-    n_levels (empty when not given), the minimal real sufficient level,
-    and the empirical verdict (empty unless an experiment is supplied).
+    n_levels (empty when not given, and at a grid point below 2 over N),
+    the minimal real sufficient level, and the empirical verdict (empty
+    unless an experiment is supplied, which needs n_levels over lambda or p).
     """
     if var not in ("lambda", "p", "N"):
         raise ValueError(f"sweep variable must be lambda, p, or N, got {var!r}")
-    for level in values if var == "N" else [n_levels]:  # before a closed form or int() sees it
-        if empirical is not None and not (level is not None and 1 <= level <= 2**53
-                                          and level == int(level)):
-            raise ValueError(f"empirical sweeps need an integer --N from 1 to 2^53, got {level}")
-        if level is not None and not math.isfinite(level):
-            raise ValueError(f"--N must be finite, got {level}")
-    if empirical is not None:
+    quantizers = {}
+    if empirical is not None:  # each level is refused or built before a closed form runs
+        quantizers = {level: QuantizerSpec(level) for level in (values if var == "N" else [n_levels])}
         _check_work(len(values) * empirical.trials * empirical.steps, plant.n)
     rows = []
     for v in values:
@@ -258,18 +255,13 @@ def sweep(
         if again:
             nb = necessary_bounds(abs(cur_plant.a_star[-1]), cur_plant.eps[-1], cur_p)
         rho = ""
-        if cur_n is not None and cur_n >= 2.0:
+        if cur_n is not None and (var != "N" or cur_n >= 2.0):  # theta refuses an --N below 2
             rho = sufficient_mss(cur_plant, cur_n, cur_p).rho
         if again:
             min_level = min_sufficient_level_real(cur_plant, cur_p)
         verdict = ""
         if empirical is not None:
-            report = run_experiment(
-                cur_plant,
-                QuantizerSpec(int(cur_n)),
-                ChannelConfig(p=cur_p),
-                empirical,
-            )
+            report = run_experiment(cur_plant, quantizers[cur_n], ChannelConfig(p=cur_p), empirical)
             verdict = report.verdict
         rows.append(
             {

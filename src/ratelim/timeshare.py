@@ -126,7 +126,7 @@ def power_hull(a_star: float, eps: float, m: int) -> Interval:
 def _slot_level(cfg: TimeShareConfig, quantizer: QuantizerSpec) -> int:
     """The per-slot level N of a simulation: the quantizer's, at least 2, with N^m at most
     2^53, the cells a double in [-1/2, 1/2] tells apart (the batch holds indices in doubles)."""
-    n_slot = int(quantizer.levels)
+    n_slot = quantizer.levels
     if n_slot < 2:
         raise ValueError(f"simulation needs an integer per-slot level >= 2, got {n_slot}")
     if cfg.m > 53 or n_slot**cfg.m > 2**53:  # 2^m > 2^53 from m = 54 on

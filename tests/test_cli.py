@@ -228,6 +228,11 @@ TIMESHARE_SIMULATE = (
 )
 
 
+def _signs(kind, signs="+,-"):
+    """--signs for fixed_vertex, the one strategy that reads it."""
+    return ("--signs", signs) if kind == "fixed_vertex" else ()
+
+
 def _lossless(argv):
     """argv with its --p value replaced by 0."""
     at = argv.index("--p") + 1
@@ -242,9 +247,8 @@ def _lossless(argv):
         (*README_SIMULATE, "--trials", "200", "--strategy", "iid_uniform"),
         "da1a97bb3e005f96dc9e114a9d315c93ac8c12410e067b0ebe47dd5cacf0cc7a",
         id="readme-batched-iid"),
-    *(pytest.param(
-        (*README_SIMULATE, "--trials", "4", "--signs", "+,-", "--strategy", kind), digest,
-        id=f"scalar-{kind}") for kind, digest in [
+    *(pytest.param((*README_SIMULATE, "--trials", "4", "--strategy", kind, *_signs(kind)),
+                   digest, id=f"scalar-{kind}") for kind, digest in [
         ("nominal", "0ef72f36633328867faaf323070f8e101615fc03d990f0de8cca03d2ede92694"),
         ("fixed_vertex", "243cf804216b10ff893805178b9466aa22b8022b4a3379e9193f74735a43e7d9"),
         ("iid_uniform", "91e0d8ce6e1296c22e025271af64e3012631de18f8a3828715a67499322bb3bb"),
@@ -259,19 +263,20 @@ def _lossless(argv):
     pytest.param((*TIMESHARE_SIMULATE, "--strategy", "fixed_vertex", "--signs=+"),
                  "2a018fa1d1c6007f86a3256338175a9e315cb0fcff1a877b988422b28abfac1e",
                  id="timeshare-fixed_vertex"),
-    *(pytest.param((*_lossless(argv), "--strategy", kind), digest, id=f"{layout}-p0-{kind}")
-      for layout, argv, digests in [
-        ("scalar", (*README_SIMULATE, "--trials", "4", "--signs", "+,-"), [
+    *(pytest.param((*_lossless(argv), "--strategy", kind, *_signs(kind, signs)), digest,
+                   id=f"{layout}-p0-{kind}")
+      for layout, argv, signs, digests in [
+        ("scalar", (*README_SIMULATE, "--trials", "4"), "+,-", [
             "af5fd3a6e7250ad27ec1df780bd0d3b5213dd7b327b3211b406f3c0c3c771db2",
             "d438834680ea6aeedd0463bead80240dfe27b74ce0b1fc6562219a9b0cb51727",
             "99870d43264aa2d6128bf9b4b17de8676367a04d1ddff59a674c71501b07ea06",
             "d2e2faf7ad0fe1610fb73a55ac586d640f9f5005a3b445cd888c11f6b07a3e0c"]),
-        ("batched", (*README_SIMULATE, "--trials", "200", "--signs", "+,-"), [
+        ("batched", (*README_SIMULATE, "--trials", "200"), "+,-", [
             "8c54396d36a6b0b93bcf61c9c3cf8adb807149eee35b5c69d0fb64a67aeb38e4",
             "8964b11df23863e71cbea11ea6212a0cbf3898c8f08e08b5392fb7e7eaa7369f",
             "de634f33f3defca4166e9c4f5fcef14cdb43057c1de2b69092950aebeeeb7a7d",
             "9611a1f9faff4a3ec5a8fb38ee7dd9ab9a13274d9f6c29d49790113b30c52a22"]),
-        ("timeshare", (*TIMESHARE_SIMULATE, "--signs=+"), [
+        ("timeshare", TIMESHARE_SIMULATE, "+", [
             "5e8caf9019ae99d5563e7fb7da8a46c3b757db01ab3b7a26c80f17d2b82db155",
             "fdcf5074582dd76aec9b7e8451596a3e654d7adbc76406c34a0834aad4f7beee",
             "8e3e772df387b07be592ccd9f6ae3f80826e69c50d7a382971649774deb5bf36",
@@ -477,7 +482,8 @@ LEVEL_ERRORS = {
     [
         ("bounds", "--n", "2", "--a-star", "1,nan", "--eps", "0,0"),
         ("bounds", "--n", "1", "--a-star", "3", "--eps", "nan"),
-        ("bounds", "--n", "1", "--a-star", "3", "--eps", "0", "--y0-bound", "nan"),
+        ("simulate", "--n", "1", "--a-star", "3", "--eps", "0", "--y0-bound", "nan", "--N", "4",
+         "--trials", "1", "--steps", "10"),
         ("sufficient", "--n", "1", "--a-star", "inf", "--eps", "0", "--N", "4"),
         ("timeshare", "--a-star", "nan", "--eps", "0.1", "--m", "2"),
         ("timeshare", "--a-star", "inf", "--eps", "0.1", "--m", "2"),
@@ -536,6 +542,44 @@ def test_invalid_numbers_exit_2(capsys, argv):
     assert not re.search(r"\d{30}", err)  # such as the 301 digits of int(1e300)
 
 
+SCALAR_PLANT = ("--n", "1", "--a-star", "2", "--eps", "0.1")
+
+
+# An argv that answers, flags its command does not read there, and the flag that set the
+# mode the refusal names with them (None where the command has one mode, or the flag is a
+# level refused for lying below 2).
+@pytest.mark.parametrize("argv, flags, mode", [
+    pytest.param(("bounds", *SCALAR_PLANT), ("--y0-bound", "5"), None, id="bounds-y0-bound"),
+    pytest.param(("sufficient", *SCALAR_PLANT, "--N", "4"), ("--n-max", "3"), "--min-n",
+                 id="sufficient-n-max"),
+    pytest.param(MIN_N, ("--N", "8"), "--min-n", id="min-n-N"),
+    pytest.param(("simulate", *SCALAR_PLANT, "--N", "4", "--trials", "2", "--steps", "20",
+                  "--strategy", "iid_uniform"), ("--signs", "+"), "--strategy",
+                 id="simulate-signs"),
+    pytest.param((*LAMBDA_SWEEP, "--N", "4", "--empirical", "--trials", "2", "--steps", "10"),
+                 ("--signs", "+"), "--strategy", id="empirical-signs"),
+    pytest.param(LAMBDA_SWEEP, ("--trials", "3", "--strategy", "nominal"), "--empirical",
+                 id="lambda-sweep-trials"),
+    pytest.param(DURATION_SWEEP, ("--y0-bound", "5", "--trials", "7"), "--var",
+                 id="duration-sweep-y0-bound"),
+    pytest.param(DURATION_SWEEP, ("--N", "8"), "--var", id="duration-sweep-N"),
+    pytest.param(DURATION_SWEEP, ("--empirical",), "--var", id="duration-sweep-empirical"),
+    pytest.param(("sweep", *SCALAR_PLANT, "--var", "N", "--range", "2:3:1"), ("--N", "8"), "--var",
+                 id="level-sweep-N"),
+    *(pytest.param(LAMBDA_SWEEP, ("--N", level), None, id=f"lambda-sweep-N-{level}")
+      for level in ("1.5", "1", "0", "-3")),
+    pytest.param(("sweep", *SCALAR_PLANT, "--var", "p", "--range", "0:0.1:0.1"), ("--N", "1"),
+                 None, id="p-sweep-N-1"),
+])
+def test_unread_flags_exit_2(capsys, argv, flags, mode):
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, *flags)
+    assert (code, out) == (2, "")
+    assert flags[0] in err
+    if mode is not None:
+        assert mode in err
+
+
 
 @pytest.mark.parametrize("trials", ["1", "12"])
 @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
@@ -552,7 +596,7 @@ def test_overflowed_range_is_a_diverged_trial(capsys, trials, seed):
     assert verdict["verdict"] == "unstable"
     assert verdict["diverged_trials"] == int(trials)
 
-@pytest.mark.xfail(strict=True, reason="known defect (ROADMAP item 6): random starts "
+@pytest.mark.xfail(strict=True, reason="known defect (ROADMAP item 8): random starts "
                    "reach the lost-containment orbit of the range-boundary xfail")
 def test_random_starts_keep_containment(capsys):
     code, _, err = run_cli(
@@ -707,13 +751,13 @@ def _flag(name, values):
 def _plant_argv(draw, command):
     n = draw(st.integers(1, 3))
     # the last coefficient's band keeps |an*| - eps_n > 1 for every band radius
-    bands = [(-5.0, 5.0)] * (n - 1) + [(2.0, 5.0)] + [(0.0, 1.0)] * n + [(0.0, 1.0), (0.0, 10.0)]
-    values = draw(_numbers(bands))
-    return (
-        command, "--n", str(n),
-        _flag("a-star", values[:n]), _flag("eps", values[n : 2 * n]),
-        _flag("p", values[-2:-1]), _flag("y0-bound", values[-1:]),
-    )
+    y0 = [(0.0, 10.0)] if command == "simulate" else []  # the one that reads --y0-bound
+    values = draw(_numbers([(-5.0, 5.0)] * (n - 1) + [(2.0, 5.0)] + [(0.0, 1.0)] * (n + 1) + y0))
+    argv = [command, "--n", str(n), _flag("a-star", values[:n]), _flag("eps", values[n : 2 * n]),
+            _flag("p", values[2 * n : 2 * n + 1])]
+    if y0:
+        argv.append(_flag("y0-bound", values[-1:]))
+    return tuple(argv)
 
 
 @st.composite
@@ -872,7 +916,7 @@ def test_sweep_duration_has_no_empirical_column(capsys):
         "--var", "m", "--range", "1:2:1", "--empirical",
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error: --empirical needs --var lambda, p or N")
+    assert err.startswith("error: --empirical is not read with --var m")
 
 
 def test_order_cap_names_the_spectral_test(capsys):

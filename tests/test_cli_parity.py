@@ -18,8 +18,9 @@ PLANT = [
     (("--n",), "_StoreAction", "int", None, True, None, "plant order"),
     (("--a-star",), "_StoreAction", "_floats", None, True, None, "nominal coefficients a1*,...,an*"),
     (("--eps",), "_StoreAction", "_floats", None, True, None, "uncertainty radii eps1,...,epsn"),
-    (("--y0-bound",), "_StoreAction", "float", 1.0, False, None, "initial output bound Y0"),
 ]
+# declared only where a loop starts from an output
+Y0 = (("--y0-bound",), "_StoreAction", "float", 1.0, False, None, "initial output bound Y0")
 HELP = (("-h", "--help"), "_HelpAction", None, argparse.SUPPRESS, False, None,
         "show this help message and exit")
 OUT = (("--out",), "_StoreAction", None, None, False, None, None)
@@ -50,7 +51,7 @@ OPTIONS = {
         OUT,
     ],
     "simulate": [
-        HELP, *PLANT,
+        HELP, *PLANT, Y0,
         LOSS,
         (("--N",), "_StoreAction", "int", None, True, None, None),
         (("--m",), "_StoreAction", "int", None, False, None,
@@ -60,7 +61,7 @@ OPTIONS = {
         OUT,
     ],
     "sweep": [
-        HELP, *PLANT,
+        HELP, *PLANT, Y0,
         LOSS,
         (("--N",), "_StoreAction", "float", None, False, None, None),
         (("--var",), "_StoreAction", None, None, True, ("lambda", "p", "N", "m"), None),

@@ -457,7 +457,7 @@ def test_simulators_refuse_totals_past_2_pow_53():
                 run()
 
 
-@pytest.mark.xfail(strict=True, raises=SaturationError, reason="known defect (ROADMAP item 6): "
+@pytest.mark.xfail(strict=True, raises=SaturationError, reason="known defect (ROADMAP item 8): "
                    "a random start drifts out of the range by rounding at 2^34 total levels")
 def test_random_start_keeps_containment_at_2_pow_34_total_levels():
     # trial 930 of `simulate --m 2 --a-star 2 --eps 1e-11 --N 131072 --trials 4097 --seed 11
@@ -490,7 +490,9 @@ def test_simulate_csv_is_identical_in_both_layouts(monkeypatch, capsys, tmp_path
     # the batched CLI run against one trial at a time: every row the batches return replays
     # under the scalar oracle, and the CSV is the stacked reduction of those rows
     argv = ["simulate", "--n", "1", *SIMULATE_M2[trials], "--m", "2", "--trials", str(trials),
-            "--strategy", kind, "--signs", "-", "--seed", "11"]
+            "--strategy", kind, "--seed", "11"]
+    if kind == "fixed_vertex":  # the one strategy that reads --signs
+        argv += ["--signs", "-"]
     batches, runs = [], []
     batch = montecarlo.run_timeshare_loop_batch
 
