@@ -12,7 +12,10 @@ closed loop that kept its encoder/decoder state in a `CodecState` object,
 stepped by the `realize_params` that took the candidate next output as a
 callback, by the one-trial codec steps (`quantize`, `decode_cell`,
 `predict`, `advance_scaling`, `scale_product`) and by the one-trial
-reception flag (`draw`); parity tests compare the runtime answers against
+reception flag (`draw`); the step functions `predict_by_hulls` and
+`advance_scaling_by_measure` take floats or trial slots as the runtime's do,
+but form each coefficient's hull as an `Interval` and read the prediction
+through `measure` and `midpoint`; parity tests compare the runtime answers against
 them, and the invariant checks replay the decoder with that object.
 `timeshare_trial` runs one time-share trial with scalar floats on those
 codec steps and that flag: every time-share batch row is replayed by it
@@ -48,7 +51,8 @@ from ratelim.codec_loop import (
     end_status,
 )
 from ratelim._search import first_passing, split_integers
-from ratelim.interval import Interval, measure, midpoint
+from ratelim.interval import FLOATS, Interval, Ops, measure, midpoint
+from ratelim.interval import scale_product as slot_scale_product
 from ratelim.mjls import (
     LEVEL_CAP,
     LEVEL_TOL,
@@ -469,6 +473,33 @@ def scale_product(a: Interval, y: Interval) -> Interval:
     p3 = a.hi * y.lo
     p4 = a.hi * y.hi
     return Interval(min(p1, p2, p3, p4), max(p1, p2, p3, p4))
+
+
+# The runtime's predict and advance_scaling as they stood before the loop formed each
+# coefficient's product hull inline and unpacked the prediction once, copied verbatim
+# but for their names and scale_product's (slot_scale_product here).
+
+
+def predict_by_hulls(boxes: Sequence[Interval], cells: Sequence[Interval], ops: Ops = FLOATS) -> Interval:
+    """One-step prediction set from the coefficient boxes and the last n estimation intervals.
+
+    cells are oldest-first, so box i meets cells[n - 1 - i]; the set is the
+    Minkowski sum of the products, so its length is exactly the sum of the
+    product-hull lengths.
+    """
+    if len(cells) != len(boxes):
+        raise ValueError(f"need {len(boxes)} stored cells, got {len(cells)}")
+    lo = hi = 0.0
+    for box, cell in zip(boxes, reversed(cells)):
+        prod = slot_scale_product(box, cell, ops)
+        lo = lo + prod.lo  # never in place: the sums may be arrays
+        hi = hi + prod.hi
+    return Interval(lo, hi)
+
+
+def advance_scaling_by_measure(prediction: Interval, u, ops: Ops = FLOATS) -> tuple:
+    """Next (sigma, center): minimal admissible range and its shifted midpoint."""
+    return ops.maximum(measure(prediction), SIGMA_MIN), midpoint(prediction) + u
 
 
 # The reception flag as it stood before one rule (channel.received) served the

@@ -26,7 +26,7 @@ from ratelim.codec_loop import (
     run_closed_loop,
     run_closed_loop_batch,
 )
-from ratelim.interval import SLOTS, Interval, measure
+from ratelim.interval import FLOATS, SLOTS, Interval, measure
 from ratelim.montecarlo import BATCH_MIN_TRIALS, Experiment, run_experiment
 from ratelim.plant import ParamStrategy, UncertainPlant, iid_params, step_unchecked
 from ratelim.timeshare import TimeShareConfig, run_timeshare_loop
@@ -142,6 +142,42 @@ def test_advance_scaling_examples():
     sigma, center = advance_scaling(Interval(0.0, 0.0), 0.7)
     assert sigma == 1e-300
     assert center == 0.7
+
+
+# an endpoint: any double, with signed zeros, infinities and NaN drawn often
+ENDS = st.one_of(st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan)), st.floats())
+
+
+@st.composite
+def _step_inputs(draw):
+    """Float boxes and oldest-first cells, a prediction and a control at orders 1-6,
+    with FLOATS (slots 0) or with SLOTS on 1-4 trial slots."""
+    n, slots = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+
+    def end():
+        return np.array([draw(ENDS) for _ in range(slots)]) if slots else draw(ENDS)
+
+    boxes = [Interval(draw(ENDS), draw(ENDS)) for _ in range(n)]
+    cells = [Interval(end(), end()) for _ in range(n)]
+    return boxes, cells, Interval(end(), end()), end(), SLOTS if slots else FLOATS
+
+
+def _bits(values):
+    return [(type(v), np.asarray(v, float).tobytes()) for v in values]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_step_inputs())
+def test_predict_and_advance_keep_the_bits_of_the_hull_form(case):
+    # the loop's predict and advance_scaling give the bits (and types) of the forms that
+    # built each coefficient's hull as an Interval and read measure and midpoint
+    boxes, cells, prediction, u, ops = case
+    with np.errstate(all="ignore"):
+        got = predict(boxes, cells, ops)
+        assert _bits(got) == _bits(oracles.predict_by_hulls(boxes, cells, ops))
+        for pred in (got, prediction):
+            assert _bits(advance_scaling(pred, u, ops)) == _bits(
+                oracles.advance_scaling_by_measure(pred, u, ops))
 
 
 def _slot_hex(x, slots):
