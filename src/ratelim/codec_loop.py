@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import _MASK, ChannelConfig, received
-from .interval import FLOATS, SLOTS, Interval, Ops, measure, midpoint, scale_product
+from .interval import FLOATS, SLOTS, Interval, Ops
 from .plant import ParamStrategy, UncertainPlant, iid_params, realize_params, step_unchecked
 
 # Lower guard on sigma: keeps logs finite and avoids denormal underflow.
@@ -34,6 +34,7 @@ SIGMA_MIN = 1e-300
 CONVERGED_SIGMA = 1e-150
 DIVERGED_SIGMA = 1e150
 SATURATION_TOL = 1e-9
+SATURATION_EDGE = 0.5 + SATURATION_TOL  # the largest |input| quantize takes
 # Steps whose flags and iid coefficients a loop draws at once: enough to spread a draw's
 # fixed cost, few enough to bound the tables (64 x 6 doubles a trial at order 6).
 BLOCK_STEPS = 64
@@ -50,12 +51,13 @@ class SaturationError(RuntimeError):
 @dataclass(frozen=True)
 class QuantizerSpec:
     levels: int
+    flag: str = field(default="--N", compare=False, repr=False)  # where a refused level came from
 
     def __post_init__(self):
         if not 1 <= self.levels <= 2**53:  # the batched loop holds symbols in doubles
-            raise ValueError(f"quantizer needs 1 to 2^53 levels, got {self.levels} for --N")
+            raise ValueError(f"quantizer needs 1 to 2^53 levels, got {self.levels} for {self.flag}")
         if self.levels != int(self.levels):
-            raise ValueError(f"quantizer needs an integer level count, got {self.levels} for --N")
+            raise ValueError(f"quantizer needs an integer level count, got {self.levels} for {self.flag}")
         object.__setattr__(self, "levels", int(self.levels))  # a float count runs as its int
 
 
@@ -68,7 +70,7 @@ def quantize(levels, v, ops: Ops = FLOATS):
     outside the range by more than a tiny numerical slack or is NaN;
     within the slack v falls in the end cell.
     """
-    inside = abs(v) <= 0.5 + SATURATION_TOL  # False for NaN
+    inside = abs(v) <= SATURATION_EDGE  # False for NaN
     if not ops.all(inside):
         breach = np.extract(np.logical_not(inside), v)[0]
         raise SaturationError(f"quantizer input {float(breach)} outside [-1/2, 1/2]")
@@ -90,38 +92,40 @@ def decode_cell(levels, sigma, center, symbol, got, ops: Ops = FLOATS) -> Interv
     return Interval(ops.where(got, cell.lo, lo), ops.where(got, cell.hi, top))
 
 
-def predict(boxes: Sequence[Interval], cells: Sequence[Interval], ops: Ops = FLOATS) -> Interval:
+def predict(boxes: Sequence[Interval], cells: Sequence[Interval], ops: Ops = FLOATS) -> tuple:
     """One-step prediction set from the coefficient boxes and the last n estimation intervals.
 
     cells are oldest-first, so box i meets cells[n - 1 - i]; the set is the
     Minkowski sum of the products, so its length is exactly the sum of the
-    product-hull lengths.
+    product-hull lengths.  Each hull is scale_product's, formed in place, and
+    the set's ends come back as a plain (lo, hi) pair, for advance_scaling.
     """
     if len(cells) != len(boxes):
         raise ValueError(f"need {len(boxes)} stored cells, got {len(cells)}")
+    minimum, maximum = ops.minimum, ops.maximum
     lo = hi = 0.0
-    for box, cell in zip(boxes, reversed(cells)):
-        prod = scale_product(box, cell, ops)
-        lo = lo + prod.lo  # never in place: the sums may be arrays
-        hi = hi + prod.hi
-    return Interval(lo, hi)
+    for (a_lo, a_hi), (y_lo, y_hi) in zip(boxes, reversed(cells)):
+        p1, p2 = a_lo * y_lo, a_lo * y_hi  # two pairs: no tuple is built
+        p3, p4 = a_hi * y_lo, a_hi * y_hi
+        lo = lo + minimum(minimum(minimum(p1, p2), p3), p4)  # never in place: may be arrays
+        hi = hi + maximum(maximum(maximum(p1, p2), p3), p4)
+    return lo, hi
 
 
 def control(plant: UncertainPlant, cells: Sequence[Interval]) -> float:
     """Certainty-equivalent feedback on the interval midpoints."""
-    n = plant.n
-    if len(cells) != n:
-        raise ValueError(f"need {n} stored cells, got {len(cells)}")
+    if len(cells) != plant.n:
+        raise ValueError(f"need {plant.n} stored cells, got {len(cells)}")
     u = 0.0
-    for i in range(n):
-        c = cells[n - 1 - i]
-        u -= plant.a_star[i] * (c.lo + c.hi) / 2.0
+    for a, (lo, hi) in zip(plant.a_star, reversed(cells)):
+        u -= a * (lo + hi) / 2.0
     return u
 
 
-def advance_scaling(prediction: Interval, u, ops: Ops = FLOATS) -> tuple:
-    """Next (sigma, center): minimal admissible range and its shifted midpoint."""
-    return ops.maximum(measure(prediction), SIGMA_MIN), midpoint(prediction) + u
+def advance_scaling(prediction: tuple, u, ops: Ops = FLOATS) -> tuple:
+    """Next (sigma, center): the prediction's length, at least SIGMA_MIN, and its shifted midpoint."""
+    lo, hi = prediction
+    return ops.maximum(hi - lo, SIGMA_MIN), (lo + hi) / 2.0 + u
 
 
 def check_start(y0, y0_bound: float) -> None:
@@ -174,8 +178,9 @@ class Trial:
         trace = self.trace
         trace.y.append(y)
         trace.sigma.append(sigma_k)
-        if status := end_status(state[0]):
-            trace.status = status
+        sigma = state[0]
+        if sigma < CONVERGED_SIGMA or not sigma <= DIVERGED_SIGMA:  # end_status's rule
+            trace.status = end_status(sigma)
             return None
         return state
 
@@ -243,7 +248,7 @@ def _run(plant: UncertainPlant, levels: int, p: float, strategy: ParamStrategy, 
     boxes = [plant.box(i) for i in range(n)]
     kind = strategy.kind  # nominal and fixed_vertex realize one vector for every step
     fixed = realize_params(plant, strategy) if kind in ("nominal", "fixed_vertex") else None
-    iid = plant if kind == "iid_uniform" else None
+    iid = plant if kind == "iid_uniform" else None  # its steps take their drawn rows as params
     # the last n estimation intervals, oldest-first; before time 0 the output is 0 (center)
     cells = [Interval(center, center)] * n
     history = [center] * (n - 1) + [y0]
@@ -258,7 +263,8 @@ def _run(plant: UncertainPlant, levels: int, p: float, strategy: ParamStrategy, 
             cells.append(cell)
             u = control(plant, cells)
             sigma_next, center = advance_scaling(predict(boxes, cells, ops), u, ops)
-            params = fixed or realize_params(plant, strategy, history, u, slots.coeffs[j], ops)
+            params = slots.coeffs[j] if iid else fixed or realize_params(
+                plant, strategy, history, u, ops=ops)
             history.append(step_unchecked(history, u, params))
             history.pop(0)
             state = slots.retire(k, y, sigma, sigma_next, center, history, cells)

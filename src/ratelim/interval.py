@@ -45,11 +45,6 @@ FLOATS = Ops(lambda c, a, b: a if c else b, lambda a, b: b if b < a else a,
 SLOTS = Ops(np.where, np.minimum, np.maximum, np.floor, np.logical_and.reduce)
 
 
-def measure(iv: Interval) -> float:
-    """Length hi - lo (the Lebesgue measure of the interval)."""
-    return iv.hi - iv.lo
-
-
 def midpoint(iv: Interval) -> float:
     return (iv.lo + iv.hi) / 2.0
 

@@ -15,6 +15,7 @@ at the top, so each window has exactly two successors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -76,6 +77,21 @@ class BlockRows:
         return (self.rows @ x.reshape(self.rows.shape[1], -1, 1)).ravel()
 
 
+@functools.cache
+def _factor_index(n: int) -> np.ndarray:
+    """Block-row entry (c, j, ac, tbd) of order n is P_c H_{2j+t}[a, b] H_{2j+t}[c, d]: the
+    pair (x, y) of H's factors (0, 1, then theta_i at flag gamma as factor 2i + gamma) that
+    it multiplies, held as x (2n + 2) + y in the smallest unsigned type."""
+    size, width = 1 << n, 2 * n + 2
+    h = np.zeros((size, n, n), dtype=np.intp)
+    h[:, np.arange(n - 1), np.arange(1, n)] = 1
+    # column j of the last row holds theta_{n-j}, whose flag is bit j
+    h[:, n - 1, :] = 2 * np.arange(n, 0, -1) + ((np.arange(size)[:, None] >> np.arange(n)) & 1)
+    h = h.reshape(size >> 1, 2, n, n).swapaxes(1, 2)  # h[j, a, t] is row a of H_{2j+t}
+    pair = width * h[:, :, None, :, :, None] + h[:, None, :, :, None, :]  # [j, a, c, t, b, d]
+    return pair.reshape(size >> 1, n * n, 2 * n * n).astype(np.min_scalar_type(width**2 - 1))
+
+
 def block_rows(plant: UncertainPlant, n_levels: float, p: float) -> BlockRows:
     """The nonzero blocks of the lifted second-moment matrix, block row by block row.
 
@@ -91,7 +107,7 @@ def block_rows(plant: UncertainPlant, n_levels: float, p: float) -> BlockRows:
         raise ValueError(f"the spectral sufficiency test is capped at order {N_MAX_ORDER}, got {n}")
     if not (0.0 <= p < 1.0):
         raise ValueError(f"loss probability must be in [0, 1), got {p}")
-    table = np.empty((n, 2))
+    factors = [0.0, 1.0]  # _factor_index's order
     for i in range(n):
         for gamma in (0, 1):
             t = theta(plant.a_star[i], plant.eps[i], n_levels, gamma)
@@ -100,15 +116,9 @@ def block_rows(plant: UncertainPlant, n_levels: float, p: float) -> BlockRows:
                     f"growth factor {t} of coefficient {i + 1} overflows when squared; "
                     "--a-star/--eps are out of floating-point range"
                 )
-            table[i, gamma] = t
-    size, nn, windows = 1 << n, n * n, np.arange(1 << n)
-    h = np.zeros((size, n, n))
-    h[:, np.arange(n - 1), np.arange(1, n)] = 1.0
-    # column j of the last row holds theta_{n-j}, whose flag is bit j
-    h[:, n - 1, :] = table[np.arange(n - 1, -1, -1), (windows[:, None] >> np.arange(n)) & 1]
-    h = h.reshape(size >> 1, 2, n, n)  # h[j, t] is H_{2j+t}
-    pair = np.einsum("jtab,jtcd->jactbd", h, h).reshape(size >> 1, nn, 2 * nn)  # kron(H, H)
-    return BlockRows(np.array([p, 1.0 - p])[:, None, None, None] * pair)
+            factors.append(t)
+    weights = np.multiply.outer(np.array([p, 1.0 - p]), np.multiply.outer(factors, factors))
+    return BlockRows(weights.reshape(2, -1).take(_factor_index(n), axis=1))  # P_c (x y)
 
 
 def build_F(plant: UncertainPlant, n_levels: float, p: float) -> MjlsModel:

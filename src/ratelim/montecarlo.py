@@ -236,7 +236,8 @@ def sweep(
         raise ValueError(f"sweep variable must be lambda, p, or N, got {var!r}")
     quantizers = {}
     if empirical is not None:  # each level is refused or built before a closed form runs
-        quantizers = {level: QuantizerSpec(level) for level in (values if var == "N" else [n_levels])}
+        levels, flag = (values, "--range") if var == "N" else ([n_levels], "--N")
+        quantizers = {level: QuantizerSpec(level, flag) for level in levels}
         _check_work(len(values) * empirical.trials * empirical.steps, plant.n)
     rows = []
     for v in values:

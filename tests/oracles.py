@@ -15,7 +15,8 @@ callback, by the one-trial codec steps (`quantize`, `decode_cell`,
 reception flag (`draw`); the step functions `predict_by_hulls` and
 `advance_scaling_by_measure` take floats or trial slots as the runtime's do,
 but form each coefficient's hull as an `Interval` and read the prediction
-through `measure` and `midpoint`; parity tests compare the runtime answers against
+through `measure` (an interval's length, which no runtime code reads) and
+`midpoint`; parity tests compare the runtime answers against
 them, and the invariant checks replay the decoder with that object.
 `timeshare_trial` runs one time-share trial with scalar floats on those
 codec steps and that flag: every time-share batch row is replayed by it
@@ -51,7 +52,7 @@ from ratelim.codec_loop import (
     end_status,
 )
 from ratelim._search import first_passing, split_integers
-from ratelim.interval import FLOATS, Interval, Ops, measure, midpoint
+from ratelim.interval import FLOATS, Interval, Ops, midpoint
 from ratelim.interval import scale_product as slot_scale_product
 from ratelim.mjls import (
     LEVEL_CAP,
@@ -473,6 +474,11 @@ def scale_product(a: Interval, y: Interval) -> Interval:
     p3 = a.hi * y.lo
     p4 = a.hi * y.hi
     return Interval(min(p1, p2, p3, p4), max(p1, p2, p3, p4))
+
+
+def measure(iv: Interval) -> float:
+    """Length hi - lo (the Lebesgue measure of the interval)."""
+    return iv.hi - iv.lo
 
 
 # The runtime's predict and advance_scaling as they stood before the loop formed each

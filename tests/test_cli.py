@@ -460,7 +460,7 @@ LAMBDA_SWEEP = ("sweep", "--n", "1", "--a-star", "3", "--eps", "0.1", "--var", "
 MIN_N = ("sufficient", "--n", "1", "--a-star", "2", "--eps", "0.1", "--min-n")
 DURATION_SWEEP = ("sweep", "--n", "1", "--a-star", "3.3", "--eps", "0.025", "--var", "m",
                   "--range", "1:2:1")
-# invalid level counts, and the flags their messages must name
+# invalid level counts, and what their messages must hold: the flags they name, or the whole message
 LEVEL_ERRORS = {
     # 4^30 = 2^60 cells, and 2^54 just past 2^53: more than a double in [-1/2, 1/2] tells apart
     (*TOO_MANY_CELLS, "--N", "4", "--m", "30"): ("--N", "--m"),
@@ -474,6 +474,14 @@ LEVEL_ERRORS = {
     (*DURATION_SWEEP, "--N", "1e300", "--y0-bound", "5"): ("--N", "--var"),
     ("sweep", "--n", "1", "--a-star", "3", "--eps", "0.1", "--var", "N", "--range", "2:3:1",
      "--N", "8"): ("--N", "--var"),
+    # over N a refused level is a grid point of --range (--N is refused there): the
+    # message names the point and --range
+    ("sweep", "--n", "1", "--a-star", "3", "--eps", "0.1", "--var", "N", "--range", "0.5:3:0.5",
+     "--empirical", "--trials", "2", "--steps", "10"): (
+        "quantizer needs 1 to 2^53 levels, got 0.5 for --range",),
+    ("sweep", "--n", "1", "--a-star", "3", "--eps", "0.1", "--var", "N", "--range", "1:3:0.5",
+     "--empirical", "--trials", "2", "--steps", "10"): (
+        "quantizer needs an integer level count, got 1.5 for --range",),
 }
 
 

@@ -11,11 +11,12 @@ goes first alternates from rep to rep, so drift in the machine's speed
 falls on both sides alike.  Separate processes cannot resolve a few
 percent on a machine whose speed moves between runs; one process can.
 
-Cases, each over orders 1-3 and the four coefficient strategies, at loss
-probability 0.2:
+Cases, each over orders 1-3, the four coefficient strategies and the loss
+probabilities 0 (every flag received) and 0.2:
   scalar     run_closed_loop, TRIALS one-trial runs of STEPS steps; per trial step
   batch      run_closed_loop_batch, BATCH trials x STEPS steps
   timeshare  run_timeshare_loop_batch, BATCH trials x STEPS cycles at m = order
+             (at loss 0 and m = 2 or 3 about a tenth of the trials converge early)
 
 Per case it prints each side's median time and the median change/base time
 ratio with its quartiles (below 1 means the change is faster).  It is a
@@ -35,12 +36,12 @@ from bench_pair import _export
 
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = ("nominal", "fixed_vertex", "iid_uniform", "greedy_adversarial")
-PLANTS = {  # order -> (a*, eps): none of these trials passes a guard within STEPS steps at N = 4
+PLANTS = {  # order -> (a*, eps): no closed-loop trial passes a guard within STEPS steps at N = 4
     1: ((2.2,), (0.1,)),
     2: ((0.5, 2.2), (0.05, 0.05)),
     3: ((0.3, -0.4, 2.0), (0.05, 0.1, 0.05)),
 }
-LEVELS, P, STEPS, TRIALS, BATCH, REPS = 4, 0.2, 400, 20, 200, 15
+LOSSES, LEVELS, STEPS, TRIALS, BATCH, REPS = (0.0, 0.2), 4, 400, 20, 200, 15
 
 
 def _load(name: str, package: Path):
@@ -52,10 +53,10 @@ def _load(name: str, package: Path):
     return module
 
 
-def _case(lib, family: str, order: int, kind: str):
+def _case(lib, family: str, order: int, kind: str, p: float):
     """A no-argument callable that runs the case once on lib and returns the steps run."""
     signs = (1,) if family == "timeshare" else (1, -1, 1)[:order]
-    channels = [lib.ChannelConfig(P, 1000 + t) for t in range(BATCH)]
+    channels = [lib.ChannelConfig(p, 1000 + t) for t in range(BATCH)]
     strategies = [lib.ParamStrategy(kind, 2000 + t, signs) for t in range(BATCH)]
     y0 = [lib.channel.uniform01(3000 + t, 0) - 0.5 for t in range(BATCH)]
     if family == "timeshare":
@@ -85,8 +86,8 @@ def main() -> int:
         _export("HEAD", Path(tmp))
         sides = {"base": _load("ratelim_base", Path(tmp) / "src" / "ratelim"),
                  "change": _load("ratelim_change", ROOT / "src" / "ratelim")}
-        cases = [(f, n, kind) for f in ("scalar", "batch", "timeshare")
-                 for n in (1, 2, 3) for kind in KINDS]
+        cases = [(f, n, kind, p) for f in ("scalar", "batch", "timeshare")
+                 for n in (1, 2, 3) for kind in KINDS for p in LOSSES]
         runs = {case: {side: _case(lib, *case) for side, lib in sides.items()} for case in cases}
         times = {case: {"base": [], "change": []} for case in cases}
         for rep in range(REPS):
@@ -96,13 +97,13 @@ def main() -> int:
                     seconds, steps = _timed(runs[case][side])
                     unit = steps if case[0] == "scalar" else 1  # scalar: per trial step
                     times[case][side].append(seconds / unit)
-    print(f"{'case':<38} {'base':>10} {'change':>10} {'ratio':>7} {'q1':>7} {'q3':>7}")
+    print(f"{'case':<40} {'base':>10} {'change':>10} {'ratio':>7} {'q1':>7} {'q3':>7}")
     for case in cases:
         base, change = times[case]["base"], times[case]["change"]
         ratios = [c / b for b, c in zip(base, change)]
         q1, _, q3 = statistics.quantiles(ratios, n=4)
         scale, unit = (1e6, "us") if case[0] == "scalar" else (1e3, "ms")
-        print(f"{case[0] + ' n=' + str(case[1]) + ' ' + case[2]:<38} "
+        print(f"{f'{case[0]} n={case[1]} {case[2]} p={case[3]}':<40} "
               f"{scale * statistics.median(base):>8.2f}{unit} "
               f"{scale * statistics.median(change):>8.2f}{unit} "
               f"{statistics.median(ratios):>7.3f} {q1:>7.3f} {q3:>7.3f}", flush=True)
