@@ -4,16 +4,16 @@ Subcommands: bounds, sufficient, simulate, sweep, timeshare.  timeshare
 answers one cycle duration; sweep --var m is the table over durations.
 Exit codes: 0 success, 2 invalid input, 3 internal invariant breach
 (quantizer saturation).  One rule, _refuse_unread, exits 2 on a flag that the
-command does not read in its mode, naming it and the flag that set the mode
-(--min-n, --var, --strategy or --empirical).  A flat key=value config file
-can stand in for flags via --config; flags after it override its entries.  Each
-command returns its answer (JSON or CSV rows) and main writes it to --out
-or stdout; the simulate verdict goes to stdout with --out, else to stderr.
-JSON output maps non-finite numbers to null and carries an explicit
-feasible flag instead.  The parser is built once per process and names
-each subcommand's cmd_* function, which main looks up on every call, so
-main may be called many times in one process and each answer depends
-only on its argv.
+command does not read in its mode, given at any value, naming it and the flag
+that set the mode (--min-n, --var, --strategy or --empirical).  A flat key=value
+config file can stand in for flags via --config, each entry a given flag; flags
+after it override its entries.  Each command returns its answer (JSON or CSV
+rows) and main writes it to --out or stdout; the simulate verdict goes to
+stdout with --out, else to stderr.  JSON output maps non-finite numbers to null
+and carries an explicit feasible flag instead.  The parser is built once per
+process and names each subcommand's cmd_* function, which main looks up on
+every call, so main may be called many times in one process and each answer
+depends only on its argv.
 """
 
 from __future__ import annotations
@@ -100,12 +100,22 @@ def _emit_json(payload: dict, stream) -> None:
     stream.write("\n")
 
 
+# The documented default of each flag that a command reads only in some modes.  The parser
+# leaves these flags None, so that a flag given at any value, its default too, counts as given.
+DEFAULTS = dict(y0_bound=1.0, trials=100, steps=400, seed=0, strategy="iid_uniform", n_max=4096)
+
+
+def _read(args, dest: str):
+    """The value of dest's flag, or its default where the flag was not given (or not declared)."""
+    value = getattr(args, dest, None)
+    return DEFAULTS[dest] if value is None else value
+
+
 def _plant_from(args) -> UncertainPlant:
     a, e = args.a_star, args.eps
     if args.n != len(a) or args.n != len(e):
         raise ValueError(f"--n {args.n} does not match {len(a)} coefficients / {len(e)} radii")
-    y0 = getattr(args, "y0_bound", 1.0)  # bounds and sufficient start no loop
-    return UncertainPlant(n=args.n, a_star=tuple(a), eps=tuple(e), y0_bound=y0)
+    return UncertainPlant(n=args.n, a_star=tuple(a), eps=tuple(e), y0_bound=_read(args, "y0_bound"))
 
 
 def _scalar_plant_from(args, what: str) -> tuple[float, float]:
@@ -116,19 +126,20 @@ def _scalar_plant_from(args, what: str) -> tuple[float, float]:
 
 
 def _refuse_unread(args, mode: str, *dests: str) -> None:
-    """Exit 2 on the first of dests whose flag was given (its value is not args.parser's
-    default, so one given at its default passes): the command does not read it in mode."""
+    """Exit 2 on the first of dests whose flag was given: the command does not read it in mode."""
     for dest in dests:
-        if getattr(args, dest) != args.parser.get_default(dest):
+        value = getattr(args, dest)
+        if value is not None and value is not False:  # absent: None, or False for a switch
             raise ValueError(f"--{dest.replace('_', '-')} is not read {mode}")
 
 
 def _experiment_from(args, **extra) -> Experiment:
-    if args.strategy != "fixed_vertex":
-        _refuse_unread(args, f"with --strategy {args.strategy}", "signs")
-    strategy = ParamStrategy(kind=args.strategy, signs=args.signs)  # seeded per trial
-    return Experiment(trials=args.trials, steps=args.steps, base_seed=args.seed,
-                      strategy=strategy, **extra)
+    kind = _read(args, "strategy")
+    if kind != "fixed_vertex":
+        _refuse_unread(args, f"with --strategy {kind}", "signs")
+    strategy = ParamStrategy(kind=kind, signs=args.signs)  # seeded per trial
+    return Experiment(trials=_read(args, "trials"), steps=_read(args, "steps"),
+                      base_seed=_read(args, "seed"), strategy=strategy, **extra)
 
 
 def _add_plant_flags(sp, loop: bool) -> None:
@@ -136,7 +147,7 @@ def _add_plant_flags(sp, loop: bool) -> None:
     sp.add_argument("--a-star", type=_floats, required=True, help="nominal coefficients a1*,...,an*")
     sp.add_argument("--eps", type=_floats, required=True, help="uncertainty radii eps1,...,epsn")
     if loop:  # only a simulated loop starts from an output
-        sp.add_argument("--y0-bound", type=float, default=1.0, help="initial output bound Y0")
+        sp.add_argument("--y0-bound", type=float, default=None, help="initial output bound Y0")
 
 
 def _add_loss_flag(sp) -> None:
@@ -144,19 +155,18 @@ def _add_loss_flag(sp) -> None:
 
 
 def _add_trial_flags(sp) -> None:
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--steps", type=int, default=400)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--strategy", choices=ParamStrategy.KINDS, default="iid_uniform")
+    sp.add_argument("--trials", type=int, default=None)
+    sp.add_argument("--steps", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--strategy", choices=ParamStrategy.KINDS, default=None)
     sp.add_argument("--signs", type=_signs, default=None, help="vertex signs, e.g. +,-")
 
 
 def _add_answer(sp, cmd) -> None:
-    """--out, the last flag of every command, and the command whose answer main writes there.
-
-    The parser holds the command's name, not the function, so a rebound cmd_* takes effect."""
+    """--out, the last flag of every command, and the name (so a rebound cmd_* takes effect)
+    of the command whose answer main writes there."""
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd.__name__, parser=sp)  # _refuse_unread reads sp's defaults
+    sp.set_defaults(func=cmd.__name__)
 
 
 def cmd_bounds(args) -> dict:
@@ -181,7 +191,7 @@ def cmd_sufficient(args) -> dict:
     plant = _plant_from(args)
     if args.min_n:
         _refuse_unread(args, "with --min-n", "N")
-        found = min_sufficient_N(plant, args.p, n_max=args.n_max)
+        found = min_sufficient_N(plant, args.p, n_max=_read(args, "n_max"))
         return {"n": plant.n, "p": args.p, "min_N": found.level, "rho": found.rho,
                 "sufficient": found.level is not None}
     _refuse_unread(args, "without --min-n", "n_max")
@@ -198,7 +208,7 @@ def cmd_simulate(args) -> tuple[list[dict], dict]:
     channel = ChannelConfig(args.p)
     if args.m is not None:
         a, e = _scalar_plant_from(args, "time-sharing simulation")
-        target = TimeShareConfig(a_star=a, eps=e, m=args.m, y0_bound=args.y0_bound)
+        target = TimeShareConfig(a_star=a, eps=e, m=args.m, y0_bound=_read(args, "y0_bound"))
     else:
         target = _plant_from(args)
     report = run_experiment(target, QuantizerSpec(args.N), channel, exp)
@@ -253,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_loss_flag(sp)
     sp.add_argument("--N", type=int, default=None, help="quantizer levels (integer >= 2)")
     sp.add_argument("--min-n", action="store_true", help="search the smallest sufficient N")
-    sp.add_argument("--n-max", type=int, default=4096, help="search cap for --min-n")
+    sp.add_argument("--n-max", type=int, default=None, help="search cap for --min-n")
     _add_answer(sp, cmd_sufficient)
 
     sp = sub.add_parser("simulate", help="Monte Carlo closed-loop trials")
@@ -294,27 +304,22 @@ def _expand_config(argv: list[str]) -> list[str]:
     without the leading dashes); later command-line flags override.
     """
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config needs a path")
-            with open(argv[i + 1]) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    key, _, value = line.partition("=")
-                    key = key.strip()
-                    value = value.strip()
-                    if not key or not value:
-                        raise ValueError(f"bad config line: {line!r}")
-                    out.extend([f"--{key}", value])
-            i += 2
-        else:
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok != "--config":
             out.append(tok)
-            i += 1
+            continue
+        path = next(tokens, None)
+        if path is None:
+            raise ValueError("--config needs a path")
+        with open(path) as fh:
+            for line in map(str.strip, fh):
+                if not line or line.startswith("#"):
+                    continue
+                key, _, value = (part.strip() for part in line.partition("="))
+                if not key or not value:
+                    raise ValueError(f"bad config line: {line!r}")
+                out.extend([f"--{key}", value])
     return out
 
 

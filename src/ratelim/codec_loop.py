@@ -100,8 +100,6 @@ def predict(boxes: Sequence[Interval], cells: Sequence[Interval], ops: Ops = FLO
     product-hull lengths.  Each hull is scale_product's, formed in place, and
     the set's ends come back as a plain (lo, hi) pair, for advance_scaling.
     """
-    if len(cells) != len(boxes):
-        raise ValueError(f"need {len(boxes)} stored cells, got {len(cells)}")
     minimum, maximum = ops.minimum, ops.maximum
     lo = hi = 0.0
     for (a_lo, a_hi), (y_lo, y_hi) in zip(boxes, reversed(cells)):
@@ -114,8 +112,6 @@ def predict(boxes: Sequence[Interval], cells: Sequence[Interval], ops: Ops = FLO
 
 def control(plant: UncertainPlant, cells: Sequence[Interval]) -> float:
     """Certainty-equivalent feedback on the interval midpoints."""
-    if len(cells) != plant.n:
-        raise ValueError(f"need {plant.n} stored cells, got {len(cells)}")
     u = 0.0
     for a, (lo, hi) in zip(plant.a_star, reversed(cells)):
         u -= a * (lo + hi) / 2.0

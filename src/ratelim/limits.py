@@ -14,6 +14,17 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .channel import ChannelConfig
+
+
+def _magnitude(lambda_abs: float, eps: float = 0.0) -> float:
+    """|lambda|, once lambda is finite and the uncertainty radius eps finite and nonnegative."""
+    if not math.isfinite(lambda_abs):
+        raise ValueError(f"lambda must be finite, got {lambda_abs}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"uncertainty radius must be finite and nonnegative, got {eps}")
+    return abs(lambda_abs)
+
 
 @dataclass(frozen=True)
 class NecessaryBounds:
@@ -34,13 +45,10 @@ def necessary_bounds(lambda_abs: float, eps_n: float, p: float) -> NecessaryBoun
     enforced should construct an UncertainPlant first; here uncertainty
     beyond that limit simply reports as infeasible.
     """
-    lam = abs(lambda_abs)
-    if eps_n < 0.0:
-        raise ValueError(f"uncertainty radius must be nonnegative, got {eps_n}")
+    lam = _magnitude(lambda_abs, eps_n)
     if lam <= 1.0:
         raise ValueError(f"need |lambda| > 1, got {lam}")
-    if not (0.0 <= p < 1.0):
-        raise ValueError(f"loss probability must be in [0, 1), got {p}")
+    ChannelConfig(p)  # checks p
     outer = lam + eps_n
     denom_p = outer**2 - eps_n**2
     p_nec = (1.0 - eps_n**2) / denom_p
@@ -71,11 +79,10 @@ class YouBounds(NamedTuple):
 
 def you_bounds(lambda_abs: float, p: float) -> YouBounds:
     """Exact rate/loss condition for a known (certain) plant."""
-    lam = abs(lambda_abs)
+    lam = _magnitude(lambda_abs)
     if lam <= 1.0:
         raise ValueError(f"need |lambda| > 1, got {lam}")
-    if not (0.0 <= p < 1.0):
-        raise ValueError(f"loss probability must be in [0, 1), got {p}")
+    ChannelConfig(p)  # checks p
     p_y = 1.0 / lam**2
     if p >= p_y:
         return YouBounds(math.inf, p_y)
@@ -89,9 +96,7 @@ def phat_bound(lambda_abs: float, eps1: float) -> float:
     Returns math.inf when the bound's denominator (or numerator) is
     nonpositive, i.e. the condition cannot be met at any rate.
     """
-    lam = abs(lambda_abs)
-    if eps1 < 0.0:
-        raise ValueError(f"uncertainty radius must be nonnegative, got {eps1}")
+    lam = _magnitude(lambda_abs, eps1)
     num = lam - eps1 * (lam + eps1)
     den = 1.0 - eps1 * (2.0 * lam + 2.0 * eps1 + 1.0)
     if den <= 0.0 or num <= 0.0:
@@ -101,9 +106,7 @@ def phat_bound(lambda_abs: float, eps1: float) -> float:
 
 def martins_bound(lambda_abs: float, eps1: float) -> float:
     """Stochastic-uncertainty sufficient rate (scalar plant, lossless)."""
-    lam = abs(lambda_abs)
-    if eps1 < 0.0:
-        raise ValueError(f"uncertainty radius must be nonnegative, got {eps1}")
+    lam = _magnitude(lambda_abs, eps1)
     if eps1 >= 1.0:
         return math.inf
     return math.log2(lam / (1.0 - eps1))

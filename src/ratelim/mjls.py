@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._search import first_passing, split_integers
+from .channel import ChannelConfig
 from .plant import UncertainPlant
 
 # Bounds the worst case of a solve, MAX_MATVECS products on block rows: 6 s at n = 6
@@ -105,8 +106,7 @@ def block_rows(plant: UncertainPlant, n_levels: float, p: float) -> BlockRows:
     n = plant.n
     if n > N_MAX_ORDER:
         raise ValueError(f"the spectral sufficiency test is capped at order {N_MAX_ORDER}, got {n}")
-    if not (0.0 <= p < 1.0):
-        raise ValueError(f"loss probability must be in [0, 1), got {p}")
+    ChannelConfig(p)  # checks p
     factors = [0.0, 1.0]  # _factor_index's order
     for i in range(n):
         for gamma in (0, 1):

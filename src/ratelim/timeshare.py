@@ -51,17 +51,10 @@ def deltas(a_star: float, eps: float, m: int) -> tuple[float, float]:
     return (a + eps) ** m - a**m, a**m - (a - eps) ** m
 
 
-def _kappa(a_pow: float, dp: float, dm: float, m_level: float) -> float:
-    """Worst-case per-cycle growth factor at realized total resolution M, from |a*|^m and
-    the spread (deltas), which kappa_bar takes once for its terms."""
-    if m_level < 1.0:
-        raise ValueError(f"realized level must be >= 1, got {m_level}")
-    return (a_pow + max(m_level / 2.0, 1.0) * dp + max(m_level / 2.0 - 1.0, 0.0) * dm) / m_level
-
-
 def kappa_bar(cfg: TimeShareConfig, levels: float, p: float) -> float:
-    """Exact E[kappa^2] over the binomial count of received packets per cycle, at
-    per-slot level `levels` (real >= 1) and loss probability p."""
+    """Exact E[kappa^2] over the binomial count s of received packets per cycle, at per-slot
+    level `levels` (real >= 1) and loss probability p: kappa is the worst-case growth factor
+    of a cycle at its realized total resolution M = levels^s."""
     ChannelConfig(p)  # checks p
     if not (math.isfinite(levels) and levels >= 1.0):
         raise ValueError(f"need a finite per-slot level >= 1, got {levels}")
@@ -70,7 +63,9 @@ def kappa_bar(cfg: TimeShareConfig, levels: float, p: float) -> float:
     q = 1.0 - p
     for s in range(cfg.m + 1):
         weight = math.comb(cfg.m, s) * q**s * p ** (cfg.m - s)
-        total += weight * _kappa(a_pow, dp, dm, levels**s) ** 2
+        m_level = levels**s
+        kappa = (a_pow + max(m_level / 2.0, 1.0) * dp + max(m_level / 2.0 - 1.0, 0.0) * dm) / m_level
+        total += weight * kappa**2
     return total
 
 

@@ -75,7 +75,7 @@ from ratelim.montecarlo import (
     _trial_setup,
 )
 from ratelim.plant import ParamStrategy, UncertainPlant, iid_params, step_unchecked
-from ratelim.timeshare import TimeShareConfig, _kappa, deltas, kappa_bar, power_hull
+from ratelim.timeshare import TimeShareConfig, deltas, kappa_bar, power_hull
 
 
 def min_sufficient_N(plant: UncertainPlant, p: float, n_max: int = 4096) -> MinLevelResult:
@@ -202,8 +202,12 @@ def min_feasible_average_level(
 
 
 def kappa(a_star: float, eps: float, m: int, m_level: float) -> float:
-    """Worst-case per-cycle growth factor at realized total resolution M."""
-    return _kappa(abs(a_star) ** m, *deltas(a_star, eps, m), m_level)
+    """Worst-case per-cycle growth factor at realized total resolution M (>= 1)."""
+    if m_level < 1.0:
+        raise ValueError(f"realized level must be >= 1, got {m_level}")
+    dp, dm = deltas(a_star, eps, m)
+    return (abs(a_star) ** m + max(m_level / 2.0, 1.0) * dp
+            + max(m_level / 2.0 - 1.0, 0.0) * dm) / m_level
 
 
 def lifted_matrix(plant: UncertainPlant, n_levels: float, p: float) -> np.ndarray:

@@ -578,6 +578,13 @@ SCALAR_PLANT = ("--n", "1", "--a-star", "2", "--eps", "0.1")
       for level in ("1.5", "1", "0", "-3")),
     pytest.param(("sweep", *SCALAR_PLANT, "--var", "p", "--range", "0:0.1:0.1"), ("--N", "1"),
                  None, id="p-sweep-N-1"),
+    # a flag counts as given when it appears, at its default value too
+    pytest.param(LAMBDA_SWEEP, ("--seed", "0", "--strategy", "iid_uniform"), "--empirical",
+                 id="lambda-sweep-seed-at-default"),
+    pytest.param(DURATION_SWEEP, ("--y0-bound", "1", "--steps", "400"), "--var",
+                 id="duration-sweep-y0-bound-at-default"),
+    pytest.param(("sufficient", *SCALAR_PLANT, "--N", "4"), ("--n-max", "4096"), "--min-n",
+                 id="sufficient-n-max-at-default"),
 ])
 def test_unread_flags_exit_2(capsys, argv, flags, mode):
     assert run_cli(capsys, *argv)[0] == 0
@@ -899,6 +906,13 @@ def test_config_file_provides_defaults(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "bounds", "--config", str(cfg), "--p", "0.2")
     assert code == 0
     assert json.loads(out)["r_nec"] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_config_entry_counts_as_a_given_flag(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=0\n")
+    assert run_cli(capsys, *LAMBDA_SWEEP, "--config", str(cfg)) == (
+        2, "", "error: --seed is not read without --empirical\n")
 
 
 def test_config_file_missing_path(capsys):

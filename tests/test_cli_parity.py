@@ -20,17 +20,17 @@ PLANT = [
     (("--eps",), "_StoreAction", "_floats", None, True, None, "uncertainty radii eps1,...,epsn"),
 ]
 # declared only where a loop starts from an output
-Y0 = (("--y0-bound",), "_StoreAction", "float", 1.0, False, None, "initial output bound Y0")
+Y0 = (("--y0-bound",), "_StoreAction", "float", None, False, None, "initial output bound Y0")
 HELP = (("-h", "--help"), "_HelpAction", None, argparse.SUPPRESS, False, None,
         "show this help message and exit")
 OUT = (("--out",), "_StoreAction", None, None, False, None, None)
 LOSS = (("--p",), "_StoreAction", "float", 0.0, False, None, "packet loss probability")
 KINDS = ("nominal", "fixed_vertex", "iid_uniform", "greedy_adversarial")
 TRIALS = [
-    (("--trials",), "_StoreAction", "int", 100, False, None, None),
-    (("--steps",), "_StoreAction", "int", 400, False, None, None),
-    (("--seed",), "_StoreAction", "int", 0, False, None, None),
-    (("--strategy",), "_StoreAction", None, "iid_uniform", False, KINDS, None),
+    (("--trials",), "_StoreAction", "int", None, False, None, None),
+    (("--steps",), "_StoreAction", "int", None, False, None, None),
+    (("--seed",), "_StoreAction", "int", None, False, None, None),
+    (("--strategy",), "_StoreAction", None, None, False, KINDS, None),
     (("--signs",), "_StoreAction", "_signs", None, False, None, "vertex signs, e.g. +,-"),
 ]
 
@@ -47,7 +47,7 @@ OPTIONS = {
         (("--N",), "_StoreAction", "int", None, False, None, "quantizer levels (integer >= 2)"),
         (("--min-n",), "_StoreTrueAction", None, False, False, None,
          "search the smallest sufficient N"),
-        (("--n-max",), "_StoreAction", "int", 4096, False, None, "search cap for --min-n"),
+        (("--n-max",), "_StoreAction", "int", None, False, None, "search cap for --min-n"),
         OUT,
     ],
     "simulate": [

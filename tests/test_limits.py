@@ -90,6 +90,20 @@ def test_phat_and_martins_examples():
     assert math.isinf(martins_bound(2.0, 1.0))
 
 
+@pytest.mark.parametrize("form, args", [
+    pytest.param(necessary_bounds, (2.0, 0.1, 0.1), id="necessary_bounds"),  # lambda, eps, p
+    pytest.param(you_bounds, (2.0, 0.1), id="you_bounds"),  # lambda, p
+    pytest.param(phat_bound, (2.0, 0.1), id="phat_bound"),  # lambda, eps
+    pytest.param(martins_bound, (2.0, 0.1), id="martins_bound"),  # lambda, eps
+])
+def test_closed_forms_refuse_nan_and_inf(form, args):
+    form(*args)  # answers at the finite point
+    for i in range(len(args)):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"got {bad}$"):
+                form(*args[:i], bad, *args[i + 1:])
+
+
 def test_comparison_bounds_are_more_conservative():
     # strict ordering holds for positive uncertainty wherever all three
     # bounds are finite
