@@ -13,7 +13,9 @@ stdout with --out, else to stderr.  JSON output maps non-finite numbers to null
 and carries an explicit feasible flag instead.  The parser is built once per
 process and names each subcommand's cmd_* function, which main looks up on
 every call, so main may be called many times in one process and each answer
-depends only on its argv.
+depends only on its argv.  Each value is checked once, by the type that holds
+it: UncertainPlant checks the plant flags and its message is the refusal's (the
+time-share paths add only that --n is 1).
 """
 
 from __future__ import annotations
@@ -112,17 +114,16 @@ def _read(args, dest: str):
 
 
 def _plant_from(args) -> UncertainPlant:
-    a, e = args.a_star, args.eps
-    if args.n != len(a) or args.n != len(e):
-        raise ValueError(f"--n {args.n} does not match {len(a)} coefficients / {len(e)} radii")
-    return UncertainPlant(n=args.n, a_star=tuple(a), eps=tuple(e), y0_bound=_read(args, "y0_bound"))
+    return UncertainPlant(n=args.n, a_star=tuple(args.a_star), eps=tuple(args.eps),
+                          y0_bound=_read(args, "y0_bound"))
 
 
-def _scalar_plant_from(args, what: str) -> tuple[float, float]:
-    """(a*, eps) of the scalar plant the time-share paths take."""
-    if args.n != 1 or len(args.a_star) != 1 or len(args.eps) != 1:
-        raise ValueError(f"{what} needs a scalar plant: --n 1, one --a-star and one --eps value")
-    return args.a_star[0], args.eps[0]
+def _scalar_plant_from(args, what: str) -> tuple[float, float, float]:
+    """(a*, eps, Y0) of the plant, which the time-share paths take only at order 1."""
+    plant = _plant_from(args)
+    if plant.n != 1:
+        raise ValueError(f"{what} needs a scalar plant, got --n {plant.n}")
+    return plant.a_star[0], plant.eps[0], plant.y0_bound
 
 
 def _refuse_unread(args, mode: str, *dests: str) -> None:
@@ -207,8 +208,8 @@ def cmd_simulate(args) -> tuple[list[dict], dict]:
     exp = _experiment_from(args, tol_slope=args.tol_slope)
     channel = ChannelConfig(args.p)
     if args.m is not None:
-        a, e = _scalar_plant_from(args, "time-sharing simulation")
-        target = TimeShareConfig(a_star=a, eps=e, m=args.m, y0_bound=_read(args, "y0_bound"))
+        a, e, y0 = _scalar_plant_from(args, "time-sharing simulation")
+        target = TimeShareConfig(a_star=a, eps=e, m=args.m, y0_bound=y0)
     else:
         target = _plant_from(args)
     report = run_experiment(target, QuantizerSpec(args.N), channel, exp)
@@ -223,7 +224,7 @@ def cmd_sweep(args) -> list[dict]:
         _refuse_unread(args, "with --var m" if args.var == "m" else "without --empirical",
                        "empirical", "y0_bound", "trials", "steps", "seed", "strategy", "signs")
     if args.var == "m":
-        a, e = _scalar_plant_from(args, "a duration sweep")
+        a, e, _ = _scalar_plant_from(args, "a duration sweep")
         durations = [int(v) for v in args.range]
         if durations != args.range:
             raise ValueError("cycle durations must be integers; give an integer lo:hi:step grid")
@@ -236,7 +237,7 @@ def cmd_sweep(args) -> list[dict]:
 
 
 def cmd_timeshare(args) -> dict:
-    a, e = _scalar_plant_from(args, "time-sharing analysis")
+    a, e, _ = _scalar_plant_from(args, "time-sharing analysis")
     # before the search, so that a bad --N is refused first
     kbar = None if args.N is None else kappa_bar(TimeShareConfig(a, e, args.m), args.N, args.p)
     row = sweep_timeshare(a, e, [args.m], channel_p=args.p)[0]

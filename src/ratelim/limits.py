@@ -18,12 +18,16 @@ from .channel import ChannelConfig
 
 
 def _magnitude(lambda_abs: float, eps: float = 0.0) -> float:
-    """|lambda|, once lambda is finite and the uncertainty radius eps finite and nonnegative."""
+    """|lambda|, once lambda is finite, the uncertainty radius eps finite and nonnegative,
+    and |lambda| > 1."""
     if not math.isfinite(lambda_abs):
         raise ValueError(f"lambda must be finite, got {lambda_abs}")
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"uncertainty radius must be finite and nonnegative, got {eps}")
-    return abs(lambda_abs)
+    lam = abs(lambda_abs)
+    if lam <= 1.0:
+        raise ValueError(f"need |lambda| > 1, got {lam}")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -46,8 +50,6 @@ def necessary_bounds(lambda_abs: float, eps_n: float, p: float) -> NecessaryBoun
     beyond that limit simply reports as infeasible.
     """
     lam = _magnitude(lambda_abs, eps_n)
-    if lam <= 1.0:
-        raise ValueError(f"need |lambda| > 1, got {lam}")
     ChannelConfig(p)  # checks p
     outer = lam + eps_n
     denom_p = outer**2 - eps_n**2
@@ -80,8 +82,6 @@ class YouBounds(NamedTuple):
 def you_bounds(lambda_abs: float, p: float) -> YouBounds:
     """Exact rate/loss condition for a known (certain) plant."""
     lam = _magnitude(lambda_abs)
-    if lam <= 1.0:
-        raise ValueError(f"need |lambda| > 1, got {lam}")
     ChannelConfig(p)  # checks p
     p_y = 1.0 / lam**2
     if p >= p_y:

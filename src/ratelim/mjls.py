@@ -101,7 +101,8 @@ def block_rows(plant: UncertainPlant, n_levels: float, p: float) -> BlockRows:
     w.  Block (v, w) is P[w, v] kron(H_w, H_w): w reaches v = w >> 1 with
     weight p (loss) and v = (w >> 1) | 2^(n-1) with 1 - p (reception), so
     block row c 2^(n-1) + j is zero but at w = 2j, 2j + 1.  An entry is at
-    most max(theta, 1)^2, so finite once every theta^2 is.
+    most max(theta, 1)^2, so finite once every theta^2 is, and nonnegative:
+    the weights p, 1 - p and the factors 0, 1 and theta are.
     """
     n = plant.n
     if n > N_MAX_ORDER:
@@ -210,18 +211,17 @@ def power_bracket(a, period=1, start=None, probe=False, budget=MAX_MATVECS) -> B
 
 
 def spectral_radius(mat, period: int = 1) -> float:
-    """Upper end of power_bracket's solve on a nonnegative matrix, dense or BlockRows."""
-    if isinstance(mat, BlockRows):
-        a, entries = mat, mat.rows
-    else:
-        a = entries = np.asarray(mat, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"need a square matrix, got shape {a.shape}")
-    if not np.isfinite(entries).all():
-        raise ValueError("matrix entries must be finite")
-    if (entries < 0.0).any():
-        raise ValueError("matrix must be elementwise nonnegative")
-    bracket = power_bracket(a, period)
+    """Upper end of power_bracket's solve on a nonnegative matrix: BlockRows, whose entries
+    block_rows makes finite and nonnegative, or a dense one, checked here."""
+    if not isinstance(mat, BlockRows):
+        mat = np.asarray(mat, dtype=float)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"need a square matrix, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries must be finite")
+        if (mat < 0.0).any():
+            raise ValueError("matrix must be elementwise nonnegative")
+    bracket = power_bracket(mat, period)
     if bracket.stop == "budget":
         raise PowerIterationError(bracket.lo, bracket.hi)
     return bracket.hi

@@ -118,17 +118,6 @@ def power_hull(a_star: float, eps: float, m: int) -> Interval:
     return Interval(lo, hi) if lo <= hi else Interval(hi, lo)
 
 
-def _slot_level(cfg: TimeShareConfig, quantizer: QuantizerSpec) -> int:
-    """The per-slot level N of a simulation: the quantizer's, at least 2, with N^m at most
-    2^53, the cells a double in [-1/2, 1/2] tells apart (the batch holds indices in doubles)."""
-    n_slot = quantizer.levels
-    if n_slot < 2:
-        raise ValueError(f"simulation needs an integer per-slot level >= 2, got {n_slot}")
-    if cfg.m > 53 or n_slot**cfg.m > 2**53:  # 2^m > 2^53 from m = 54 on
-        raise ValueError(f"--N {n_slot} at --m {cfg.m} gives more than 2^53 total levels")
-    return n_slot
-
-
 def run_timeshare_loop_batch(
     cfg: TimeShareConfig,
     quantizer: QuantizerSpec,
@@ -142,13 +131,16 @@ def run_timeshare_loop_batch(
     Trial t runs with channels[t], strategies[t] and y0[t]; all share p, kind
     and signs.  Its row holds y and sigma at each cycle start, and how it
     ended.  A cycle that receives s of its m packets decodes the sample to
-    resolution N^s, N the quantizer's levels (exact in a double up to 2^53).
+    resolution N^s, N the quantizer's levels: N^m cells at most 2^53, which a
+    double in [-1/2, 1/2] tells apart (the batch holds cell indices in doubles).
     Mid-cycle inputs are zero; the deadbeat-style input lands on the last
     slot.  A slot's float operations do not depend on the other trials, so a
     trial's row is the same in any batch.  A range breach raises quantize's
     error for the first trial among those breaching earliest.
     """
-    n_slot = _slot_level(cfg, quantizer)
+    n_slot = quantizer.levels
+    if n_slot > 1 and (cfg.m > 53 or n_slot**cfg.m > 2**53):  # 2^m passes 2^53 at m = 54
+        raise ValueError(f"--N {n_slot} at --m {cfg.m} gives more than 2^53 total levels")
     y = np.asarray(y0, float)
     check_start(y, cfg.y0_bound)
     plant, m, trials, p = cfg.plant(), cfg.m, len(y), channels[0].p

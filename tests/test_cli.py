@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratelim import mjls, montecarlo
-from ratelim.cli import main
-from ratelim.plant import ParamStrategy
+from ratelim.cli import _floats, main
+from ratelim.plant import ParamStrategy, UncertainPlant
 
 
 def run_cli(capsys, *argv):
@@ -380,7 +380,7 @@ SIMULATE_M = ("simulate", "--n", "1", *TIMESHARE_PLANT, "--trials", "3", "--step
      "loss probability must be in [0, 1), got nan"),
     (("sweep", "--n", "1", *TIMESHARE_PLANT, "--var", "m", "--range", "1000:1000:1", "--p", "1"),
      "loss probability must be in [0, 1), got 1.0"),
-    ((*SIMULATE_M, "--m", "2", "--N", "1"), "simulation needs an integer per-slot level >= 2, got 1"),
+    ((*SIMULATE_M, "--m", "2", "--N", "0"), "quantizer needs 1 to 2^53 levels, got 0 for --N"),
     ((*SIMULATE_M, "--m", "0", "--N", "4"), "cycle duration must be >= 1, got 0"),
     ((*SIMULATE_M, "--m", "2", "--N", "4", "--p", "1"),
      "loss probability must be in [0, 1), got 1.0"),
@@ -389,6 +389,20 @@ SIMULATE_M = ("simulate", "--n", "1", *TIMESHARE_PLANT, "--trials", "3", "--step
 ])
 def test_timeshare_refusals_keep_their_messages(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", "1", "--a-star", "2", "--eps", "0.1", "--N", "1", "--m", "2",
+     "--trials", "20", "--steps", "50"),
+    # N^m = 1 at any m, where N = 2 is refused from m = 54 on (LEVEL_ERRORS)
+    (*SIMULATE_M, "--m", "60", "--N", "1"),
+])
+def test_timeshare_simulation_answers_at_one_level(capsys, argv):
+    # one level per slot, as QuantizerSpec allows: no packet narrows the cell, so sigma grows
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("k,mean_sq_y,mean_sq_sigma\n")
+    assert json.loads(err)["verdict"] == "unstable"
 
 
 def test_sweep_bad_range(capsys):
@@ -860,10 +874,50 @@ def test_fuzzed_numbers_exit_0_or_2(argvs):
 )
 def test_timeshare_paths_need_one_coefficient(capsys, argv):
     # the time-share paths read a single a* and eps; extra or missing values exit 2
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "one --a-star and one --eps value" in err
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    plant = (int(flags.get("--n", "1")), _floats(flags["--a-star"]), _floats(flags["--eps"]))
+    assert run_cli(capsys, *argv) == (2, "", plant_refusal(*plant))
+
+
+def plant_refusal(n, a_star, eps) -> str:
+    """What the CLI prints on these plant flags: the message of UncertainPlant's ValueError."""
+    with pytest.raises(ValueError) as exc:
+        UncertainPlant(n=n, a_star=a_star, eps=eps)
+    return f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(("bounds",), id="bounds"),
+    pytest.param(("sufficient", "--N", "4"), id="sufficient"),
+    pytest.param(("simulate", "--N", "4", "--trials", "2", "--steps", "10"), id="simulate"),
+    pytest.param(("simulate", "--N", "4", "--m", "2", "--trials", "2", "--steps", "10"),
+                 id="simulate-m"),
+    pytest.param(("sweep", "--var", "lambda", "--range", "2:3:1"), id="sweep"),
+    pytest.param(("sweep", "--var", "m", "--range", "1:2:1"), id="sweep-m"),
+    pytest.param(("timeshare", "--m", "2"), id="timeshare"),
+])
+@pytest.mark.parametrize("n, a_star, eps", [
+    pytest.param(2, "2", "0.1", id="order-above-counts"),
+    pytest.param(1, "2,3", "0.1", id="extra-coefficient"),
+    pytest.param(1, "2", "0.1,0.2", id="extra-radius"),
+])
+def test_mismatched_plant_prints_the_plants_message(capsys, command, n, a_star, eps):
+    # UncertainPlant is the one check of the plant's shape, on every command that builds one
+    flags = ("--n", str(n), "--a-star", a_star, "--eps", eps)
+    assert run_cli(capsys, command[0], *flags, *command[1:]) == (
+        2, "", plant_refusal(n, _floats(a_star), _floats(eps)))
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("simulate", "--N", "4", "--m", "2", "--trials", "2", "--steps", "10"),
+     "time-sharing simulation"),
+    (("sweep", "--var", "m", "--range", "1:2:1"), "a duration sweep"),
+    (("timeshare", "--m", "2"), "time-sharing analysis"),
+])
+def test_timeshare_paths_refuse_a_higher_order_plant(capsys, argv, what):
+    plant = ("--n", "2", "--a-star", "0.5,2", "--eps", "0,0.1")  # a valid order-2 plant
+    assert run_cli(capsys, argv[0], *plant, *argv[1:]) == (
+        2, "", f"error: {what} needs a scalar plant, got --n 2\n")
 
 
 def test_batched_saturation_exits_3(capsys, monkeypatch):

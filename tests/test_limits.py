@@ -90,18 +90,29 @@ def test_phat_and_martins_examples():
     assert math.isinf(martins_bound(2.0, 1.0))
 
 
-@pytest.mark.parametrize("form, args", [
+CLOSED_FORMS = [
     pytest.param(necessary_bounds, (2.0, 0.1, 0.1), id="necessary_bounds"),  # lambda, eps, p
     pytest.param(you_bounds, (2.0, 0.1), id="you_bounds"),  # lambda, p
     pytest.param(phat_bound, (2.0, 0.1), id="phat_bound"),  # lambda, eps
     pytest.param(martins_bound, (2.0, 0.1), id="martins_bound"),  # lambda, eps
-])
+]
+
+
+@pytest.mark.parametrize("form, args", CLOSED_FORMS)
 def test_closed_forms_refuse_nan_and_inf(form, args):
     form(*args)  # answers at the finite point
     for i in range(len(args)):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"got {bad}$"):
                 form(*args[:i], bad, *args[i + 1:])
+
+
+@pytest.mark.parametrize("form, args", CLOSED_FORMS)
+def test_closed_forms_refuse_lambda_inside_the_unit_circle(form, args):
+    # every bound assumes an unstable plant, |lambda| > 1
+    for lam in (1.0, 0.5, -1.0, -0.5):
+        with pytest.raises(ValueError, match=rf"need \|lambda\| > 1, got {abs(lam)}$"):
+            form(lam, *args[1:])
 
 
 def test_comparison_bounds_are_more_conservative():

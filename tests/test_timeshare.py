@@ -222,14 +222,16 @@ def test_simulator_certain_plant_geometric_per_cycle():
         assert trace.sigma[k + 1] / trace.sigma[k] == pytest.approx(want, rel=1e-12)
 
 
-def test_simulator_rejects_noninteger_or_tiny_levels():
-    # the quantizer refuses a non-integer level; the loop refuses one level per slot
+def test_simulator_rejects_noninteger_levels_and_runs_one_level():
+    # the quantizer refuses a non-integer level; at one level per slot no packet narrows the
+    # cell, so sigma grows by exactly |a*|^m a cycle
     with pytest.raises(ValueError, match="quantizer needs an integer level count, got 2.5"):
         QuantizerSpec(2.5)
     cfg = TimeShareConfig(a_star=2.0, eps=0.0, m=2)
-    with pytest.raises(ValueError, match="simulation needs an integer per-slot level >= 2, got 1"):
-        run_timeshare_loop(cfg, QuantizerSpec(1), ChannelConfig(0.0, 1), ParamStrategy("nominal"),
-                           5, 0.0)
+    trace = run_timeshare_loop(cfg, QuantizerSpec(1), ChannelConfig(0.0, 1),
+                               ParamStrategy("nominal"), 5, 0.0)
+    assert trace.sigma == [4.0**k for k in range(5)]
+    assert trace.y == [0.0] * 5
 
 
 def test_simulator_invariants_under_loss_and_uncertainty():
