@@ -7,7 +7,8 @@ did (with the two searches as they stood on it), the one-term
 time-share growth factor `kappa` that `kappa_bar` sums, the product
 form of the lifted matrix, the geometric-mean power iteration that
 estimated the spectral radius before the Collatz-Wielandt bracket bounded
-it, the stacked per-trial reduction of a Monte Carlo experiment, and the
+it, the stacked per-trial reduction of a Monte Carlo experiment, the
+CSV writer that wrote a table one row dict and one write at a time, and the
 closed loop that kept its encoder/decoder state in a `CodecState` object,
 stepped by the `realize_params` that took the candidate next output as a
 callback, by the one-trial codec steps (`quantize`, `decode_cell`,
@@ -392,6 +393,19 @@ def reduce_traces(traces: Sequence[SimTrace], exp) -> DecayReport:
         diverged_trials=diverged,
         converged_trials=converged,
     )
+
+
+def write_rows_csv(rows: list[dict], stream) -> None:
+    if not rows:
+        return
+    cols = list(rows[0].keys())
+    stream.write(",".join(cols) + "\n")
+    for row in rows:
+        out = []
+        for c in cols:
+            v = row[c]
+            out.append(repr(v) if isinstance(v, float) else str(v))
+        stream.write(",".join(out) + "\n")
 
 
 # ------------------------------------------------------------ closed loop

@@ -1,7 +1,10 @@
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import eta_second_moment
@@ -13,6 +16,7 @@ from ratelim.montecarlo import (
     BATCH_MIN_TRIALS,
     STABLE,
     UNSTABLE,
+    DecayReport,
     Experiment,
     run_experiment,
     sweep,
@@ -165,6 +169,45 @@ def test_write_rows_csv_layout():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0].split(",")[0] == "m"
     assert len(lines) == 3
+
+
+# the cells a table holds: floats at the edges of repr, ints, bools and the empty cell
+EDGE_FLOATS = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+               1e300, -1e300, 0.1, 1.0]
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
+CELLS = FLOATS | st.integers(-2**64, 2**64) | st.booleans() | st.just("") | st.sampled_from(
+    [STABLE, UNSTABLE, "inconclusive"])
+SCHEMAS = [  # the decay table, the lambda, p and N sweeps and the duration sweep
+    ("k", "mean_sq_y", "mean_sq_sigma"),
+    *[(var, "r_nec0", "r_nec1", "r_nec", "p_nec", "rho", "min_N", "verdict")
+      for var in ("lambda", "p", "N")],
+    ("m", "delta_plus", "delta_minus", "kappa_bar", "r_bar", "feasible", "min_total_level",
+     "avg_level"),
+]
+
+
+def _csv(writer, table) -> bytes:
+    buf = io.StringIO()
+    writer(table, buf)
+    return buf.getvalue().encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_writer_keeps_the_row_by_row_bytes(data):
+    # every schema and every kind of cell: the same bytes as the row-by-row writer
+    cols = data.draw(st.sampled_from(SCHEMAS))
+    rows = data.draw(st.lists(st.tuples(*[CELLS] * len(cols)), max_size=30))
+    table = [dict(zip(cols, row)) for row in rows]
+    assert _csv(write_rows_csv, table) == _csv(oracles.write_rows_csv, table)
+    # a decay report's own table (at least 2 steps), whose cells are its means' Python floats
+    steps = data.draw(st.integers(2, 30))
+    y, s = (np.array(data.draw(st.lists(FLOATS, min_size=steps, max_size=steps)))
+            for _ in range(2))
+    report = DecayReport(y, s, 0.0, STABLE, 0, 0)
+    decay = [{"k": k, "mean_sq_y": a, "mean_sq_sigma": b}
+             for k, (a, b) in enumerate(zip(y.tolist(), s.tolist()))]
+    assert _csv(write_rows_csv, report.rows()) == _csv(oracles.write_rows_csv, decay)
 
 
 @pytest.mark.parametrize(
