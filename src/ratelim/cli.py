@@ -203,8 +203,8 @@ def cmd_sufficient(args) -> dict:
             "sufficient": result.sufficient}
 
 
-def cmd_simulate(args) -> tuple[list[dict], dict]:
-    """The decay rows and, apart from them, the verdict."""
+def cmd_simulate(args) -> tuple[list, dict]:
+    """The decay table (DecayReport.rows) and, apart from it, the verdict."""
     exp = _experiment_from(args, tol_slope=args.tol_slope)
     channel = ChannelConfig(args.p)
     if args.m is not None:

@@ -35,9 +35,10 @@ CONVERGED_SIGMA = 1e-150
 DIVERGED_SIGMA = 1e150
 SATURATION_TOL = 1e-9
 SATURATION_EDGE = 0.5 + SATURATION_TOL  # the largest |input| quantize takes
-# Steps whose flags and iid coefficients a loop draws at once: enough to spread a draw's
-# fixed cost, few enough to bound the tables (64 x 6 doubles a trial at order 6).
-BLOCK_STEPS = 64
+# How many steps one draw fills with flags and iid coefficients (a draw has a fixed cost):
+# BLOCK_STEPS in a lockstep batch, whose tables grow with its trials (64 x 6 doubles a trial
+# at order 6), and a one-trial run's whole horizon up to TRIAL_BLOCK_STEPS (1 MB at order 6).
+BLOCK_STEPS, TRIAL_BLOCK_STEPS = 64, 4096
 
 COMPLETED = "completed"
 CONVERGED = "converged"
@@ -248,8 +249,9 @@ def _run(plant: UncertainPlant, levels: int, p: float, strategy: ParamStrategy, 
     # the last n estimation intervals, oldest-first; before time 0 the output is 0 (center)
     cells = [Interval(center, center)] * n
     history = [center] * (n - 1) + [y0]
-    for first in range(0, steps, BLOCK_STEPS):
-        block = range(first, min(first + BLOCK_STEPS, steps))
+    per_draw = BLOCK_STEPS if isinstance(slots, Lockstep) else TRIAL_BLOCK_STEPS
+    for first in range(0, steps, per_draw):
+        block = range(first, min(first + per_draw, steps))
         slots.draw(p, iid, first, len(block))
         for j, k in enumerate(block):
             y = history[-1]

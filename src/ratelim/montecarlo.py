@@ -11,10 +11,10 @@ Time-share experiments always step their trials in lockstep numpy arrays
 picks the layout: from BATCH_MIN_TRIALS = 12 trials on they run batched
 (run_closed_loop_batch), narrower ones one scalar trial at a time.  By 12
 the batch has overtaken the scalar loop in the median over orders 1-3 and
-the four strategies (400 steps, 2-core Xeon: 1.35x the scalar time at 6
-trials, 1.05x at 8, 0.84x at 10, 0.68x at 12, 0.53x at 16).  Drawing the
-random streams in step blocks sped both layouts up alike, so the crossover
-stayed between 8 and 10 trials.  The time-share loop has one layout
+the four strategies (400 steps, p = 0.05, 2-core Xeon: 1.71x the scalar
+time at 6 trials, 1.33x at 8, 1.10x at 10, 0.92x at 12, 0.67x at 16).  A
+scalar trial draws its whole horizon in one block, which left the crossover
+between 10 and 12 trials.  The time-share loop has one layout
 because no measured workload runs a narrow time-share experiment, so a
 second loop would be code to keep in step for nothing.  Both closed-loop
 layouts run one loop body (codec_loop), on floats or on trial slots, and
@@ -101,10 +101,11 @@ class DecayReport:
     diverged_trials: int
     converged_trials: int
 
-    def rows(self) -> list[dict]:
-        # Python floats: under numpy 2, repr(np.float64(x)) prints np.float64(...)
-        pairs = zip(self.mean_sq_y.tolist(), self.mean_sq_sigma.tolist())
-        return [{"k": k, "mean_sq_y": y, "mean_sq_sigma": s} for k, (y, s) in enumerate(pairs)]
+    def rows(self) -> list[tuple]:
+        """The decay table for write_rows_csv: its header, then one (k, mean_sq_y,
+        mean_sq_sigma) row a step, in Python floats (repr(np.float64(x)) is np.float64(...))."""
+        ys, sigmas = self.mean_sq_y.tolist(), self.mean_sq_sigma.tolist()
+        return [("k", "mean_sq_y", "mean_sq_sigma"), *zip(range(len(ys)), ys, sigmas)]
 
 
 def _trial_setup(target, channel: ChannelConfig, exp: Experiment, trial: int):
@@ -311,14 +312,12 @@ def sweep_timeshare(
     return rows
 
 
-def write_rows_csv(rows: list[dict], stream) -> None:
-    if not rows:
-        return
-    cols = list(rows[0].keys())
-    stream.write(",".join(cols) + "\n")
-    for row in rows:
-        out = []
-        for c in cols:
-            v = row[c]
-            out.append(repr(v) if isinstance(v, float) else str(v))
-        stream.write(",".join(out) + "\n")
+def write_rows_csv(rows: list, stream) -> None:
+    """Write a table as CSV in one write, a float cell as its repr and any other as its str.
+    rows is a list of dicts with one set of keys, the columns (a sweep's), or a header of
+    column names followed by rows of cells (DecayReport.rows)."""
+    if rows and isinstance(rows[0], dict):
+        cols = list(rows[0])
+        rows = [cols, *([row[c] for c in cols] for row in rows)]
+    cells = [[repr(v) if isinstance(v, float) else str(v) for v in col] for col in zip(*rows)]
+    stream.write("".join([",".join(line) + "\n" for line in zip(*cells)]))

@@ -34,15 +34,14 @@ class TimeShareConfig:
     m: int
     y0_bound: float = 1.0
 
-    def __post_init__(self):
-        self.plant()  # checks a*, eps and Y0
+    def __post_init__(self):  # the plant checks a*, eps and Y0, once per config
+        object.__setattr__(self, "_plant", UncertainPlant(1, (self.a_star,), (self.eps,),
+                                                          self.y0_bound))
         if self.m < 1:
             raise ValueError(f"cycle duration must be >= 1, got {self.m}")
 
     def plant(self) -> UncertainPlant:
-        return UncertainPlant(
-            n=1, a_star=(self.a_star,), eps=(self.eps,), y0_bound=self.y0_bound
-        )
+        return self._plant
 
 
 def deltas(a_star: float, eps: float, m: int) -> tuple[float, float]:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import CodecState, measure, product_measure_cases
+from ratelim import codec_loop
 from ratelim.channel import ChannelConfig, draw, received, uniform01
 from ratelim.codec_loop import (
     COMPLETED,
@@ -14,6 +15,7 @@ from ratelim.codec_loop import (
     CONVERGED_SIGMA,
     DIVERGED,
     DIVERGED_SIGMA,
+    TRIAL_BLOCK_STEPS,
     Lockstep,
     QuantizerSpec,
     SaturationError,
@@ -27,7 +29,8 @@ from ratelim.codec_loop import (
     run_closed_loop_batch,
 )
 from ratelim.interval import FLOATS, SLOTS, Interval
-from ratelim.montecarlo import BATCH_MIN_TRIALS, Experiment, run_experiment
+from ratelim.montecarlo import (BATCH_MIN_TRIALS, MAX_WORK, Experiment, _trial_setup,
+                                run_experiment)
 from ratelim.plant import ParamStrategy, UncertainPlant, iid_params, step_unchecked
 from ratelim.timeshare import TimeShareConfig, run_timeshare_loop
 
@@ -574,6 +577,53 @@ def test_block_draws_give_the_per_step_bits(p):
         assert p or slots.got.all()  # p = 0 delivers every packet, from drawn bits
         slots.draw(p, None, first, count)  # no coefficients without an iid_uniform plant
         assert slots.coeffs == [None] * count
+    # a Trial that draws all 30 steps in one block holds the 7-step blocks' bits
+    for channel, strategy in zip(channels, strategies):
+        whole = Trial(channel, strategy)
+        whole.draw(p, plant, 0, steps)
+        assert [(bool(f), tuple(map(float.hex, c))) for f, c in zip(whole.got, whole.coeffs)
+                ] == [per_step(strategy.seed, k) for k in range(steps)]
+
+
+def _drawn_blocks(monkeypatch) -> list:
+    """Record (first, count) of every block a Trial draws."""
+    blocks, draw = [], Trial.draw
+    monkeypatch.setattr(Trial, "draw", lambda self, p, plant, first, count: (
+        blocks.append((first, count)) or draw(self, p, plant, first, count)))
+    return blocks
+
+
+@pytest.mark.parametrize("kind", ["nominal", "iid_uniform"])
+def test_one_trial_blocks_split_at_the_cap(monkeypatch, kind):
+    # one-trial runs drawn in 5-step blocks replay the oracle's traces bit for bit: trials
+    # that end mid-block, on a block's last step, and at the horizon
+    monkeypatch.setattr(codec_loop, "TRIAL_BLOCK_STEPS", 5)
+    blocks = _drawn_blocks(monkeypatch)
+    plant, quantizer = UncertainPlant(1, (2.0,), (0.05,)), QuantizerSpec(64)
+    exp = Experiment(trials=30, steps=250, base_seed=3, strategy=ParamStrategy(kind))
+    lengths = set()
+    for t in range(exp.trials):
+        blocks.clear()
+        ch, strat, y0 = _trial_setup(plant, ChannelConfig(0.5), exp, t)
+        want = oracles.run_closed_loop(plant, quantizer, ch, strat, exp.steps, y0)
+        got = run_closed_loop(plant, quantizer, ch, strat, exp.steps, y0)
+        bits = [([*map(float.hex, trace.y + trace.sigma)], trace.status) for trace in (got, want)]
+        assert bits[0] == bits[1]
+        assert blocks == [(first, 5) for first in range(0, len(got), 5)]
+        lengths.add(len(got))
+    assert {n % 5 == 0 for n in lengths if n < exp.steps} == {True, False}
+    assert exp.steps in lengths
+
+
+def test_one_trial_at_the_work_cap_draws_capped_tables(monkeypatch):
+    # one trial may run MAX_WORK // 6 = 10^6 steps; its tables hold TRIAL_BLOCK_STEPS of them
+    # (here its one level diverges it within the first table)
+    blocks = _drawn_blocks(monkeypatch)
+    plant, steps = UncertainPlant(1, (2.0,), (0.1,)), MAX_WORK // 6
+    trace = run_closed_loop(plant, QuantizerSpec(1), ChannelConfig(0.1, 2),
+                            ParamStrategy("iid_uniform", 3), steps, 0.25)
+    assert trace.status == DIVERGED and len(trace) < TRIAL_BLOCK_STEPS < steps
+    assert blocks == [(0, TRIAL_BLOCK_STEPS)]
 
 
 def test_both_retire_rules_agree_at_the_guards():

@@ -172,8 +172,8 @@ def test_write_rows_csv_layout():
 
 
 # the cells a table holds: floats at the edges of repr, ints, bools and the empty cell
-EDGE_FLOATS = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320, 2.2250738585072014e-308,
-               1e300, -1e300, 0.1, 1.0]
+EDGE_FLOATS = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320,
+               2.2250738585072014e-308, 1e300, -1e300, 0.1, 1.0]
 FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
 CELLS = FLOATS | st.integers(-2**64, 2**64) | st.booleans() | st.just("") | st.sampled_from(
     [STABLE, UNSTABLE, "inconclusive"])
