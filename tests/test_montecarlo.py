@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import eta_second_moment
 from ratelim import codec_loop, montecarlo
-from ratelim.channel import ChannelConfig
+from ratelim.channel import ChannelConfig, derive_seed
 from ratelim.codec_loop import BLOCK_STEPS, QuantizerSpec
 from ratelim.limits import necessary_bounds
 from ratelim.montecarlo import (
@@ -18,6 +19,7 @@ from ratelim.montecarlo import (
     UNSTABLE,
     DecayReport,
     Experiment,
+    _trial_setup,
     run_experiment,
     sweep,
     sweep_timeshare,
@@ -43,6 +45,36 @@ def test_reproducibility_bit_identical():
     assert np.array_equal(r1.mean_sq_sigma, r2.mean_sq_sigma)
     assert np.array_equal(r1.mean_sq_y, r2.mean_sq_y)
     assert r1.slope == r2.slope and r1.verdict == r2.verdict
+
+
+BASE_SEEDS = (-1, 0, 2**63, 2**64 - 1, 2**70)  # negative, wrapped and wider than 64 bits
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(base=st.one_of(st.sampled_from(BASE_SEEDS), st.integers(-2**70, 2**70)),
+       trials=st.lists(st.one_of(st.sampled_from((0, 1, 2**32 - 1, 2**32)),
+                                 st.integers(0, 2**32)), min_size=1, max_size=6),
+       timeshare=st.booleans(), y0_bound=st.floats(1e-3, 1e3))
+def test_seed_arrays_give_each_trial_the_int_calls_bits(base, trials, timeshare, y0_bound):
+    # derive_seed and _trial_setup on a uint64 array of trials give each entry the seeds
+    # and start of the int call, with no numpy overflow warning
+    target = (TimeShareConfig(2.0, 0.05, 2, y0_bound) if timeshare
+              else UncertainPlant(2, (0.5, 2.2), (0.05, 0.05), y0_bound))
+    channel = ChannelConfig(0.2, seed=5)
+    exp = Experiment(trials=1, steps=2, base_seed=base,
+                     strategy=ParamStrategy("fixed_vertex", seed=9, signs=(1, -1)))
+    index = np.array(trials, dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seeds = derive_seed(base, index)
+        ch, strat, y0 = _trial_setup(target, channel, exp, index)
+        want = [_trial_setup(target, channel, exp, trial) for trial in trials]
+    assert seeds.dtype == ch.seed.dtype == strat.seed.dtype == np.uint64
+    assert seeds.tolist() == [derive_seed(base, trial) for trial in trials]
+    assert ch.seed.tolist() == [w_ch.seed for w_ch, _, _ in want]
+    assert strat.seed.tolist() == [w_strat.seed for _, w_strat, _ in want]
+    assert [float(v).hex() for v in y0] == [w_y0.hex() for _, _, w_y0 in want]
+    assert (ch.p, strat.kind, strat.signs) == (0.2, "fixed_vertex", (1, -1))
 
 
 def test_deterministic_decay_slope_matches_closed_form():
