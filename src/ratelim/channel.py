@@ -23,7 +23,7 @@ def splitmix64(x: int) -> int:
 
 
 def derive_seed(base: int, index: int) -> int:
-    """Injective (for fixed base) child seed, e.g. one per trial."""
+    """Injective (for fixed base) child seed; uint64 arrays give each entry the int call's bits."""
     return splitmix64((base & _MASK) ^ splitmix64((index + 1) * _GOLDEN & _MASK))
 
 
@@ -38,7 +38,7 @@ def uniform01(seed: int, k: int) -> float:
 @dataclass(frozen=True)
 class ChannelConfig:
     p: float
-    seed: int = 0
+    seed: int = 0  # or a uint64 array: one seed per trial of a lockstep batch
 
     def __post_init__(self):
         if not (0.0 <= self.p < 1.0):

@@ -183,16 +183,16 @@ class Trial:
 
 
 class Lockstep:
-    """Slots of a lockstep batch: the live trials with their channel and strategy
-    seeds and the tables of the current block (draw), and each trial's y and sigma
-    rows, length and status."""
+    """Slots of a lockstep batch: the live trials with their seeds (channel.seed and
+    strategy.seed, one uint64 a trial, or an int for one trial), the tables of the current
+    block (draw), and each trial's y and sigma rows, length and status."""
 
-    def __init__(self, channels: Sequence[ChannelConfig], strategies: Sequence[ParamStrategy],
-                 steps: int):
-        trials = len(channels)
+    def __init__(self, channel: ChannelConfig, strategy: ParamStrategy, steps: int, trials: int):
+        self.seeds, self.param_seeds = (np.array(seed & _MASK, np.uint64, ndmin=1)
+                                        for seed in (channel.seed, strategy.seed))
+        if not self.seeds.shape == self.param_seeds.shape == (trials,):
+            raise ValueError("need one channel seed, one strategy seed and one start per trial")
         self.live = np.arange(trials)
-        self.seeds = np.array([ch.seed & _MASK for ch in channels], dtype=np.uint64)
-        self.param_seeds = np.array([s.seed & _MASK for s in strategies], dtype=np.uint64)
         self.y, self.sigma = np.zeros((trials, steps)), np.zeros((trials, steps))
         self.length, self.status = [steps] * trials, [COMPLETED] * trials
         self.got = self.coeffs = None
@@ -295,23 +295,22 @@ def run_closed_loop(
 def run_closed_loop_batch(
     plant: UncertainPlant,
     quantizer: QuantizerSpec,
-    channels: Sequence[ChannelConfig],
-    strategies: Sequence[ParamStrategy],
+    channel: ChannelConfig,
+    strategy: ParamStrategy,
     steps: int,
     y0: Sequence[float],
 ) -> list[tuple[np.ndarray, np.ndarray, str]]:
     """run_closed_loop for many trials in lockstep, one array slot per trial.
 
-    Trial t runs with channels[t], strategies[t] and y0[t]; all share
-    p, kind and signs.  The batch runs run_closed_loop's loop body on SLOTS,
-    so trial t's (y, sigma, status) equal its trace's bit for bit.  A range
-    breach raises quantize's error for the first trial among those breaching
-    earliest.
+    channel.seed, strategy.seed (uint64 arrays) and y0 hold one entry per trial, and
+    every trial runs at channel.p with strategy's kind and signs, on run_closed_loop's
+    loop body on SLOTS: trial t's (y, sigma, status) equal its trace's bit for bit.  A
+    range breach raises quantize's error for the first trial among those breaching earliest.
     """
     y0 = np.asarray(y0, float)
     check_start(y0, plant.y0_bound)
-    slots = Lockstep(channels, strategies, steps)
+    slots = Lockstep(channel, strategy, steps, len(y0))
     with np.errstate(all="ignore"):
-        _run(plant, quantizer.levels, channels[0].p, strategies[0], steps, slots, SLOTS,
+        _run(plant, quantizer.levels, channel.p, strategy, steps, slots, SLOTS,
              np.full(len(y0), plant.y0_bound), np.zeros(len(y0)), y0)
     return slots.rows()

@@ -55,7 +55,7 @@ UNSTABLE = "unstable"
 INCONCLUSIVE = "inconclusive"
 # From BATCH_MIN_TRIALS trials on, closed-loop experiments run batched (module
 # docstring); a batched experiment runs BATCH_MAX_TRIALS trials at a time: the per-step
-# temporaries and the per-trial setup objects grow with the batch (at order 6 on a 2-core
+# temporaries and the per-trial rows grow with the batch (at order 6 on a 2-core
 # Xeon, 100000 x 2 as one batch peaked at 123 MB; 500000 x 2 in batches of 4096 at 34 MB).
 BATCH_MIN_TRIALS, BATCH_MAX_TRIALS = 12, 4096
 # Cap on trial steps x max(order, 6) per experiment, or per sweep's experiments
@@ -108,8 +108,8 @@ class DecayReport:
         return [("k", "mean_sq_y", "mean_sq_sigma"), *zip(range(len(ys)), ys, sigmas)]
 
 
-def _trial_setup(target, channel: ChannelConfig, exp: Experiment, trial: int):
-    """Channel, strategy instance and initial output of one seeded trial."""
+def _trial_setup(target, channel: ChannelConfig, exp: Experiment, trial):
+    """Channel, strategy and start of trial `trial`; of a uint64 array of trials, one entry each."""
     root = derive_seed(exp.base_seed, trial)
     ch = ChannelConfig(p=channel.p, seed=derive_seed(root, 0))
     y0 = (2.0 * uniform01(derive_seed(root, 2), 0) - 1.0) * target.y0_bound / 2.0
@@ -127,9 +127,9 @@ def _trial_rows(target, quantizer, channel, exp: Experiment):
         return
     run_batch = run_timeshare_loop_batch if timeshare else run_closed_loop_batch
     for first in range(0, exp.trials, BATCH_MAX_TRIALS):
-        chunk = range(first, min(first + BATCH_MAX_TRIALS, exp.trials))
-        channels, strategies, y0 = zip(*(_trial_setup(target, channel, exp, t) for t in chunk))
-        yield from run_batch(target, quantizer, channels, strategies, exp.steps, y0)
+        chunk = np.arange(first, min(first + BATCH_MAX_TRIALS, exp.trials), dtype=np.uint64)
+        ch, strat, y0 = _trial_setup(target, channel, exp, chunk)
+        yield from run_batch(target, quantizer, ch, strat, exp.steps, y0)
 
 
 def run_experiment(

@@ -85,22 +85,23 @@ def lossless_bound(a_star: float, eps: float, m: int) -> tuple[float, bool]:
     return max(r0, r1), True
 
 
-def min_feasible_average_level(
-    cfg: TimeShareConfig, p: float, cap: int = 1_000_000
-) -> tuple[int, float] | None:
+TOTAL_CAP = 1_000_000  # min_feasible_average_level searches the total levels 2 to TOTAL_CAP
+
+
+def min_feasible_average_level(cfg: TimeShareConfig, p: float) -> tuple[int, float] | None:
     """Smallest integer total level with E[kappa^2] < 1 at loss p, and its m-th root.
 
     kappa > 0 falls with the realized resolution M (for M >= 2 it is
     (|a*|-eps)^m / M + (delta+ + delta-)/2) and every M = total^(s/m)
     grows with the total, so E[kappa^2] is nonincreasing in the total and
-    a monotone search finds the minimum.  None if none passes up to cap.
+    a monotone search finds the minimum.  None if none passes up to TOTAL_CAP.
     Each probe is one kappa_bar call.
     """
 
     def passes(total: int) -> bool:
         return kappa_bar(cfg, total ** (1.0 / cfg.m), p) < 1.0
 
-    total = first_passing(passes, 2, cap, split_integers)
+    total = first_passing(passes, 2, TOTAL_CAP, split_integers)
     return None if total is None else (total, total ** (1.0 / cfg.m))
 
 
@@ -120,16 +121,16 @@ def power_hull(a_star: float, eps: float, m: int) -> Interval:
 def run_timeshare_loop_batch(
     cfg: TimeShareConfig,
     quantizer: QuantizerSpec,
-    channels: Sequence[ChannelConfig],
-    strategies: Sequence[ParamStrategy],
+    channel: ChannelConfig,
+    strategy: ParamStrategy,
     cycles: int,
     y0: Sequence[float],
 ) -> list[tuple[np.ndarray, np.ndarray, str]]:
     """Simulate the protocol for many trials in lockstep, one array slot per trial.
 
-    Trial t runs with channels[t], strategies[t] and y0[t]; all share p, kind
-    and signs.  Its row holds y and sigma at each cycle start, and how it
-    ended.  A cycle that receives s of its m packets decodes the sample to
+    channel.seed, strategy.seed (uint64 arrays) and y0 hold one entry per trial; all trials
+    run at channel.p with strategy's kind and signs.  Trial t's row holds y and sigma at each
+    cycle start, and how it ended.  A cycle that receives s of its m packets decodes the sample to
     resolution N^s, N the quantizer's levels: N^m cells at most 2^53, which a
     double in [-1/2, 1/2] tells apart (the batch holds cell indices in doubles).
     Mid-cycle inputs are zero; the deadbeat-style input lands on the last
@@ -142,14 +143,14 @@ def run_timeshare_loop_batch(
         raise ValueError(f"--N {n_slot} at --m {cfg.m} gives more than 2^53 total levels")
     y = np.asarray(y0, float)
     check_start(y, cfg.y0_bound)
-    plant, m, trials, p = cfg.plant(), cfg.m, len(y), channels[0].p
+    plant, m, trials, p = cfg.plant(), cfg.m, len(y), channel.p
     levels = np.array([float(n_slot**s) for s in range(m + 1)])  # by packets received
     a_nom_pow = cfg.a_star**m
     hull = power_hull(cfg.a_star, cfg.eps, m)
-    kind = strategies[0].kind
-    fixed = realize_params(plant, strategies[0]) if kind in ("nominal", "fixed_vertex") else None
+    kind = strategy.kind
+    fixed = realize_params(plant, strategy) if kind in ("nominal", "fixed_vertex") else None
     iid = plant if kind == "iid_uniform" else None
-    slots = Lockstep(channels, strategies, cycles)
+    slots = Lockstep(channel, strategy, cycles, trials)
     sigma, center = np.full(trials, cfg.y0_bound), np.zeros(trials)
     per_block = max(BLOCK_STEPS // m, 1)  # cycles; slot i of cycle j is sub-step m*j + i
     with np.errstate(all="ignore"):
@@ -170,7 +171,7 @@ def run_timeshare_loop_batch(
                 sigma, center, y, u_end = state
                 for i in range(m):  # the plant through the cycle, input only on the last slot
                     u_step = u_end if i == m - 1 else 0.0
-                    (a,) = fixed or realize_params(plant, strategies[0], [y], u_step,
+                    (a,) = fixed or realize_params(plant, strategy, [y], u_step,
                                                    slots.coeffs[m * jj + i], SLOTS)
                     y = a * y + u_step
     return slots.rows()
@@ -184,7 +185,7 @@ def run_timeshare_loop(
     cycles: int,
     y0: float,
 ) -> SimTrace:
-    """One trial of run_timeshare_loop_batch, as a trace."""
-    ((y, sigma, status),) = run_timeshare_loop_batch(cfg, quantizer, [channel], [strategy],
-                                                     cycles, [y0])
+    """One trial of run_timeshare_loop_batch, as a trace: a batch of one."""
+    ((y, sigma, status),) = run_timeshare_loop_batch(cfg, quantizer, channel, strategy, cycles,
+                                                     [y0])
     return SimTrace(y.tolist(), sigma.tolist(), status)

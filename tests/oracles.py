@@ -19,7 +19,8 @@ but form each coefficient's hull as an `Interval` and read the prediction
 through `measure` (an interval's length, which no runtime code reads) and
 `midpoint`; parity tests compare the runtime answers against
 them, and the invariant checks replay the decoder with that object.
-`timeshare_trial` runs one time-share trial with scalar floats on those
+`trial_configs` splits a lockstep batch's channel or strategy into its trials' one-trial
+configs, which these comparisons run.  `timeshare_trial` runs one time-share trial with scalar floats on those
 codec steps and that flag: every time-share batch row is replayed by it
 bit for bit (`replay_timeshare`), and every breach the batch raises is
 checked against it.  The stacked reduction (`run_experiment`) runs each
@@ -33,7 +34,7 @@ instability check.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -323,6 +324,12 @@ def power_sufficient_mss(plant: UncertainPlant, n_levels: float, p: float) -> Su
     else:
         rho = power_spectral_radius(lifted)
     return SufficiencyResult(rho, rho < 1.0)
+
+
+def trial_configs(config) -> list:
+    """A batch's ChannelConfig or ParamStrategy, whose seed holds one uint64 a trial, as one
+    config per trial with that trial's seed as an int."""
+    return [replace(config, seed=int(seed)) for seed in config.seed]
 
 
 def _run_trial(target, quantizer, channel, exp, trial: int) -> SimTrace:

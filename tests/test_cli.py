@@ -925,10 +925,10 @@ def test_batched_saturation_exits_3(capsys, monkeypatch):
     # test_orbit_from_range_boundary_stays_in_range
     batch = montecarlo.run_closed_loop_batch
 
-    def boundary_trial(plant, quantizer, channels, strategies, steps, y0):
+    def boundary_trial(plant, quantizer, channel, strategy, steps, y0):
         y0 = list(y0)
         y0[5] = plant.y0_bound / 2.0
-        return batch(plant, quantizer, channels, strategies, steps, y0)
+        return batch(plant, quantizer, channel, strategy, steps, y0)
 
     monkeypatch.setattr(montecarlo, "run_closed_loop_batch", boundary_trial)
     code, out, err = run_cli(

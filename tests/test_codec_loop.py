@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import CodecState, measure, product_measure_cases
+from oracles import CodecState, measure, product_measure_cases, trial_configs
 from ratelim import codec_loop
 from ratelim.channel import ChannelConfig, draw, received, uniform01
 from ratelim.codec_loop import (
@@ -32,7 +32,7 @@ from ratelim.interval import FLOATS, SLOTS, Interval
 from ratelim.montecarlo import (BATCH_MIN_TRIALS, MAX_WORK, Experiment, _trial_setup,
                                 run_experiment)
 from ratelim.plant import ParamStrategy, UncertainPlant, iid_params, step_unchecked
-from ratelim.timeshare import TimeShareConfig, run_timeshare_loop
+from ratelim.timeshare import TimeShareConfig, run_timeshare_loop, run_timeshare_loop_batch
 
 
 def test_quantizer_spec():
@@ -460,17 +460,18 @@ def test_batched_loop_raises_on_the_boundary_orbit():
     plant = UncertainPlant(1, (2.0,), (0.1,))
     y0 = [(t - 7.5) / 21.0 for t in range(16)]
     y0[5] = plant.y0_bound / 2.0
-    channels = [ChannelConfig(0.0, t) for t in range(16)]
-    strategies = [ParamStrategy("greedy_adversarial", seed=t) for t in range(16)]
+    seeds = np.arange(16, dtype=np.uint64)
+    channel, strategy = ChannelConfig(0.0, seeds), ParamStrategy("greedy_adversarial", seed=seeds)
+    channels, strategies = trial_configs(channel), trial_configs(strategy)
     with pytest.raises(SaturationError) as batched:
-        run_closed_loop_batch(plant, QuantizerSpec(4), channels, strategies, 400, y0)
+        run_closed_loop_batch(plant, QuantizerSpec(4), channel, strategy, 400, y0)
     with pytest.raises(SaturationError) as scalar:
         oracles.run_closed_loop(plant, QuantizerSpec(4), channels[5], strategies[5], 400, y0[5])
     with pytest.raises(SaturationError) as runtime:
         run_closed_loop(plant, QuantizerSpec(4), channels[5], strategies[5], 400, y0[5])
     assert str(batched.value) == str(scalar.value) == str(runtime.value)
     y0[5] = 0.1
-    rows = run_closed_loop_batch(plant, QuantizerSpec(4), channels, strategies, 400, y0)
+    rows = run_closed_loop_batch(plant, QuantizerSpec(4), channel, strategy, 400, y0)
     assert len(rows) == 16
 
 
@@ -479,13 +480,14 @@ def _row_fields(y, sigma, status):
     return [float(v).hex() for v in y], [float(v).hex() for v in sigma], status, len(y)
 
 
-def _closed_batch_matches_oracle(plant, levels, channels, strategies, y0, steps):
+def _closed_batch_matches_oracle(plant, levels, channel, strategy, y0, steps):
     """Run the batch; each row must equal its trial's trace under the CodecState oracle,
     and so must run_closed_loop's trace of that trial.  Each row's (length, status)."""
     quantizer = QuantizerSpec(levels)
-    rows = run_closed_loop_batch(plant, quantizer, channels, strategies, steps, y0)
+    rows = run_closed_loop_batch(plant, quantizer, channel, strategy, steps, y0)
     assert len(rows) == len(y0)
-    for row, channel, strategy, start in zip(rows, channels, strategies, y0):
+    for row, channel, strategy, start in zip(rows, trial_configs(channel),
+                                             trial_configs(strategy), y0):
         want = oracles.run_closed_loop(plant, quantizer, channel, strategy, steps, start)
         got = run_closed_loop(plant, quantizer, channel, strategy, steps, start)
         assert _row_fields(*row) == _row_fields(want.y, want.sigma, want.status)
@@ -512,12 +514,13 @@ def test_batch_rows_replay_under_the_codec_state_oracle(n, kind, p):
     # row by row, not through a mean-square report, which hides y's sign and when each
     # trial ended; under loss the trials leave the batch at different steps
     trials = 10
-    channels = [ChannelConfig(p, 100 * n + t) for t in range(trials)]
-    strategies = [ParamStrategy(kind, 500 + t, (1, -1, 1)[:n]) for t in range(trials)]
+    index = np.arange(trials, dtype=np.uint64)
+    channel = ChannelConfig(p, 100 * n + index)
+    strategy = ParamStrategy(kind, 500 + index, (1, -1, 1)[:n])
     y0 = [uniform01(900 + t, 0) - 0.5 for t in range(trials)]
     for end, levels in ((CONVERGED, 2**20), (DIVERGED, 2)):
-        ends = _closed_batch_matches_oracle(ENDING_PLANTS[end][n], levels, channels,
-                                            strategies, y0, 300)
+        ends = _closed_batch_matches_oracle(ENDING_PLANTS[end][n], levels, channel,
+                                            strategy, y0, 300)
         assert end in {status for _, status in ends} <= {end, COMPLETED}
         assert end == CONVERGED or max(length for length, _ in ends) < 300
         if p:
@@ -561,9 +564,9 @@ def test_block_draws_give_the_per_step_bits(p):
     with pytest.raises(OverflowError):  # an int64 counter cannot take the golden-ratio step
         received(0.5, 1, np.arange(3))
     # the slots' tables hold the same bits: a Trial's as floats, a Lockstep's by slot
-    channels = [ChannelConfig(p, seed) for seed in seeds]
-    strategies = [ParamStrategy("iid_uniform", seed) for seed in seeds]
-    slots = Lockstep(channels, strategies, steps)
+    channel, strategy = ChannelConfig(p, keys), ParamStrategy("iid_uniform", keys)
+    channels, strategies = trial_configs(channel), trial_configs(strategy)
+    slots = Lockstep(channel, strategy, steps, len(seeds))
     for first in range(0, steps, block):
         count = min(block, steps - first)
         slots.draw(p, plant, first, count)
@@ -636,7 +639,8 @@ def test_both_retire_rules_agree_at_the_guards():
     nexts = np.array([[1.0] * 6, sigmas, [1.0] * 6])  # each trial's next sigma at steps 0-2
 
     def lockstep(columns):
-        slots = Lockstep([ChannelConfig(0.0)] * len(columns), [ParamStrategy()] * len(columns), 3)
+        seeds = np.zeros(len(columns), np.uint64)
+        slots = Lockstep(ChannelConfig(0.0, seeds), ParamStrategy(seed=seeds), 3, len(columns))
         for k in range(3):
             live = slots.live
             state = slots.retire(k, np.zeros(live.size), np.ones(live.size),
@@ -675,8 +679,9 @@ def test_overflowed_range_ends_diverged():
     trace = run_closed_loop(plant, QuantizerSpec(4), ChannelConfig(0.0), ParamStrategy(), 10, 4e9)
     assert (trace.status, trace.sigma) == (DIVERGED, [1e10])
     starts = [4e9, -4e9, 0.0, 1e9]
-    rows = run_closed_loop_batch(plant, QuantizerSpec(4), [ChannelConfig(0.0)] * 4,
-                                 [ParamStrategy()] * 4, 10, starts)
+    seeds = np.zeros(4, np.uint64)
+    rows = run_closed_loop_batch(plant, QuantizerSpec(4), ChannelConfig(0.0, seeds),
+                                 ParamStrategy(seed=seeds), 10, starts)
     assert [(list(s), status) for _, s, status in rows] == [([1e10], DIVERGED)] * 4
 
 
@@ -686,8 +691,9 @@ def test_batched_breach_names_the_first_trial_of_the_earliest_step():
     plant = UncertainPlant(1, (2.0,), (0.1,))
     y0 = [(t - 7.5) / 21.0 for t in range(16)]
     y0[3], y0[6], y0[9] = 0.0, -0.5, 0.5
-    channels = [ChannelConfig(0.0, t) for t in range(16)]
-    strategies = [ParamStrategy("greedy_adversarial", seed=t) for t in range(16)]
+    seeds = np.arange(16, dtype=np.uint64)
+    channel, strategy = ChannelConfig(0.0, seeds), ParamStrategy("greedy_adversarial", seed=seeds)
+    channels, strategies = trial_configs(channel), trial_configs(strategy)
     messages = []
     for t in (3, 6, 9):
         with pytest.raises(SaturationError) as scalar:
@@ -698,7 +704,7 @@ def test_batched_breach_names_the_first_trial_of_the_earliest_step():
         messages.append(str(scalar.value))
     assert len(set(messages)) == 3
     with pytest.raises(SaturationError) as batched:
-        run_closed_loop_batch(plant, QuantizerSpec(4), channels, strategies, 400, y0)
+        run_closed_loop_batch(plant, QuantizerSpec(4), channel, strategy, 400, y0)
     assert str(batched.value) == messages[1]
 
 
@@ -707,9 +713,23 @@ def test_start_check_refuses_nan_and_names_the_worst_start():
     with pytest.raises(ValueError, match="exceeds half"):
         run_closed_loop(plant, QuantizerSpec(4), ChannelConfig(0.0), ParamStrategy(), 5,
                         float("nan"))
+    seeds = np.zeros(3, np.uint64)
     with pytest.raises(ValueError, match=r"\|y0\| = 0.75 exceeds half"):
-        run_closed_loop_batch(plant, QuantizerSpec(4), [ChannelConfig(0.0)] * 3,
-                              [ParamStrategy()] * 3, 5, [0.1, -0.75, 0.6])
+        run_closed_loop_batch(plant, QuantizerSpec(4), ChannelConfig(0.0, seeds),
+                              ParamStrategy(seed=seeds), 5, [0.1, -0.75, 0.6])
+
+
+def test_batches_refuse_seed_counts_that_are_not_the_trials():
+    # a batch's trials are its starts: an int seed, or a seed array of another length, is
+    # refused in both loops, not shared among the trials or cut to fit
+    two, three = np.zeros(2, np.uint64), np.zeros(3, np.uint64)
+    targets = ((run_closed_loop_batch, UncertainPlant(1, (2.0,), (0.0,))),
+               (run_timeshare_loop_batch, TimeShareConfig(2.0, 0.0, 2)))
+    for seeds in ((0, three), (three, 0), (two, three), (three, two), (two, two)):
+        channel, strategy = ChannelConfig(0.0, seeds[0]), ParamStrategy(seed=seeds[1])
+        for run, target in targets:
+            with pytest.raises(ValueError, match="one strategy seed and one start per trial"):
+                run(target, QuantizerSpec(4), channel, strategy, 5, [0.1, -0.2, 0.3])
 
 
 @pytest.mark.parametrize("y0", [0.8, -0.8, float("nan")])

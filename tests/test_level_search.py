@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ratelim import mjls
+from ratelim import mjls, timeshare
 from ratelim._search import first_passing, split_integers
 from ratelim.mjls import LEVEL_TOL, min_sufficient_N, min_sufficient_level_real
 from ratelim.plant import UncertainPlant
@@ -41,7 +41,7 @@ def _random_plants(rng, count):
     return plants
 
 
-def test_min_feasible_average_level_matches_upward_scan():
+def test_min_feasible_average_level_matches_upward_scan(monkeypatch):
     rng = np.random.default_rng(51)
     outcomes = {"found": 0, "none": 0, "at_cap": 0}
     for _ in range(400):
@@ -51,7 +51,8 @@ def test_min_feasible_average_level_matches_upward_scan():
         p = float(rng.uniform(0.0, 0.2)) if rng.random() < 0.7 else 0.0
         cap = int(math.exp(rng.uniform(math.log(2.0), math.log(5000.0))))
         want = oracles.min_feasible_average_level(a, eps, p, m, cap=cap)
-        assert min_feasible_average_level(TimeShareConfig(a, eps, m), p, cap=cap) == want
+        monkeypatch.setattr(timeshare, "TOTAL_CAP", cap)
+        assert min_feasible_average_level(TimeShareConfig(a, eps, m), p) == want
         outcomes["none" if want is None else "found"] += 1
         outcomes["at_cap"] += want is not None and want[0] == cap
     # the draw reaches both outcomes and the clamped top of the bracket

@@ -303,6 +303,7 @@ def _assert_same_report(got, want):
 
 
 def _count_batches(monkeypatch) -> list:
+    """Record each closed-loop batch's arguments; args[5], its y0, holds one start a trial."""
     calls = []
     batch = montecarlo.run_closed_loop_batch
     monkeypatch.setattr(
@@ -331,7 +332,7 @@ def test_batched_experiment_matches_scalar_oracle(monkeypatch, kind, n):
         setup = (PARITY_PLANTS[n], QuantizerSpec(6), ChannelConfig(p=p, seed=n))
         exp = Experiment(trials=trials, steps=steps, base_seed=7 * n + trials, strategy=strategy)
         _assert_same_report(run_experiment(*setup, exp), oracles.run_experiment(*setup, exp))
-    assert [len(args[2]) for args in calls] == [BATCH_MIN_TRIALS, BATCH_MIN_TRIALS, 200, 200]
+    assert [len(args[5]) for args in calls] == [BATCH_MIN_TRIALS, BATCH_MIN_TRIALS, 200, 200]
 
 
 @pytest.mark.parametrize(
@@ -404,7 +405,7 @@ def test_wide_experiments_run_in_bounded_batches(monkeypatch):
     setup = (PARITY_PLANTS[2], QuantizerSpec(6), ChannelConfig(p=0.2, seed=4))
     exp = Experiment(trials=13, steps=80, base_seed=9, strategy=ParamStrategy("iid_uniform"))
     _assert_same_report(run_experiment(*setup, exp), oracles.run_experiment(*setup, exp))
-    assert [len(args[2]) for args in calls] == [5, 5, 3]
+    assert [len(args[5]) for args in calls] == [5, 5, 3]
 
 
 def test_timeshare_experiment_reads_one_loss_probability():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eta_second_moment, kappa, reduce_traces, replay_timeshare, timeshare_trial
+from oracles import (eta_second_moment, kappa, reduce_traces, replay_timeshare, timeshare_trial,
+                     trial_configs)
 from ratelim import montecarlo, timeshare
 from ratelim.channel import ChannelConfig, uniform01
 from ratelim.cli import main
@@ -192,7 +193,7 @@ def test_min_feasible_average_level_examples():
     total, avg = min_feasible_average_level(cfg[3], 0.0)
     assert total == 192
     assert avg == pytest.approx(192.0 ** (1.0 / 3.0), abs=1e-9)
-    assert min_feasible_average_level(cfg[4], 0.0, cap=100_000) is None
+    assert min_feasible_average_level(cfg[4], 0.0) is None
 
 
 def test_power_hull_matches_sampled_products():
@@ -319,24 +320,26 @@ def _replayed(cfg, quantizer, channel, strategy, row, cycles, start) -> SimTrace
     return trace
 
 
-def _batch_matches_oracle(cfg, quantizer, channels, strategies, y0,
+def _batch_matches_oracle(cfg, quantizer, channel, strategy, y0,
                           cycles) -> list[tuple[int, str]]:
     """Run the batch and replay each trial's row by timeshare_trial; the rows' (length,
     status)."""
-    rows = run_timeshare_loop_batch(cfg, quantizer, channels, strategies, cycles, y0)
+    rows = run_timeshare_loop_batch(cfg, quantizer, channel, strategy, cycles, y0)
     assert len(rows) == len(y0)
-    for row, channel, strategy, start in zip(rows, channels, strategies, y0):
+    for row, channel, strategy, start in zip(rows, trial_configs(channel),
+                                             trial_configs(strategy), y0):
         _replayed(cfg, quantizer, channel, strategy, row, cycles, start)
     return [(len(y), status) for y, _, status in rows]
 
 
 def _trials(kind: str, p: float, trials: int, sign: int = 1):
-    channels = [ChannelConfig(p, 1000 + t) for t in range(trials)]
-    strategies = [ParamStrategy(kind, seed=2000 + t, signs=(sign,)) for t in range(trials)]
+    index = np.arange(trials, dtype=np.uint64)
+    channel = ChannelConfig(p, 1000 + index)
+    strategy = ParamStrategy(kind, seed=2000 + index, signs=(sign,))
     # random starts, as montecarlo draws them: an orbit from a cell boundary can leave
     # the range (see the breach test)
     y0 = [uniform01(3000 + t, 0) - 0.5 for t in range(trials)]
-    return channels, strategies, y0
+    return channel, strategy, y0
 
 
 @pytest.mark.parametrize("p", [0.0, 0.2])
@@ -367,10 +370,10 @@ def test_batched_loop_matches_scalar_loop(m, kind, p):
 def test_batched_early_exits_match_scalar_loop(monkeypatch, a_star, eps, m, levels, p, cycles,
                                                y0_bound, ends, kind):
     cfg = TimeShareConfig(a_star=a_star, eps=eps, m=m, y0_bound=y0_bound)
-    channels, strategies, y0 = _trials(kind, p, 40)
+    channel, strategy, y0 = _trials(kind, p, 40)
     for block in (BLOCK_STEPS, 5):  # a 5-step block holds 2 cycles at m = 2
         monkeypatch.setattr(timeshare, "BLOCK_STEPS", block)
-        rows = _batch_matches_oracle(cfg, QuantizerSpec(levels), channels, strategies,
+        rows = _batch_matches_oracle(cfg, QuantizerSpec(levels), channel, strategy,
                                      [y0_bound * y for y in y0], cycles)
     if kind == "nominal":
         assert {status for _, status in rows} == ends
@@ -390,10 +393,11 @@ def _timeshare_batches(draw):
     trials = draw(st.integers(1, 5))
     kind = draw(st.sampled_from(ParamStrategy.KINDS))
     sign = draw(st.sampled_from((-1, 1)))
-    channels = [ChannelConfig(p, seed + 2 * t) for t in range(trials)]
-    strategies = [ParamStrategy(kind, seed=seed + 2 * t + 1, signs=(sign,)) for t in range(trials)]
+    seeds = seed + 2 * np.arange(trials, dtype=np.uint64)
+    channel = ChannelConfig(p, seeds)
+    strategy = ParamStrategy(kind, seed=seeds + 1, signs=(sign,))
     y0 = [draw(st.floats(-0.5, 0.5)) for _ in range(trials)]
-    return TimeShareConfig(a_star=a, eps=eps, m=m), QuantizerSpec(levels), channels, strategies, y0
+    return TimeShareConfig(a_star=a, eps=eps, m=m), QuantizerSpec(levels), channel, strategy, y0
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -402,18 +406,19 @@ def test_batched_loop_property(config):
     # either no trial breaches under the scalar oracle and every row of the batch replays
     # bit for bit, or the batch raises the oracle's breach of the first trial among those
     # breaching earliest
-    cfg, quantizer, channels, strategies, y0 = config
+    cfg, quantizer, channel, strategy, y0 = config
     breaches = {}
-    for t, (channel, strategy, start) in enumerate(zip(channels, strategies, y0)):
+    for t, (channel_t, strategy_t, start) in enumerate(zip(trial_configs(channel),
+                                                           trial_configs(strategy), y0)):
         try:
-            timeshare_trial(cfg, quantizer, channel, strategy, 40, start)
+            timeshare_trial(cfg, quantizer, channel_t, strategy_t, 40, start)
         except SaturationError as exc:
             breaches[t] = exc.cycle, str(exc)
     if not breaches:
-        _batch_matches_oracle(cfg, quantizer, channels, strategies, y0, 40)
+        _batch_matches_oracle(cfg, quantizer, channel, strategy, y0, 40)
         return
     with pytest.raises(SaturationError) as batched:
-        run_timeshare_loop_batch(cfg, quantizer, channels, strategies, 40, y0)
+        run_timeshare_loop_batch(cfg, quantizer, channel, strategy, 40, y0)
     assert str(batched.value) == breaches[min(breaches, key=lambda t: (breaches[t][0], t))][1]
 
 
@@ -421,7 +426,8 @@ def test_batched_breach_names_the_first_trial_of_the_earliest_cycle():
     # dyadic starts whose orbits leave the range at m = 3 under the greedy rule:
     # 0 at cycle 12, +-1/2 at cycle 9, -1/4 at cycle 8.  The others start at random
     cfg, quantizer = TimeShareConfig(a_star=1.5, eps=0.05, m=3), QuantizerSpec(4)
-    channels, strategies, y0 = _trials("greedy_adversarial", 0.0, 16)
+    channel, strategy, y0 = _trials("greedy_adversarial", 0.0, 16)
+    channels, strategies = trial_configs(channel), trial_configs(strategy)
     y0[3], y0[6], y0[9] = 0.0, -0.5, 0.5
     messages, cycles = {}, {}
     for t in (3, 6, 9, 12):
@@ -433,15 +439,15 @@ def test_batched_breach_names_the_first_trial_of_the_earliest_cycle():
     assert cycles == {3: 12, 6: 9, 9: 9, 12: 8}
     # trials 6 and 9 breach first, at cycle 9: the batch names trial 6, not trial 3
     with pytest.raises(SaturationError) as batched:
-        run_timeshare_loop_batch(cfg, quantizer, channels, strategies, 400, y0)
+        run_timeshare_loop_batch(cfg, quantizer, channel, strategy, 400, y0)
     assert str(batched.value) == messages[6]
     # trial 12 breaches at cycle 8, before any lower-numbered trial
     y0[12] = -0.25
     with pytest.raises(SaturationError) as batched:
-        run_timeshare_loop_batch(cfg, quantizer, channels, strategies, 400, y0)
+        run_timeshare_loop_batch(cfg, quantizer, channel, strategy, 400, y0)
     assert str(batched.value) == messages[12]
     y0[3] = y0[6] = y0[9] = y0[12] = 0.1
-    rows = _batch_matches_oracle(cfg, quantizer, channels, strategies, y0, 400)
+    rows = _batch_matches_oracle(cfg, quantizer, channel, strategy, y0, 400)
     assert {status for _, status in rows} == {CONVERGED}
 
 
@@ -450,8 +456,9 @@ def test_simulators_refuse_totals_past_2_pow_53():
     for levels, m, ok in ((4, 26, True), (4, 27, False), (2, 54, False), (2, 10**9, False)):
         cfg = TimeShareConfig(a_star=1.2, eps=0.01, m=m)
         def run():
-            return run_timeshare_loop_batch(cfg, QuantizerSpec(levels), [ChannelConfig(0.1, 1)] * 2,
-                                            [ParamStrategy()] * 2, 2, [0.1, -0.2])
+            return run_timeshare_loop_batch(cfg, QuantizerSpec(levels),
+                                            ChannelConfig(0.1, np.ones(2, np.uint64)),
+                                            ParamStrategy(seed=np.zeros(2, np.uint64)), 2, [0.1, -0.2])
         if ok:
             run()
         else:
@@ -498,11 +505,12 @@ def test_simulate_csv_is_identical_in_both_layouts(monkeypatch, capsys, tmp_path
     batches, runs = [], []
     batch = montecarlo.run_timeshare_loop_batch
 
-    def recorded(cfg, quantizer, channels, strategies, cycles, y0):
-        rows = batch(cfg, quantizer, channels, strategies, cycles, y0)
-        batches.append(len(channels))
-        runs.extend((cfg, quantizer, channel, strategy, row, cycles, start)
-                    for channel, strategy, row, start in zip(channels, strategies, rows, y0))
+    def recorded(cfg, quantizer, channel, strategy, cycles, y0):
+        rows = batch(cfg, quantizer, channel, strategy, cycles, y0)
+        batches.append(len(y0))
+        runs.extend((cfg, quantizer, channel_t, strategy_t, row, cycles, start)
+                    for channel_t, strategy_t, row, start in zip(
+                        trial_configs(channel), trial_configs(strategy), rows, y0))
         return rows
 
     monkeypatch.setattr(montecarlo, "run_timeshare_loop_batch", recorded)

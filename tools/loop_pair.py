@@ -17,6 +17,9 @@ probabilities 0 (every flag received) and 0.2:
   batch      run_closed_loop_batch, BATCH trials x STEPS steps
   timeshare  run_timeshare_loop_batch, BATCH trials x STEPS cycles at m = order
              (at loss 0 and m = 2 or 3 about a tenth of the trials converge early)
+             Both batch cases pass one channel and one strategy whose seeds are uint64
+             arrays, one entry a trial; a base revision whose batch loops still take a
+             list of channels and a list of strategies needs these cases built as lists.
   narrow     cli.main simulate ... --out FILE at 1-4 scalar trials x STEPS steps (1 for
              nominal, 2 fixed_vertex, 3 iid_uniform, 4 greedy_adversarial), the shape
              of the benchmark's narrow Monte Carlo queries: draws, loop and CSV together
@@ -41,6 +44,7 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
 from bench_pair import _export
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,21 +84,24 @@ def _case(lib, family: str, order: int, kind: str, p: float, out: Path):
                     raise SystemExit(f"error: {' '.join(argv)} failed")
             return 1
         return query
-    channels = [lib.ChannelConfig(p, 1000 + t) for t in range(BATCH)]
-    strategies = [lib.ParamStrategy(kind, 2000 + t, signs) for t in range(BATCH)]
+    index = np.arange(BATCH, dtype=np.uint64)
+    channel = lib.ChannelConfig(p, 1000 + index)
+    strategy = lib.ParamStrategy(kind, 2000 + index, signs)
     y0 = [lib.channel.uniform01(3000 + t, 0) - 0.5 for t in range(BATCH)]
     if family == "timeshare":
         cfg = lib.TimeShareConfig(a_star=-1.9 if order % 2 else 1.7, eps=0.04, m=order)
         run, quantizer = lib.timeshare.run_timeshare_loop_batch, lib.QuantizerSpec(3)
-        return lambda: sum(len(y) for y, _, _ in run(cfg, quantizer, channels, strategies,
+        return lambda: sum(len(y) for y, _, _ in run(cfg, quantizer, channel, strategy,
                                                       STEPS, y0))
     plant = lib.UncertainPlant(order, *PLANTS[order])
     quantizer = lib.QuantizerSpec(LEVELS)
     if family == "batch":
         run = lib.codec_loop.run_closed_loop_batch
-        return lambda: sum(len(y) for y, _, _ in run(plant, quantizer, channels, strategies,
+        return lambda: sum(len(y) for y, _, _ in run(plant, quantizer, channel, strategy,
                                                       STEPS, y0))
     run = lib.run_closed_loop
+    channels = [lib.ChannelConfig(p, 1000 + t) for t in range(TRIALS)]
+    strategies = [lib.ParamStrategy(kind, 2000 + t, signs) for t in range(TRIALS)]
     return lambda: sum(len(run(plant, quantizer, channels[t], strategies[t], STEPS, y0[t]))
                        for t in range(TRIALS))
 
