@@ -737,6 +737,20 @@ def timeshare_trial(
     return trace, decoded
 
 
+def cycle_cell(levels, sigma, center, symbol, got, ops: Ops = FLOATS) -> Interval:
+    """The time-share cycle's cell rule in codec_loop.decode_cell's signature.
+
+    A received symbol is cell `symbol` of `levels`; a lost cycle uses level 1 and
+    symbol 0, the whole range.  The cell starts at lo + symbol * w and ends w past
+    that, or at the range's top for the top cell, where decode_cell reads both ends
+    off lo + symbol * w and lo + (symbol + 1) * w, or off the top.
+    """
+    res, idx = ops.where(got, levels, 1.0), ops.where(got, symbol, 0.0)
+    w = sigma / res
+    lo = center - sigma / 2.0 + idx * w
+    return Interval(lo, ops.where(idx == res - 1.0, center + sigma / 2.0, lo + w))
+
+
 def replay_timeshare(
     cfg: TimeShareConfig, quantizer: QuantizerSpec, channel: ChannelConfig,
     strategy: ParamStrategy, trace: SimTrace

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (eta_second_moment, kappa, reduce_traces, replay_timeshare, timeshare_trial,
-                     trial_configs)
-from ratelim import montecarlo, timeshare
+from oracles import (cycle_cell, eta_second_moment, kappa, reduce_traces, replay_timeshare,
+                     timeshare_trial, trial_configs)
+from ratelim import codec_loop, montecarlo, timeshare
 from ratelim.channel import ChannelConfig, uniform01
 from ratelim.cli import main
 from ratelim.codec_loop import (
@@ -21,10 +21,12 @@ from ratelim.codec_loop import (
     QuantizerSpec,
     SaturationError,
     SimTrace,
+    run_closed_loop,
+    run_closed_loop_batch,
 )
 from ratelim.limits import necessary_bounds
 from ratelim.montecarlo import Experiment, write_rows_csv
-from ratelim.plant import ParamStrategy, iid_params
+from ratelim.plant import ParamStrategy, UncertainPlant, iid_params
 from ratelim.timeshare import (
     TimeShareConfig,
     deltas,
@@ -464,6 +466,43 @@ def test_simulators_refuse_totals_past_2_pow_53():
         else:
             with pytest.raises(ValueError, match=f"--N {levels} at --m {m} gives more than 2"):
                 run()
+
+
+# (a*, eps, N): trials that run the whole horizon, that converge, and that diverge
+M1_PLANTS = [(2.0, 0.1, 4), (-1.5, 0.02, 2**20), (20.0, 0.5, 2)]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+@pytest.mark.parametrize("kind", ParamStrategy.KINDS)
+def test_m1_cycles_are_closed_loop_steps_under_the_cycle_cell_rule(monkeypatch, kind, p):
+    # at m = 1 a cycle is one closed-loop step of the n = 1 plant: with decode_cell swapped
+    # for the cycle's cell rule, both closed-loop layouts give the time-share batch's rows
+    # bit for bit, so the cell rule is all that sets the two loops apart
+    monkeypatch.setattr(codec_loop, "decode_cell", cycle_cell)
+    trials, steps, quantizers = 160, 200, {}
+    index = np.arange(trials, dtype=np.uint64)
+    channel = ChannelConfig(p, 7000 + index)
+    strategy = ParamStrategy(kind, seed=8000 + index, signs=(-1,))
+    y0 = [uniform01(9000 + t, 0) - 0.5 for t in range(trials)]
+    ends = set()
+    for a_star, eps, levels in M1_PLANTS:
+        quantizer = quantizers.setdefault(levels, QuantizerSpec(levels))
+        plant, cfg = UncertainPlant(1, (a_star,), (eps,)), TimeShareConfig(a_star, eps, 1)
+        want = [(*_row_bits(y, s), status) for y, s, status in
+                run_timeshare_loop_batch(cfg, quantizer, channel, strategy, steps, y0)]
+        batched = run_closed_loop_batch(plant, quantizer, channel, strategy, steps, y0)
+        assert [(*_row_bits(y, s), status) for y, s, status in batched] == want
+        for t, (channel_t, strategy_t) in enumerate(zip(trial_configs(channel)[:20],
+                                                        trial_configs(strategy))):
+            trace = run_closed_loop(plant, quantizer, channel_t, strategy_t, steps, y0[t])
+            assert (*_row_bits(trace.y, trace.sigma), trace.status) == want[t]
+        ends |= {status for *_, status in want}
+    assert ends == {COMPLETED, CONVERGED, DIVERGED}
+
+
+def _row_bits(y, sigma):
+    """A row's y and sigma as float.hex, which tells -0.0 from 0.0."""
+    return [float(v).hex() for v in y], [float(v).hex() for v in sigma]
 
 
 @pytest.mark.xfail(strict=True, raises=SaturationError, reason="known defect (ROADMAP item 8): "
