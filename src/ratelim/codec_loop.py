@@ -111,10 +111,11 @@ def predict(boxes: Sequence[Interval], cells: Sequence[Interval], ops: Ops = FLO
     return lo, hi
 
 
-def control(plant: UncertainPlant, cells: Sequence[Interval]) -> float:
-    """Certainty-equivalent feedback on the interval midpoints."""
+def control(coeffs: Sequence[float], cells: Sequence[Interval]) -> float:
+    """Certainty-equivalent feedback on the interval midpoints: coefficient i (the
+    plant's a*, or a time-share cycle's a*^m) meets cells[n - 1 - i], as box i does in predict."""
     u = 0.0
-    for a, (lo, hi) in zip(plant.a_star, reversed(cells)):
+    for a, (lo, hi) in zip(coeffs, reversed(cells)):
         u -= a * (lo + hi) / 2.0
     return u
 
@@ -259,7 +260,7 @@ def _run(plant: UncertainPlant, levels: int, p: float, strategy: ParamStrategy, 
             cell = decode_cell(levels, sigma, center, symbol, slots.got[j], ops)
             cells.pop(0)
             cells.append(cell)
-            u = control(plant, cells)
+            u = control(plant.a_star, cells)
             sigma_next, center = advance_scaling(predict(boxes, cells, ops), u, ops)
             params = slots.coeffs[j] if iid else fixed or realize_params(
                 plant, strategy, history, u, ops=ops)

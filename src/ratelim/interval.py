@@ -45,10 +45,6 @@ FLOATS = Ops(lambda c, a, b: a if c else b, lambda a, b: b if b < a else a,
 SLOTS = Ops(np.where, np.minimum, np.maximum, np.floor, np.logical_and.reduce)
 
 
-def midpoint(iv: Interval) -> float:
-    return (iv.lo + iv.hi) / 2.0
-
-
 def scale_product(a: Interval, y: Interval, ops: Ops = FLOATS) -> Interval:
     """Exact hull of {x * v : x in a, v in y}.
 

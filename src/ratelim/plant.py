@@ -117,17 +117,16 @@ def realize_params(
     strategy: ParamStrategy,
     history: Sequence | None = None,
     u=None,
-    row=None,
     ops: Ops = FLOATS,
 ) -> tuple:
     """Coefficient vector of one step according to the strategy, for one trial or a batch.
 
     history and u, the plant step's inputs, are scalars or arrays with one slot
-    per trial; ops is FLOATS or SLOTS to match.  iid_uniform returns row, the
-    coefficients the loop drew for the step (iid_params).  greedy_adversarial
-    sweeps the coordinates once from the nominal vector (so it never does worse
-    than nominal), setting each to a + e if that gives a |next output| at least
-    that of a - e (inf against inf too), else to a - e (a NaN).
+    per trial; ops is FLOATS or SLOTS to match.  It serves every kind but
+    iid_uniform, whose steps take the coefficients the loop drew (iid_params).
+    greedy_adversarial sweeps the coordinates once from the nominal vector (so it
+    never does worse than nominal), setting each to a + e if that gives a |next
+    output| at least that of a - e (inf against inf too), else to a - e (a NaN).
     """
     kind = strategy.kind
     if kind == "nominal":
@@ -136,8 +135,6 @@ def realize_params(
         if len(strategy.signs) != plant.n:  # ParamStrategy refuses a fixed_vertex without signs
             raise ValueError(f"sign pattern must have length {plant.n}")
         return tuple(a + s * e for a, s, e in zip(plant.a_star, strategy.signs, plant.eps))
-    if kind == "iid_uniform":
-        return row
     # greedy_adversarial
     if history is None or u is None or len(history) != plant.n:
         raise ValueError(f"greedy_adversarial strategy needs the last {plant.n} outputs")

@@ -20,9 +20,9 @@ import numpy as np
 from ._search import first_passing, split_integers
 from .channel import ChannelConfig
 from .codec_loop import (BLOCK_STEPS, Lockstep, QuantizerSpec, SimTrace, advance_scaling,
-                         check_start, quantize)
-from .interval import SLOTS, Interval, midpoint, scale_product
-from .plant import ParamStrategy, UncertainPlant, realize_params
+                         check_start, control, predict, quantize)
+from .interval import SLOTS, Interval
+from .plant import ParamStrategy, UncertainPlant, realize_params, step_unchecked
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,10 @@ def run_timeshare_loop_batch(
     cycle start, and how it ended.  A cycle that receives s of its m packets decodes the sample to
     resolution N^s, N the quantizer's levels: N^m cells at most 2^53, which a
     double in [-1/2, 1/2] tells apart (the batch holds cell indices in doubles).
-    Mid-cycle inputs are zero; the deadbeat-style input lands on the last
-    slot.  A slot's float operations do not depend on the other trials, so a
-    trial's row is the same in any batch.  A range breach raises quantize's
+    Only that cell rule is the cycle's own: the rest is the closed loop's step functions
+    on one coefficient a*^m with box power_hull, then m plant sub-steps, whose input is
+    zero but on the last slot.  A slot's float operations do not depend on the other
+    trials, so a trial's row is the same in any batch.  A range breach raises quantize's
     error for the first trial among those breaching earliest.
     """
     n_slot = quantizer.levels
@@ -145,8 +146,7 @@ def run_timeshare_loop_batch(
     check_start(y, cfg.y0_bound)
     plant, m, trials, p = cfg.plant(), cfg.m, len(y), channel.p
     levels = np.array([float(n_slot**s) for s in range(m + 1)])  # by packets received
-    a_nom_pow = cfg.a_star**m
-    hull = power_hull(cfg.a_star, cfg.eps, m)
+    coeffs, boxes = (cfg.a_star**m,), [power_hull(cfg.a_star, cfg.eps, m)]
     kind = strategy.kind
     fixed = realize_params(plant, strategy) if kind in ("nominal", "fixed_vertex") else None
     iid = plant if kind == "iid_uniform" else None
@@ -162,18 +162,18 @@ def run_timeshare_loop_batch(
                 idx = quantize(res, (y - center) / sigma, SLOTS)
                 w = sigma / res
                 lo = center - sigma / 2.0 + idx * w
-                cell = Interval(lo, np.where(idx == res - 1.0, center + sigma / 2.0, lo + w))
-                u_end = -a_nom_pow * midpoint(cell)
-                sigma_next, center = advance_scaling(scale_product(hull, cell, SLOTS), u_end, SLOTS)
+                cells = [Interval(lo, np.where(idx == res - 1.0, center + sigma / 2.0, lo + w))]
+                u_end = control(coeffs, cells)
+                sigma_next, center = advance_scaling(predict(boxes, cells, SLOTS), u_end, SLOTS)
                 state = slots.retire(j, y, sigma, sigma_next, center, y, u_end)
                 if state is None:
                     return slots.rows()
                 sigma, center, y, u_end = state
                 for i in range(m):  # the plant through the cycle, input only on the last slot
                     u_step = u_end if i == m - 1 else 0.0
-                    (a,) = fixed or realize_params(plant, strategy, [y], u_step,
-                                                   slots.coeffs[m * jj + i], SLOTS)
-                    y = a * y + u_step
+                    params = slots.coeffs[m * jj + i] if iid else fixed or realize_params(
+                        plant, strategy, [y], u_step, ops=SLOTS)
+                    y = step_unchecked([y], u_step, params)
     return slots.rows()
 
 

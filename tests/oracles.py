@@ -16,14 +16,15 @@ callback, by the one-trial codec steps (`quantize`, `decode_cell`,
 reception flag (`draw`); the step functions `predict_by_hulls` and
 `advance_scaling_by_measure` take floats or trial slots as the runtime's do,
 but form each coefficient's hull as an `Interval` and read the prediction
-through `measure` (an interval's length, which no runtime code reads) and
-`midpoint`; parity tests compare the runtime answers against
+through `measure` and `midpoint` (an interval's length and midpoint, which no
+runtime code reads); parity tests compare the runtime answers against
 them, and the invariant checks replay the decoder with that object.
 `trial_configs` splits a lockstep batch's channel or strategy into its trials' one-trial
 configs, which these comparisons run.  `timeshare_trial` runs one time-share trial with scalar floats on those
 codec steps and that flag: every time-share batch row is replayed by it
 bit for bit (`replay_timeshare`), and every breach the batch raises is
-checked against it.  The stacked reduction (`run_experiment`) runs each
+checked against it.  `cycle_cell` is the cycle's cell rule in `decode_cell`'s
+form, which the m = 1 parity test swaps into the closed loop.  The stacked reduction (`run_experiment`) runs each
 closed-loop trial on the CodecState loop and each time-share trial on
 `timeshare_trial`, never on the runtime's loops.
 Below them sit independent routes to quantities the runtime computes
@@ -54,7 +55,7 @@ from ratelim.codec_loop import (
     end_status,
 )
 from ratelim._search import first_passing, split_integers
-from ratelim.interval import FLOATS, Interval, Ops, midpoint
+from ratelim.interval import FLOATS, Interval, Ops
 from ratelim.interval import scale_product as slot_scale_product
 from ratelim.mjls import (
     LEVEL_CAP,
@@ -506,6 +507,10 @@ def measure(iv: Interval) -> float:
     return iv.hi - iv.lo
 
 
+def midpoint(iv: Interval) -> float:
+    return (iv.lo + iv.hi) / 2.0
+
+
 # The runtime's predict and advance_scaling as they stood before the loop formed each
 # coefficient's product hull inline and unpacked the prediction once, copied verbatim
 # but for their names and scale_product's (slot_scale_product here).
@@ -660,7 +665,7 @@ def run_closed_loop(
         symbol = state.encode(history[-1])
         gamma = draw(channel, k)
         state.observe(gamma, symbol)
-        u = control(plant, state.cells)
+        u = control(plant.a_star, state.cells)
         state.advance(u)
         if fixed_params is not None:
             params = fixed_params
@@ -770,9 +775,6 @@ def replay_timeshare(
 
 
 # ------------------------------------------------------------ interval arithmetic
-
-
-ZERO = Interval(0.0, 0.0)
 
 
 def interval(lo: float, hi: float) -> Interval:

@@ -130,12 +130,12 @@ def test_predict_examples():
 
 def test_control_examples():
     p1 = UncertainPlant(n=1, a_star=(2.0,), eps=(0.1,))
-    assert control(p1, [Interval(0, 0)]) == 0.0
-    assert control(p1, [Interval(0.3, 0.5)]) == pytest.approx(-0.8)
+    assert control(p1.a_star, [Interval(0, 0)]) == 0.0
+    assert control(p1.a_star, [Interval(0.3, 0.5)]) == pytest.approx(-0.8)
     p2 = UncertainPlant(n=2, a_star=(1.0, 2.5), eps=(0.0, 0.0))
     # midpoints: y_hat[k] = 0.1, y_hat[k-1] = -0.2
     cells = [Interval(-0.3, -0.1), Interval(0.05, 0.15)]
-    assert control(p2, cells) == pytest.approx(0.4)
+    assert control(p2.a_star, cells) == pytest.approx(0.4)
 
 
 def test_advance_scaling_examples():
@@ -317,7 +317,7 @@ def _replay_and_check(plant, levels, trace, channel, strategy):
         assert history[-1] == trace.y[k]
         cell = state.observe(draw(channel, k), state.encode(trace.y[k]))
         assert cell.lo - 1e-12 <= trace.y[k] <= cell.hi + 1e-12
-        u = control(plant, state.cells)
+        u = control(plant.a_star, state.cells)
         expected_sigma = sum(
             product_measure_cases(plant.a_star[i], plant.eps[i], state.cells[plant.n - 1 - i])
             for i in range(plant.n)
@@ -361,8 +361,8 @@ def test_encoder_decoder_synchrony_bit_identical():
         # the decoder never sees the symbol on loss; the encoder may not use it
         enc.observe(gamma, symbol)
         dec.observe(gamma, symbol if gamma else None)
-        enc.advance(control(plant, enc.cells))
-        dec.advance(control(plant, dec.cells))
+        enc.advance(control(plant.a_star, enc.cells))
+        dec.advance(control(plant.a_star, dec.cells))
         assert enc.sigma == dec.sigma and enc.center == dec.center
         assert enc.cells == dec.cells
 

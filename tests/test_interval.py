@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import beta, contains, interval, measure, minkowski_sum, product_measure_cases
-from ratelim.interval import Interval, midpoint, scale_product
+from oracles import beta, contains, interval, measure, midpoint, minkowski_sum, product_measure_cases
+from ratelim.interval import Interval, scale_product
 
 
 def brute_hull_measure(a_lo, a_hi, y_lo, y_hi):

@@ -97,8 +97,6 @@ def test_iid_uniform_reproducible_and_in_box():
     seq1 = [iid_params(p, 123, k) for k in steps]
     seq2 = [iid_params(p, 123, k) for k in steps]
     assert seq1 == seq2  # bit-identical
-    # realize_params hands iid_uniform the row the loop drew
-    assert all(realize_params(p, ParamStrategy("iid_uniform"), row=row) is row for row in seq1)
     for draw in seq1:
         for v, a, e in zip(draw, p.a_star, p.eps):
             assert a - e <= v <= a + e
@@ -140,14 +138,15 @@ def test_array_call_gives_each_slot_the_scalar_bits(kind, n):
     history = [np.array([h[3 - n + j] for h, _ in rows]) for j in range(n)]
     u = np.array([u for _, u in rows])
     signs = (1, -1, 1)[:n]
-    keys = np.array(seeds, dtype=np.uint64)
+    keys, strategy = np.array(seeds, dtype=np.uint64), ParamStrategy(kind, signs=signs)
     with np.errstate(all="ignore"):
         for k in (0, 1, 399):
-            row = iid_params(p, keys, k)  # the iid row as a batch draws it
-            batched = realize_params(p, ParamStrategy(kind, signs=signs), history, u, row, SLOTS)
-            want = [realize_params(p, ParamStrategy(kind, signs=signs),
-                                   [float(h[t]) for h in history], float(u[t]), iid_params(p, seed, k))
-                    for t, seed in enumerate(seeds)]
+            if kind == "iid_uniform":  # the loops step on the row they drew, batched or not
+                batched, want = iid_params(p, keys, k), [iid_params(p, seed, k) for seed in seeds]
+            else:
+                batched = realize_params(p, strategy, history, u, SLOTS)
+                want = [realize_params(p, strategy, [float(h[t]) for h in history], float(u[t]))
+                        for t in range(trials)]
             assert _slot_bits(batched, trials) == [tuple(map(float.hex, w)) for w in want]
     if kind != "greedy_adversarial":
         return
