@@ -134,10 +134,13 @@ def check_start(y0, y0_bound: float) -> None:
                          "the range the quantizer covers at the start")
 
 
-def end_status(sigma: float) -> str | None:
-    """How a trial ends once sigma passes a guard, else None; NaN (an overflowed range) diverged."""
+def end_status(sigma: float, recorded=(), order: int = 1) -> str | None:
+    """How a trial ends at its next range sigma, else None: converged once sigma and the
+    order - 1 last recorded ranges are all below CONVERGED_SIGMA (the next predictions read
+    the last `order` cells), diverged past DIVERGED_SIGMA or at NaN (an overflowed range)."""
     if sigma < CONVERGED_SIGMA:
-        return CONVERGED
+        earlier = recorded[max(len(recorded) + 1 - order, 0):]
+        return CONVERGED if all(s < CONVERGED_SIGMA for s in earlier) else None
     return None if sigma <= DIVERGED_SIGMA else DIVERGED
 
 
@@ -155,11 +158,11 @@ class SimTrace:
 
 class Trial:
     """The slot of a one-trial run: its channel and strategy seeds, the tables of the
-    current block (draw), and its SimTrace."""
+    current block (draw), and its SimTrace; order is the plant's (one for a time-share cycle)."""
 
-    def __init__(self, channel: ChannelConfig, strategy: ParamStrategy):
+    def __init__(self, channel: ChannelConfig, strategy: ParamStrategy, order: int = 1):
         self.seeds, self.param_seeds, self.trace = channel.seed, strategy.seed, SimTrace()
-        self.got = self.coeffs = None
+        self.order, self.got, self.coeffs = order, None, None
 
     def draw(self, p: float, plant: UncertainPlant | None, first: int, count: int) -> None:
         """Draw the block of steps first to first + count - 1: got[j] is step first + j's
@@ -171,24 +174,27 @@ class Trial:
             zip(*(c.tolist() for c in iid_params(plant, self.param_seeds, counters))))
 
     def retire(self, k: int, y: float, sigma_k: float, *state):
-        """Record step k's y and sigma_k; end the trial and return None if the next
-        sigma, state[0], passed a guard (end_status), else return state."""
+        """Record step k's y and sigma_k; end the trial and return None if end_status
+        ends it at the next sigma, state[0], else return state."""
         trace = self.trace
         trace.y.append(y)
         trace.sigma.append(sigma_k)
         sigma = state[0]
-        if sigma < CONVERGED_SIGMA or not sigma <= DIVERGED_SIGMA:  # end_status's rule
-            trace.status = end_status(sigma)
-            return None
+        if sigma < CONVERGED_SIGMA or not sigma <= DIVERGED_SIGMA:  # end_status's guards
+            status = end_status(sigma, trace.sigma, self.order)
+            if status:
+                trace.status = status
+                return None
         return state
 
 
 class Lockstep:
     """Slots of a lockstep batch: the live trials with their seeds (channel.seed and
     strategy.seed, one uint64 a trial, or an int for one trial), the tables of the current
-    block (draw), and each trial's y and sigma rows, length and status."""
+    block (draw), and each trial's y and sigma rows, length and status; order as Trial's."""
 
-    def __init__(self, channel: ChannelConfig, strategy: ParamStrategy, steps: int, trials: int):
+    def __init__(self, channel: ChannelConfig, strategy: ParamStrategy, steps: int, trials: int,
+                 order: int = 1):
         self.seeds, self.param_seeds = (np.array(seed & _MASK, np.uint64, ndmin=1)
                                         for seed in (channel.seed, strategy.seed))
         if not self.seeds.shape == self.param_seeds.shape == (trials,):
@@ -196,7 +202,7 @@ class Lockstep:
         self.live = np.arange(trials)
         self.y, self.sigma = np.zeros((trials, steps)), np.zeros((trials, steps))
         self.length, self.status = [steps] * trials, [COMPLETED] * trials
-        self.got = self.coeffs = None
+        self.order, self.got, self.coeffs = order, None, None
 
     def draw(self, p: float, plant: UncertainPlant | None, first: int, count: int) -> None:
         """Trial.draw for the live trials: got[j] and coeffs[j] hold one slot per live
@@ -207,17 +213,24 @@ class Lockstep:
             iid_params(plant, self.param_seeds, counters), axis=1)
 
     def retire(self, k: int, y: np.ndarray, sigma_k: np.ndarray, *state):
-        """Record step k's y and sigma_k for the live trials; end those whose next sigma,
-        state[0], passed a guard (length k + 1, end_status); return state (arrays, or
+        """Record step k's y and sigma_k for the live trials; end those that end_status
+        ends at their next sigma, state[0] (length k + 1); return state (arrays, or
         lists or Intervals of them) for the others, or None once none is left.  The
         block's flags, and its coefficients when drawn, leave with their trials too."""
         self.y[self.live, k], self.sigma[self.live, k] = y, sigma_k
         sigma = state[0]
-        done = (sigma < CONVERGED_SIGMA) | ~(sigma <= DIVERGED_SIGMA)  # end_status's rule
+        done = (sigma < CONVERGED_SIGMA) | ~(sigma <= DIVERGED_SIGMA)  # end_status's guards
         if not done.any():
             return state
-        for t, end in zip(self.live[done], sigma[done]):
-            self.length[t], self.status[t] = k + 1, end_status(end)
+        for i in np.flatnonzero(done):
+            t = self.live[i]
+            status = end_status(sigma[i], self.sigma[t, :k + 1], self.order)
+            if status:
+                self.length[t], self.status[t] = k + 1, status
+            else:
+                done[i] = False
+        if not done.any():
+            return state
 
         keep = ~done
 
@@ -240,8 +253,8 @@ class Lockstep:
 def _run(plant: UncertainPlant, levels: int, p: float, strategy: ParamStrategy, steps: int,
          slots: Trial | Lockstep, ops: Ops, sigma, center, y0) -> None:
     """The closed loop on a Trial with FLOATS or a Lockstep with SLOTS: slots draws
-    each block's flags and coefficients, records each step and ends the trials whose
-    sigma passed a guard."""
+    each block's flags and coefficients, records each step and ends the trials that
+    end_status ends."""
     n = plant.n
     boxes = [plant.box(i) for i in range(n)]
     kind = strategy.kind  # nominal and fixed_vertex realize one vector for every step
@@ -284,10 +297,10 @@ def run_closed_loop(
 
     sigma starts at the plant's initial output bound (the minimal choice),
     center at 0, so the quantizer covers y0 in [-Y0/2, Y0/2].  Terminates
-    early once sigma passes the convergence or divergence guard (end_status).
+    early once end_status ends the trial (at its last n ranges).
     """
     check_start(y0, plant.y0_bound)
-    trial = Trial(channel, strategy)
+    trial = Trial(channel, strategy, plant.n)
     _run(plant, quantizer.levels, channel.p, strategy, steps, trial, FLOATS,
          plant.y0_bound, 0.0, y0)
     return trial.trace
@@ -310,7 +323,7 @@ def run_closed_loop_batch(
     """
     y0 = np.asarray(y0, float)
     check_start(y0, plant.y0_bound)
-    slots = Lockstep(channel, strategy, steps, len(y0))
+    slots = Lockstep(channel, strategy, steps, len(y0), plant.n)
     with np.errstate(all="ignore"):
         _run(plant, quantizer.levels, channel.p, strategy, steps, slots, SLOTS,
              np.full(len(y0), plant.y0_bound), np.zeros(len(y0)), y0)

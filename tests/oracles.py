@@ -45,7 +45,9 @@ from ratelim.channel import ChannelConfig, uniform01
 from ratelim.codec_loop import (
     COMPLETED,
     CONVERGED,
+    CONVERGED_SIGMA,
     DIVERGED,
+    DIVERGED_SIGMA,
     SATURATION_TOL,
     SIGMA_MIN,
     QuantizerSpec,
@@ -646,7 +648,9 @@ def run_closed_loop(
 
     sigma starts at the plant's initial output bound (the minimal choice),
     center at 0, so the quantizer covers y0 in [-Y0/2, Y0/2].  Terminates
-    early once sigma passes the convergence or divergence guard (end_status).
+    early as converged once the last n ranges (the next and the n - 1 last
+    recorded) are all below CONVERGED_SIGMA, as diverged once the next passes
+    DIVERGED_SIGMA or is NaN.
     """
     if not abs(y0) <= plant.y0_bound / 2.0:
         raise ValueError(f"|y0| = {abs(y0)} exceeds half the declared bound {plant.y0_bound}")
@@ -680,8 +684,12 @@ def run_closed_loop(
         trace.sigma.append(sigma_k)
         history.pop(0)
         history.append(y_next)
-        if status := end_status(state.sigma):
-            trace.status = status
+        last_n = [*(trace.sigma[-(n - 1):] if n > 1 else []), state.sigma]
+        if all(s < CONVERGED_SIGMA for s in last_n):
+            trace.status = CONVERGED
+            return trace
+        if not state.sigma <= DIVERGED_SIGMA:
+            trace.status = DIVERGED
             return trace
     return trace
 

@@ -195,6 +195,21 @@ def test_simulate_emits_csv_and_verdict(capsys, tmp_path):
         int(k), float(sq_y), float(sq_sigma)  # every cell parses as a number
 
 
+@pytest.mark.parametrize("trials", [4, 20])  # the scalar and the batched layout
+@pytest.mark.parametrize("a_star, levels, p, verdict", [
+    # infeasible by bounds (p_nec 0.103), though sigma[1] sits at SIGMA_MIN
+    ("0,3", "2", "0.5", "unstable"),
+    ("0,2", "8", "0.05", "stable"),  # spectral radius 0.573 at N = 8
+])
+def test_pure_delay_verdicts(capsys, tmp_path, trials, a_star, levels, p, verdict):
+    # a1* = eps1 = 0: the prediction of y[1] reads only the zeros before the start
+    code, out, _ = run_cli(capsys, "simulate", "--n", "2", "--a-star", a_star, "--eps", "0,0.1",
+                           "--N", levels, "--p", p, "--trials", str(trials), "--steps", "400",
+                           "--out", str(tmp_path / "d.csv"))
+    assert code == 0
+    assert json.loads(out)["verdict"] == verdict
+
+
 def test_simulate_without_out_writes_csv_to_stdout(capsys):
     code, out, err = run_cli(
         capsys,

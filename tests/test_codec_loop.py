@@ -15,6 +15,7 @@ from ratelim.codec_loop import (
     CONVERGED_SIGMA,
     DIVERGED,
     DIVERGED_SIGMA,
+    SIGMA_MIN,
     TRIAL_BLOCK_STEPS,
     Lockstep,
     QuantizerSpec,
@@ -630,38 +631,67 @@ def test_one_trial_at_the_work_cap_draws_capped_tables(monkeypatch):
 
 
 def test_both_retire_rules_agree_at_the_guards():
-    # a Trial ends its trial by end_status, a Lockstep by its array copy of that rule:
-    # at each guard and the double past it, at inf and at NaN they end the same trials
+    # a Trial and a Lockstep both end trials by end_status: at each guard and the double
+    # past it, at inf and at NaN they end the same trials.  A trial of order n ends
+    # converged only once its next range and the n - 1 it recorded last are below the guard
     sigmas = [CONVERGED_SIGMA, float(np.nextafter(CONVERGED_SIGMA, 0.0)), DIVERGED_SIGMA,
               float(np.nextafter(DIVERGED_SIGMA, np.inf)), float("inf"), float("nan")]
-    want = [(3, COMPLETED), (2, CONVERGED), (3, COMPLETED), (2, DIVERGED), (2, DIVERGED),
-            (2, DIVERGED)]
-    nexts = np.array([[1.0] * 6, sigmas, [1.0] * 6])  # each trial's next sigma at steps 0-2
+    nexts = np.array([[1.0] * 6, sigmas, sigmas])  # each trial's next sigma at steps 0-2
+    ranges = np.array([[1.0] * 6, [1.0] * 6, sigmas])  # and the range it records there
+    diverged = [(2, DIVERGED)] * 3
+    ends = {1: [(3, COMPLETED), (2, CONVERGED), (3, COMPLETED), *diverged],
+            2: [(3, COMPLETED), (3, CONVERGED), (3, COMPLETED), *diverged],
+            3: [(3, COMPLETED), (3, COMPLETED), (3, COMPLETED), *diverged]}
 
-    def lockstep(columns):
+    def lockstep(columns, order):
         seeds = np.zeros(len(columns), np.uint64)
-        slots = Lockstep(ChannelConfig(0.0, seeds), ParamStrategy(seed=seeds), 3, len(columns))
+        slots = Lockstep(ChannelConfig(0.0, seeds), ParamStrategy(seed=seeds), 3, len(columns),
+                         order)
         for k in range(3):
             live = slots.live
-            state = slots.retire(k, np.zeros(live.size), np.ones(live.size),
+            state = slots.retire(k, np.zeros(live.size), ranges[k, columns][live],
                                  nexts[k, columns][live], live)
             if state is None:
                 break
             assert np.array_equal(state[1], slots.live)  # the rows leave with their trials
         return [(len(y), status) for y, _, status in slots.rows()]
 
-    def one_trial(column):
-        trial = Trial(ChannelConfig(0.0), ParamStrategy())
+    def one_trial(column, order):
+        trial = Trial(ChannelConfig(0.0), ParamStrategy(), order)
         for k in range(3):
-            state = trial.retire(k, 0.0, 1.0, float(nexts[k, column]), "row")
+            state = trial.retire(k, 0.0, float(ranges[k, column]), float(nexts[k, column]), "row")
             if state is None:
                 break
             assert state[1] == "row"
         return len(trial.trace), trial.trace.status
 
-    assert [one_trial(t) for t in range(6)] == want
-    assert lockstep(list(range(6))) == want
-    assert [lockstep([t])[0] for t in range(6)] == want
+    for order, want in ends.items():
+        assert [one_trial(t, order) for t in range(6)] == want
+        assert lockstep(list(range(6)), order) == want
+        assert [lockstep([t], order)[0] for t in range(6)] == want
+
+
+@pytest.mark.parametrize("layout", ["scalar", "batched"])
+def test_one_small_range_does_not_end_a_higher_order_trial(layout):
+    # with a1* = eps1 = 0 the prediction of y[1] reads only the zeros before the start, so
+    # sigma[1] sits at SIGMA_MIN while the next range reads cell 0 (width Y0/N): such a
+    # trial runs on.  A trial that does converge ends at the first step whose next range
+    # and last recorded one are both below the guard
+    def run(plant, levels, p):
+        if layout == "scalar":
+            trace = run_closed_loop(plant, QuantizerSpec(levels), ChannelConfig(p, 5),
+                                    ParamStrategy(), 400, 0.3)
+            return trace.sigma, trace.status
+        seeds = np.arange(3, dtype=np.uint64)
+        rows = run_closed_loop_batch(plant, QuantizerSpec(levels), ChannelConfig(p, seeds),
+                                     ParamStrategy(seed=seeds), 400, [0.3, -0.1, 0.2])
+        return list(rows[0][1]), rows[0][2]
+
+    sigma, status = run(UncertainPlant(2, (0.0, 3.0), (0.0, 0.1)), 2, 0.5)
+    assert sigma[1] == SIGMA_MIN and (len(sigma), status) == (400, COMPLETED)
+    sigma, status = run(UncertainPlant(2, (0.0, 2.0), (0.0, 1e-3)), 2**20, 0.0)
+    assert status == CONVERGED and sigma[1] == SIGMA_MIN and sigma[-1] < CONVERGED_SIGMA
+    assert not any(a < CONVERGED_SIGMA and b < CONVERGED_SIGMA for a, b in zip(sigma, sigma[1:]))
 
 
 @pytest.mark.xfail(strict=True, raises=SaturationError, reason="known defect: an orbit "
