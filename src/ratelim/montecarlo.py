@@ -116,16 +116,15 @@ def _trial_setup(target, channel: ChannelConfig, exp: Experiment, trial):
     return ch, replace(exp.strategy, seed=derive_seed(root, 1)), y0
 
 
-def _trial_rows(target, quantizer, channel, exp: Experiment):
-    """(y, sigma, status) of every trial in trial order: batched or one at a time."""
-    timeshare = isinstance(target, TimeShareConfig)
-    if not timeshare and exp.trials < BATCH_MIN_TRIALS:
+def _trial_rows(target, quantizer, channel, exp: Experiment, run_batch, batch_from: int):
+    """(y, sigma, status) of every trial in trial order: by run_batch, or one closed-loop
+    trial at a time in an experiment of fewer than batch_from trials."""
+    if exp.trials < batch_from:
         for trial in range(exp.trials):
             ch, strat, y0 = _trial_setup(target, channel, exp, trial)
             trace = run_closed_loop(target, quantizer, ch, strat, exp.steps, y0)
             yield np.asarray(trace.y), np.asarray(trace.sigma), trace.status
         return
-    run_batch = run_timeshare_loop_batch if timeshare else run_closed_loop_batch
     for first in range(0, exp.trials, BATCH_MAX_TRIALS):
         chunk = np.arange(first, min(first + BATCH_MAX_TRIALS, exp.trials), dtype=np.uint64)
         ch, strat, y0 = _trial_setup(target, channel, exp, chunk)
@@ -153,17 +152,18 @@ def run_experiment(
     """
     if target.y0_bound > DIVERGED_SIGMA:  # the first recorded sigma is Y0: keep its square finite
         raise ValueError(f"Y0 = {target.y0_bound} exceeds the divergence guard {DIVERGED_SIGMA}")
-    if isinstance(target, TimeShareConfig) and exp.trials < TIMESHARE_MIN_TRIALS:
-        _check_work(TIMESHARE_MIN_TRIALS * exp.steps, target.m,
-                    f" (a time-share run counts at least {TIMESHARE_MIN_TRIALS} trials)")
+    # the target sets a step's cost (its order), the fewest trials counted, and the layouts
+    if isinstance(target, TimeShareConfig):
+        order, floor, run_batch, batch_from = target.m, TIMESHARE_MIN_TRIALS, run_timeshare_loop_batch, 1
     else:
-        order = target.m if isinstance(target, TimeShareConfig) else target.n
-        _check_work(exp.trials * exp.steps, order)
+        order, floor, run_batch, batch_from = target.n, 1, run_closed_loop_batch, BATCH_MIN_TRIALS
+    counted = f" (a time-share run counts at least {floor} trials)" if exp.trials < floor else ""
+    _check_work(max(exp.trials, floor) * exp.steps, order, counted)
     sum_sq_y = np.zeros(exp.steps)
     sum_sq_sigma = np.zeros(exp.steps)
     counts = np.zeros(exp.steps)
     diverged = converged = 0
-    for y, s, status in _trial_rows(target, quantizer, channel, exp):
+    for y, s, status in _trial_rows(target, quantizer, channel, exp, run_batch, batch_from):
         got = len(y)
         sum_sq_y[:got] += y * y
         sum_sq_sigma[:got] += s * s
