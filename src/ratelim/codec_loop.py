@@ -158,7 +158,8 @@ class SimTrace:
 
 class Trial:
     """The slot of a one-trial run: its channel and strategy seeds, the tables of the
-    current block (draw), and its SimTrace; order is the plant's (one for a time-share cycle)."""
+    current block (draw), and its SimTrace; order, the plant's, is how many last ranges
+    end_status reads."""
 
     def __init__(self, channel: ChannelConfig, strategy: ParamStrategy, order: int = 1):
         self.seeds, self.param_seeds, self.trace = channel.seed, strategy.seed, SimTrace()

@@ -479,14 +479,14 @@ def test_m1_cycles_are_closed_loop_steps_under_the_cycle_cell_rule(monkeypatch, 
     # for the cycle's cell rule, both closed-loop layouts give the time-share batch's rows
     # bit for bit, so the cell rule is all that sets the two loops apart
     monkeypatch.setattr(codec_loop, "decode_cell", cycle_cell)
-    trials, steps, quantizers = 160, 200, {}
+    trials, steps = 160, 200
     index = np.arange(trials, dtype=np.uint64)
     channel = ChannelConfig(p, 7000 + index)
     strategy = ParamStrategy(kind, seed=8000 + index, signs=(-1,))
     y0 = [uniform01(9000 + t, 0) - 0.5 for t in range(trials)]
     ends = set()
     for a_star, eps, levels in M1_PLANTS:
-        quantizer = quantizers.setdefault(levels, QuantizerSpec(levels))
+        quantizer = QuantizerSpec(levels)
         plant, cfg = UncertainPlant(1, (a_star,), (eps,)), TimeShareConfig(a_star, eps, 1)
         want = [(*_row_bits(y, s), status) for y, s, status in
                 run_timeshare_loop_batch(cfg, quantizer, channel, strategy, steps, y0)]
