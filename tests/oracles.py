@@ -24,9 +24,10 @@ configs, which these comparisons run.  `timeshare_trial` runs one time-share tri
 codec steps and that flag: every time-share batch row is replayed by it
 bit for bit (`replay_timeshare`), and every breach the batch raises is
 checked against it.  `cycle_cell` is the cycle's cell rule in `decode_cell`'s
-form, which the m = 1 parity test swaps into the closed loop.  The stacked reduction (`run_experiment`) runs each
-closed-loop trial on the CodecState loop and each time-share trial on
-`timeshare_trial`, never on the runtime's loops.
+form, which the m = 1 parity test swaps into the closed loop.  The stacked
+reduction (`run_experiment`) runs each closed-loop trial on the CodecState
+loop and each time-share trial on `timeshare_trial`, never on the runtime's
+loops.
 Below them sit independent routes to quantities the runtime computes
 another way: the case-split product measure, the worst-cell enumeration
 in exact rationals, the eta growth factors and the branch loss limits,
